@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .debruijn import (
     build_graph,
     count_paths,
+    cross_check_count,
     enumerate_paths,
     latin_hypercube_count,
     rule_from_path,
@@ -38,16 +39,13 @@ from .field import GF
 from .hypercube import (
     DEFAULT_ENTRY_BUDGET,
     check_random_lines,
-    count_latin_rules,
     dump,
     dump_text,
     is_latin,
 )
 from .rules import (
     DEFAULT_INT_BITS,
-    GeneralBipermutiveRule,
     LinearRule,
-    enumerate_bipermutive_rules,
     rule_from_json,
 )
 from .toeplitz import DEFAULT_SUPPORT_BUDGET, window_dets
@@ -108,7 +106,7 @@ def _check_report(rule, cfg: RunConfig) -> dict:
     """Shared by check and synth: criterion verdict, oracle verdict,
     fatal assert that they agree."""
     fld = rule.field
-    report: dict = {"q": fld.q}
+    report: dict = fld.short_json()
     if isinstance(rule, LinearRule):
         b, k = rule.b, rule.k
         report.update(b=b, k=k, coeffs=list(rule.coeffs))
@@ -164,33 +162,19 @@ def cmd_count(cfg: RunConfig) -> tuple[str, int]:
     report = {"q": q, "b": b, "k": k, "formula": str(formula)}
     verify = cfg.verify
     if verify is None:
-        # exhaustive space: q^(b(k-1)-1) linear rules, q^(q^(b-1)) general
-        # bipermutive ones at k = 2; the exponent guard avoids building a
-        # huge integer just to compare it with a small threshold
+        # exhaustive space: q^(b(k-1)-1) linear rules, or the formula's
+        # bipermutive ones at k = 2, which only a sweep within the entry
+        # budget can check; the exponent guard avoids a huge integer
         if k >= 3:
             exp = b * (k - 1) - 1
+            verify = exp <= 64 and q ** exp <= AUTO_VERIFY_RULES
         else:
-            exp = q ** (b - 1) if b - 1 <= 64 else AUTO_VERIFY_RULES
-        verify = exp <= 64 and q ** exp <= AUTO_VERIFY_RULES
+            verify = (formula <= AUTO_VERIFY_RULES
+                      and formula * q ** (2 * b) <= cfg.entry_budget)
     if verify:
-        if k >= 3:
-            paths = count_paths(build_graph(fld, b, cfg.enum_budget),
-                                k - 3, cfg.max_bits)
-            report["paths"] = str(paths)
-            assert paths == formula, (
-                f"walk count {paths} disagrees with formula {formula}")
-            if q ** (b * (k - 1) - 1) * q ** (b * k) <= cfg.entry_budget:
-                swept = count_latin_rules(fld, b, k, cfg.entry_budget,
-                                          cfg.workers)
-                report["exhaustive"] = str(swept)
-                assert swept == formula, (
-                    f"exhaustive count {swept} disagrees with formula {formula}")
-        else:
-            swept = sum(bool(is_latin(r, budget=cfg.entry_budget))
-                        for r in enumerate_bipermutive_rules(fld, b))
-            report["exhaustive"] = str(swept)
-            assert swept == formula, (
-                f"exhaustive count {swept} disagrees with formula {formula}")
+        counts = cross_check_count(fld, b, k, cfg.enum_budget,
+                                   cfg.entry_budget, cfg.max_bits, cfg.workers)
+        report.update((name, str(n)) for name, n in counts.items())
         report["match"] = True
     return _json(report), 0
 

@@ -14,14 +14,14 @@ any fixed-width type.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import BudgetExceededError
 from .field import GF
-from .hypercube import DEFAULT_ENTRY_BUDGET, count_latin_rules
-from .rules import LinearRule, count_bipermutive_rules, DEFAULT_INT_BITS
+from .hypercube import DEFAULT_ENTRY_BUDGET, count_latin_rules, is_latin
+from .rules import (DEFAULT_INT_BITS, LinearRule, count_bipermutive_rules,
+                    enumerate_bipermutive_rules)
 from .toeplitz import DEFAULT_SUPPORT_BUDGET, support_of_det
 
 
@@ -150,15 +150,15 @@ def enumerate_paths(graph: DetGraph, length: int,
         raise BudgetExceededError(
             f"{total} walks exceed the enumeration budget {budget}")
 
-    def extend(walk: tuple[tuple[int, ...], ...]) -> Iterator:
+    # an explicit stack, not recursion; successors pushed reversed pop in order
+    vs = graph.vertices
+    stack = [((vs[i],), i) for i in reversed(range(len(vs)))]
+    while stack:
+        walk, i = stack.pop()
         if len(walk) == length + 1:
             yield walk
-            return
-        for v in graph.successors(walk[-1]):
-            yield from extend(walk + (v,))
-
-    for start in graph.vertices:
-        yield from extend((start,))
+        else:
+            stack.extend((walk + (vs[j],), j) for j in reversed(graph.succ[i]))
 
 
 def rule_from_path(field: GF, path: Sequence[Sequence[int]]) -> LinearRule:
@@ -194,11 +194,13 @@ def latin_hypercube_count(field: GF, b: int, k: int, verify: bool = False,
 
     Closed form (q-1)^{k-2} q^{(k-1)(b-1)} over linear rules for k >= 3;
     for k = 2 every bipermutive rule qualifies, giving q^{q^{b-1}} counted
-    over all bipermutive rules.  ``verify`` recounts k >= 3 by an exact
-    walk count on the graph and, when the sweep fits ``entry_budget``
-    (default: the standard entry budget), also by exhaustive brute-force
-    verification of every linear rule; any mismatch is a fatal assertion.
+    over all bipermutive rules.  ``verify`` checks it by
+    :func:`cross_check_count`, with ``entry_budget`` defaulting to the
+    standard entry budget.
     """
+    if verify:
+        cap = DEFAULT_ENTRY_BUDGET if entry_budget is None else entry_budget
+        return cross_check_count(field, b, k, budget, cap, max_bits)["formula"]
     if b < 1 or k < 2:
         raise ValueError(f"need b >= 1 and k >= 2, got b={b}, k={k}")
     q = field.q
@@ -208,16 +210,34 @@ def latin_hypercube_count(field: GF, b: int, k: int, verify: bool = False,
     if bits > max_bits:
         raise BudgetExceededError(
             f"count for q={q}, b={b}, k={k} exceeds the {max_bits}-bit budget")
-    count = (q - 1) ** (k - 2) * q ** ((k - 1) * (b - 1))
-    if verify:
-        walks = count_paths(build_graph(field, b, budget), k - 3, max_bits)
-        assert walks == count, (
-            f"walk count {walks} contradicts closed form {count} "
-            f"for q={q}, b={b}, k={k}")
-        cap = DEFAULT_ENTRY_BUDGET if entry_budget is None else entry_budget
-        if q ** (b * (k - 1) - 1) * q ** (b * k) <= cap:
-            swept = count_latin_rules(field, b, k, cap)
-            assert swept == count, (
-                f"exhaustive count {swept} contradicts closed form {count} "
-                f"for q={q}, b={b}, k={k}")
-    return count
+    return (q - 1) ** (k - 2) * q ** ((k - 1) * (b - 1))
+
+
+def cross_check_count(field: GF, b: int, k: int, budget: int,
+                      entry_budget: int, max_bits: int,
+                      workers: int | None = None) -> dict[str, int]:
+    """The single count cross-check.  Returns the closed form ``formula``,
+    the walk count ``paths`` (k >= 3) and, when rules times cube entries
+    fit ``entry_budget``, the ``exhaustive`` sweep of every linear (k >= 3)
+    or bipermutive (k = 2) rule.  A mismatch fails an assertion; a k = 2
+    sweep over budget, the only check there, raises BudgetExceededError.
+    """
+    formula = latin_hypercube_count(field, b, k, max_bits=max_bits)
+    counts = {"formula": formula}
+    q = field.q
+    if k >= 3:
+        counts["paths"] = count_paths(build_graph(field, b, budget), k - 3,
+                                      max_bits)
+        if q ** (b * (k - 1) - 1) * q ** (b * k) <= entry_budget:
+            counts["exhaustive"] = count_latin_rules(field, b, k, entry_budget,
+                                                     workers)
+    elif formula * q ** (2 * b) > entry_budget:
+        raise BudgetExceededError(f"{formula} rules x {q**b}^2 entries "
+                                  f"exceeds budget {entry_budget}")
+    else:
+        counts["exhaustive"] = sum(
+            bool(is_latin(r, budget=entry_budget))
+            for r in enumerate_bipermutive_rules(field, b, max_bits))
+    assert all(n == formula for n in counts.values()), (
+        f"counts {counts} disagree for q={q}, b={b}, k={k}")
+    return counts

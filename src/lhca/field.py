@@ -263,6 +263,12 @@ class GF:
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "poly": self.poly}
 
+    def short_json(self) -> dict:
+        """{"q": q}, plus "poly" if the modulus is not the default one."""
+        if self.m > 1 and self.poly != default_irreducible_poly(self.p, self.m):
+            return {"q": self.q, "poly": self.poly}
+        return {"q": self.q}
+
     @classmethod
     def from_json(cls, data: dict) -> "GF":
         return cls(p=data["p"], m=data["m"], poly=data.get("poly"))

@@ -11,6 +11,10 @@ The array is Latin when every axis-parallel line hits every value exactly
 once.  ``is_latin`` verifies this by direct evaluation of every line, in
 vectorized chunks; it deliberately knows nothing about the algebraic
 criterion in ``toeplitz`` so the two routes stay independently checkable.
+
+``is_latin``, ``check_random_lines`` and ``dump`` all read the cube through
+one line evaluator: build the inputs of a batch of lines along one axis,
+run the global map once, decode.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .rules import (
     Rule,
     apply_ca,
     apply_ca_batch,
+    enumerate_linear_rules,
     rank_cells,
     unrank_cells,
 )
@@ -113,12 +118,29 @@ class LatinCheck:
         return self.ok
 
 
-def _psi_array(q: int, b: int) -> np.ndarray:
-    dt = np.uint8 if q <= 256 else np.int64
-    out = np.zeros((q**b, b), dtype=dt)
-    for v in range(q**b):
-        out[v] = unrank_cells(v, q, b)
-    return out
+def _psi_array(q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row v holds the block of b cells encoding the 0-based index v; the
+    digit weights, second, decode a block back to its index."""
+    weights = q ** np.arange(b, dtype=np.int64)
+    cells = np.arange(q**b, dtype=np.int64)[:, None] // weights % q
+    return cells.astype(np.uint8 if q <= 256 else np.int64), weights
+
+
+def _cube_shape(rule: Rule, b: int | None, k: int | None,
+                budget: int) -> tuple[int, int, int]:
+    """(b, k, N) of the cube; BudgetExceededError above ``budget`` entries."""
+    b, k = block_structure(rule, b, k)
+    N = rule.field.q**b
+    if N**k > budget:
+        raise BudgetExceededError(
+            f"cube with {N}^{k} entries exceeds budget {budget}")
+    return b, k, N
+
+
+def _line_coords(lo: int, hi: int, N: int, k: int) -> np.ndarray:
+    """Rows of fixed coordinates (0-based) of lines lo..hi-1 in order."""
+    weights = np.array([N**t for t in range(k - 2, -1, -1)])  # exact past int64
+    return (np.arange(lo, hi)[:, None] // weights % N).astype(np.int64)
 
 
 def _line_inputs(psi_arr: np.ndarray, coords: np.ndarray, axis: int,
@@ -136,9 +158,29 @@ def _line_inputs(psi_arr: np.ndarray, coords: np.ndarray, axis: int,
     return inputs
 
 
-def _first_duplicate(sorted_vals: np.ndarray) -> int:
-    eq = sorted_vals[:-1] == sorted_vals[1:]
-    return int(sorted_vals[:-1][eq][0])
+def _line_values(rule: Rule, enc: tuple, axis: int, coords: np.ndarray,
+                 b: int, k: int) -> np.ndarray:
+    """0-based entries of the lines along ``axis`` through each row of
+    ``coords`` (the other k-1 coordinates, 0-based), as an (L, N) array;
+    ``enc`` is the encoding from :func:`_psi_array`."""
+    outs = apply_ca_batch(rule, _line_inputs(enc[0], coords, axis, b, k))
+    return (outs.astype(np.int64) @ enc[1]).reshape(len(coords), -1)
+
+
+def _first_failure(rule: Rule, enc: tuple, axis: int, coords: np.ndarray,
+                   b: int, k: int) -> LatinCheck | None:
+    """The first of the lines given as for :func:`_line_values` that
+    repeats a value, as a failed LatinCheck; None when there is none."""
+    svals = np.sort(_line_values(rule, enc, axis, coords, b, k), axis=1)
+    # N entries in 0..N-1 form a permutation iff no two are equal
+    dup = svals[:, 1:] == svals[:, :-1]
+    bad_lines = dup.any(axis=1)
+    bad = int(np.argmax(bad_lines))
+    if not bad_lines[bad]:
+        return None
+    value = int(svals[bad, 1:][dup[bad]][0])
+    return LatinCheck(False, axis, tuple(int(c) + 1 for c in coords[bad]),
+                      value + 1)
 
 
 def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
@@ -151,39 +193,20 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     fixed coordinates, so the reported counterexample is deterministic.
     Raises BudgetExceededError for cubes with more than ``budget`` entries.
     """
-    b, k = block_structure(rule, b, k)
-    q = rule.field.q
-    N = q**b
-    if N**k > budget:
-        raise BudgetExceededError(
-            f"cube with {N}^{k} entries exceeds budget {budget}")
+    b, k, N = _cube_shape(rule, b, k, budget)
     axes = tuple(range(1, k + 1)) if axis_subset is None else tuple(axis_subset)
     for a in axes:
         if not 1 <= a <= k:
             raise ValueError(f"axis {a} out of range 1..{k}")
-    psi_arr = _psi_array(q, b)
-    out_pow = q ** np.arange(b, dtype=np.int64)
-    target = np.arange(N, dtype=np.int64)
+    enc = _psi_array(rule.field.q, b)
     n_lines = N ** (k - 1)
     chunk = max(1, 65536 // N)
     for axis in axes:
         for lo in range(0, n_lines, chunk):
-            hi = min(lo + chunk, n_lines)
-            r = np.arange(lo, hi, dtype=np.int64)
-            coords = np.zeros((hi - lo, k - 1), dtype=np.int64)
-            for t in range(k - 2, -1, -1):
-                coords[:, t] = r % N
-                r = r // N
-            inputs = _line_inputs(psi_arr, coords, axis, b, k)
-            outs = apply_ca_batch(rule, inputs).astype(np.int64)
-            vals = (outs @ out_pow).reshape(hi - lo, N)
-            svals = np.sort(vals, axis=1)
-            good = (svals == target).all(axis=1)
-            if not good.all():
-                bad = int(np.argmin(good))
-                fixed = tuple(int(c) + 1 for c in coords[bad])
-                return LatinCheck(False, axis, fixed,
-                                  _first_duplicate(svals[bad]) + 1)
+            coords = _line_coords(lo, min(lo + chunk, n_lines), N, k)
+            failure = _first_failure(rule, enc, axis, coords, b, k)
+            if failure is not None:
+                return failure
     return LatinCheck(True)
 
 
@@ -196,22 +219,15 @@ def check_random_lines(rule: Rule, n_lines: int = 1000, seed: int = 0,
     is evidence, not proof; a failure is a genuine counterexample.
     """
     b, k = block_structure(rule, b, k)
-    q = rule.field.q
-    N = q**b
+    N = rule.field.q**b
     rng = random.Random(seed)
-    psi_arr = _psi_array(q, b)
-    out_pow = q ** np.arange(b, dtype=np.int64)
-    target = np.arange(N, dtype=np.int64)
+    enc = _psi_array(rule.field.q, b)
     for _ in range(n_lines):
         axis = rng.randrange(k) + 1
         coords = np.array([[rng.randrange(N) for _ in range(k - 1)]])
-        inputs = _line_inputs(psi_arr, coords, axis, b, k)
-        vals = apply_ca_batch(rule, inputs).astype(np.int64) @ out_pow
-        svals = np.sort(vals)
-        if not (svals == target).all():
-            fixed = tuple(int(c) + 1 for c in coords[0])
-            return LatinCheck(False, axis, fixed,
-                              _first_duplicate(svals) + 1)
+        failure = _first_failure(rule, enc, axis, coords, b, k)
+        if failure is not None:
+            return failure
     return LatinCheck(True)
 
 
@@ -222,29 +238,19 @@ def dump(rule: Rule, b: int | None = None, k: int | None = None,
     ``layers`` holds one N x N block (rows i_1, columns i_2) for each
     assignment of the remaining indices, in lexicographic order of
     (i_3, ..., i_k); a square has exactly one layer.  Entries are the
-    1-based values.
+    1-based values.  The header records the field as rule JSON does.
     """
-    b, k = block_structure(rule, b, k)
-    q = rule.field.q
-    N = q**b
-    if N**k > budget:
-        raise BudgetExceededError(
-            f"cube with {N}^{k} entries exceeds budget {budget}")
-    psi_arr = _psi_array(q, b)
-    out_pow = q ** np.arange(b, dtype=np.int64)
-    rows = np.repeat(np.arange(N), N)
-    cols = np.tile(np.arange(N), N)
+    b, k, N = _cube_shape(rule, b, k, budget)
+    enc = _psi_array(rule.field.q, b)
+    # layer rows are the lines along axis 2 through (i_1, i_3, ..., i_k)
+    n_lines, chunk = N ** (k - 1), N * max(1, 65536 // N**2)
     layers = []
-    for rest in itertools.product(range(N), repeat=k - 2):
-        inputs = np.zeros((N * N, b * k), dtype=psi_arr.dtype)
-        inputs[:, 0:b] = psi_arr[rows]
-        inputs[:, b:2 * b] = psi_arr[cols]
-        for t, v in enumerate(rest):
-            j = t + 2
-            inputs[:, b * j:b * (j + 1)] = psi_arr[v]
-        vals = (apply_ca_batch(rule, inputs).astype(np.int64) @ out_pow) + 1
-        layers.append(vals.reshape(N, N).tolist())
-    out = {"q": q, "b": b, "k": k}
+    for lo in range(0, n_lines, chunk):
+        coords = np.roll(_line_coords(lo, min(lo + chunk, n_lines), N, k), 1,
+                         axis=1)
+        vals = _line_values(rule, enc, 2, coords, b, k) + 1
+        layers += vals.reshape(-1, N, N).tolist()
+    out = {**rule.field.short_json(), "b": b, "k": k}
     if isinstance(rule, LinearRule):
         out["coeffs"] = list(rule.coeffs)
     elif isinstance(rule, GeneralBipermutiveRule):
@@ -275,25 +281,11 @@ def dump_text(rule: Rule, b: int | None = None, k: int | None = None,
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _rank_to_coeffs(r: int, q: int, n: int) -> tuple[int, ...]:
-    # inverse of the lexicographic enumeration order: the last coefficient
-    # is the least significant digit
-    out = [0] * n
-    for t in range(n - 1, -1, -1):
-        r, out[t] = divmod(r, q)
-    return tuple(out)
-
-
 def _count_latin_range(args: tuple) -> int:
     field_json, b, k, lo, hi, budget = args
-    fld = GF.from_json(field_json)
-    n = b * (k - 1) - 1
-    count = 0
-    for r in range(lo, hi):
-        rule = LinearRule(fld, b, k, _rank_to_coeffs(r, fld.q, n))
-        if is_latin(rule, budget=budget):
-            count += 1
-    return count
+    rules = enumerate_linear_rules(GF.from_json(field_json), b, k)
+    return sum(bool(is_latin(rule, budget=budget))
+               for rule in itertools.islice(rules, lo, hi))
 
 
 def count_latin_rules(field: GF, b: int, k: int,

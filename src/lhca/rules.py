@@ -90,7 +90,7 @@ class LinearRule:
         return (1,) + self.coeffs + (1,)
 
     def to_json(self) -> dict:
-        return {"q": self.field.q, "b": self.b, "k": self.k,
+        return {**self.field.short_json(), "b": self.b, "k": self.k,
                 "coeffs": list(self.coeffs)}
 
 
@@ -118,7 +118,8 @@ class GeneralBipermutiveRule:
             self.field._check(v)
 
     def to_json(self) -> dict:
-        return {"q": self.field.q, "d": self.d, "g_table": list(self.g_table)}
+        return {**self.field.short_json(), "d": self.d,
+                "g_table": list(self.g_table)}
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,9 @@ Rule = LinearRule | GeneralBipermutiveRule | TableRule
 
 
 def rule_from_json(data: dict) -> LinearRule | GeneralBipermutiveRule:
-    """Rebuild a rule from its JSON dict form."""
-    fld = GF(data["q"])
+    """Rebuild a rule from its JSON dict form; ``poly`` selects a
+    non-default field modulus."""
+    fld = GF(data["q"], poly=data.get("poly"))
     if "coeffs" in data:
         return LinearRule(fld, data["b"], data["k"], tuple(data["coeffs"]))
     if "g_table" in data:

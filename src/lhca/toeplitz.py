@@ -9,10 +9,10 @@ rule is therefore Latin if and only if every window's matrix is
 nonsingular; ``hypercube.is_latin`` never looks at windows, so the two
 routes can be played against each other.
 
-Also here: exact determinants over GF(q) by Gaussian elimination, the
-support of the window determinant map, the count of nonsingular
-completions of a partially specified window, and the solver that recovers
-a middle block from a target output.
+Also here: exact determinants and linear solves over GF(q), which share
+one forward elimination, the support of the window determinant map, the
+count of nonsingular completions of a partially specified window, and
+the solver that recovers a middle block from a target output.
 """
 
 from __future__ import annotations
@@ -54,12 +54,15 @@ def toeplitz_matrix(window: Sequence[int], b: int | None = None) -> list[list[in
     return [[window[b + s - r - 1] for s in range(b)] for r in range(b)]
 
 
-def determinant(field: GF, matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant over GF(q) by Gaussian elimination with row swaps."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
+def _eliminate(field: GF, m: list[list[int]], width: int) -> int:
+    """The single row reduction: forward Gaussian elimination with row
+    swaps, in place, on the n rows of m, each of ``width`` >= n field
+    elements.  Returns the determinant of the leading n x n block, or 0 as
+    soon as a column has no pivot, where elimination stops.
+    """
+    n = len(m)
     for row in m:
-        if len(row) != n:
+        if len(row) != width:
             raise ValueError("matrix must be square")
         for v in row:
             field._check(v)
@@ -76,9 +79,14 @@ def determinant(field: GF, matrix: Sequence[Sequence[int]]) -> int:
         for r in range(col + 1, n):
             f = field.mul(m[r][col], pinv)
             if f:
-                for c in range(col, n):
+                for c in range(col, width):
                     m[r][c] = field.sub(m[r][c], field.mul(f, m[col][c]))
     return det
+
+
+def determinant(field: GF, matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant over GF(q) by Gaussian elimination with row swaps."""
+    return _eliminate(field, [list(row) for row in matrix], len(matrix))
 
 
 def det_of_window(field: GF, window: Sequence[int]) -> int:
@@ -175,22 +183,8 @@ def solve_linear_system(field: GF, matrix: Sequence[Sequence[int]],
     if len(rhs) != n:
         raise ValueError(f"rhs length {len(rhs)} != {n}")
     m = [list(row) + [v] for row, v in zip(matrix, rhs)]
-    for row in m:
-        if len(row) != n + 1:
-            raise ValueError("matrix must be square")
-        for v in row:
-            field._check(v)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        pinv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            f = field.mul(m[r][col], pinv)
-            if f:
-                for c in range(col, n + 1):
-                    m[r][c] = field.sub(m[r][c], field.mul(f, m[col][c]))
+    if _eliminate(field, m, n + 1) == 0:
+        raise ValueError("matrix is singular")
     x = [0] * n
     for r in range(n - 1, -1, -1):
         acc = m[r][n]

@@ -190,6 +190,21 @@ def test_count_squares_by_sweep(capsys):
     assert report["match"] is True
 
 
+def test_count_squares_over_entry_budget_skip_verification(capsys):
+    # 2^16 rules x 32^2 entries is 4x the entry budget
+    code, report = run_json(capsys, "count", "--q", "2", "--b", "5",
+                            "--k", "2")
+    assert code == 0
+    assert report == {"q": 2, "b": 5, "k": 2, "formula": "65536"}
+
+
+def test_count_squares_forced_verify_over_budget_exits_3(capsys):
+    code, out, err = run(capsys, "count", "--q", "2", "--b", "5", "--k", "2",
+                         "--verify")
+    assert code == 3
+    assert out == "" and "exceeds budget" in err
+
+
 def test_count_with_workers(capsys):
     code, report = run_json(capsys, "count", "--q", "2", "--b", "2",
                             "--k", "4", "--workers", "2")
@@ -298,6 +313,13 @@ def test_synth_requires_index_or_all(capsys):
     code, _, err = run(capsys, "synth", "--q", "2", "--b", "2", "--k", "3",
                        "--index", "0", "--all")
     assert code == 2
+
+
+def test_synth_walk_longer_than_the_recursion_limit(capsys):
+    code, rule = run_json(capsys, "synth", "--q", "2", "--b", "1",
+                          "--k", "1200", "--index", "0")
+    assert code == 0
+    assert rule["coeffs"] == [1] * 1198
 
 
 def test_synth_k2_is_usage_error(capsys):

@@ -114,6 +114,12 @@ def test_enumerate_paths_lex_and_complete():
         list(enumerate_paths(g, 12, budget=100))
 
 
+def test_enumerate_paths_beyond_the_recursion_limit():
+    # the q=2, b=1 graph is one vertex with a loop: one walk of any length
+    walks = list(enumerate_paths(build_graph(F2, 1), 1500))
+    assert walks == [((1,),) * 1501]
+
+
 def test_rule_from_path_golden():
     # fusing 010, 011, 101 recovers x1+x3+x5+x6+x8+x9
     rule = rule_from_path(F2, [(0, 1, 0), (0, 1, 1), (1, 0, 1)])
@@ -166,6 +172,14 @@ def test_counting_theorem_small_cases():
     assert latin_hypercube_count(F3, 2, 4, verify=True) == 108
     assert latin_hypercube_count(F2, 3, 3, verify=True) == 16
     assert latin_hypercube_count(GF(4), 2, 3, verify=True) == 48
+
+
+def test_square_count_verify_sweeps_within_budget():
+    assert latin_hypercube_count(F2, 2, 2, verify=True) == 4
+    assert latin_hypercube_count(F3, 2, 2, verify=True) == 27
+    # 2^16 rules x 2^10 entries: no walk count exists, so nothing checks it
+    with pytest.raises(BudgetExceededError):
+        latin_hypercube_count(F2, 5, 2, verify=True)
 
 
 def test_counting_theorem_matches_brute_force():

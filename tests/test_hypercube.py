@@ -5,10 +5,13 @@ f(x1..x5) = x1 + x3 + x5 over GF(2) with b=2, k=3 and is frozen here;
 GOLDEN_CUBE[z-1][x-1][y-1] is the entry at (i1=x, i2=y, i3=z).
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import lhca.hypercube
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import (
@@ -206,3 +209,17 @@ def test_count_latin_rules_workers_agree():
 def test_count_latin_rules_budget():
     with pytest.raises(BudgetExceededError):
         count_latin_rules(F2, 2, 3, budget=100)
+
+
+def test_sweep_never_imports_the_window_criterion():
+    # the line sweep is an independent oracle for the window criterion
+    tree = ast.parse(Path(lhca.hypercube.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+    for name in imported:
+        assert not {"toeplitz", "debruijn"} & set(name.split(".")), name

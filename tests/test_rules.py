@@ -1,6 +1,7 @@
 """Rule construction, CA global map, batch evaluation, and bipermutivity."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
+from lhca.hypercube import dump
 from lhca.rules import (
     GeneralBipermutiveRule,
     LinearRule,
@@ -23,6 +25,7 @@ from lhca.rules import (
     rule_from_json,
     unrank_cells,
 )
+from lhca.toeplitz import window_dets
 
 F2 = GF(2)
 F3 = GF(3)
@@ -245,3 +248,35 @@ def test_rule_json_round_trip():
 
     with pytest.raises(ValueError):
         rule_from_json({"q": 2, "b": 2, "k": 3})
+
+
+def _every_modulus(q):
+    base = GF(q)
+    for low in range(q):
+        try:
+            yield GF(p=base.p, m=base.m, poly=q + low)
+        except ValueError:  # reducible
+            continue
+
+
+# q and its number of monic irreducible moduli
+@pytest.mark.parametrize("q, moduli", [(4, 1), (8, 2), (9, 3), (16, 3),
+                                       (25, 10), (27, 8)])
+def test_rule_json_keeps_every_modulus(q, moduli):
+    rng = random.Random(q)
+    fields = list(_every_modulus(q))
+    assert len(fields) == moduli
+    for fld in fields:
+        default = fld.poly == GF(q).poly
+        for b, k in ((2, 3), (2, 4), (1, 4)):
+            n = b * (k - 1) - 1
+            r = LinearRule(fld, b, k, [rng.randrange(q) for _ in range(n)])
+            data = json.loads(json.dumps(r.to_json()))
+            assert ("poly" in data) != default
+            back = rule_from_json(data)
+            assert back == r
+            assert window_dets(back) == window_dets(r)
+        g = GeneralBipermutiveRule(fld, 3, [rng.randrange(q) for _ in range(q)])
+        assert rule_from_json(json.loads(json.dumps(g.to_json()))) == g
+        small = LinearRule(fld, 1, 3, (rng.randrange(q),))
+        assert rule_from_json(dump(small)) == small
