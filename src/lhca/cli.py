@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 from .debruijn import (
     build_graph,
-    count_paths,
     cross_check_count,
     enumerate_paths,
     latin_hypercube_count,
     rule_from_path,
+    unrank_path,
 )
 from .errors import BudgetExceededError
 from .field import GF
@@ -196,17 +196,12 @@ def cmd_synth(cfg: RunConfig) -> tuple[str, int]:
         raise ValueError("give exactly one of --index or --all")
     fld = GF(cfg.q)
     g = build_graph(fld, cfg.b, cfg.enum_budget)
-    walks = enumerate_paths(g, cfg.k - 3, cfg.enum_budget)
     if cfg.emit_all:
+        walks = enumerate_paths(g, cfg.k - 3, cfg.enum_budget)
         rules = [rule_from_path(fld, w) for w in walks]
     else:
-        total = count_paths(g, cfg.k - 3, cfg.max_bits)
-        if not 0 <= cfg.index < total:
-            raise ValueError(f"--index {cfg.index} out of range 0..{total - 1}")
-        for n, w in enumerate(walks):
-            if n == cfg.index:
-                rules = [rule_from_path(fld, w)]
-                break
+        walk = unrank_path(g, cfg.k - 3, cfg.index, cfg.max_bits)
+        rules = [rule_from_path(fld, walk)]
     for rule in rules:
         report = _check_report(rule, cfg)
         assert report["latin"], f"synthesized rule {rule} failed validation"

@@ -119,22 +119,54 @@ def build_graph(field: GF, b: int,
     return DetGraph(field, b, tuple(supp), succ)
 
 
-def count_paths(graph: DetGraph, length: int,
-                max_bits: int = DEFAULT_INT_BITS) -> int:
-    """Number of walks with ``length`` edges; vertices may repeat.
-
-    Length 0 counts the vertices.  Computed by iterated vector-adjacency
-    products in exact integer arithmetic.
-    """
+def _suffix_counts(graph: DetGraph, length: int,
+                   max_bits: int) -> Iterator[list[int]]:
+    """Walk counts by start vertex for 0, 1, ..., ``length`` edges, by
+    iterated vector-adjacency products in exact integer arithmetic."""
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
     weight = [1] * len(graph.vertices)
+    yield weight
     for _ in range(length):
         weight = [sum(weight[j] for j in s) for s in graph.succ]
         if weight and max(weight).bit_length() > max_bits:
             raise BudgetExceededError(
                 f"walk count exceeds the {max_bits}-bit budget")
+        yield weight
+
+
+def count_paths(graph: DetGraph, length: int,
+                max_bits: int = DEFAULT_INT_BITS) -> int:
+    """Number of walks with ``length`` edges; vertices may repeat.
+
+    Length 0 counts the vertices.
+    """
+    for weight in _suffix_counts(graph, length, max_bits):
+        pass
     return sum(weight)
+
+
+def unrank_path(graph: DetGraph, length: int, index: int,
+                max_bits: int = DEFAULT_INT_BITS
+                ) -> tuple[tuple[int, ...], ...]:
+    """Walk number ``index`` (0-based) of :func:`enumerate_paths`, found
+    without enumerating: each vertex is chosen by the counts of the walks
+    that continue from it, so the work is O(length x edges) big-int sums
+    however large the index."""
+    counts = list(_suffix_counts(graph, length, max_bits))
+    total = sum(counts[-1])
+    if not 0 <= index < total:
+        raise ValueError(f"walk index {index} out of range 0..{total - 1}")
+    walk = []
+    choices = range(len(graph.vertices))
+    for weight in reversed(counts):
+        for i in choices:
+            if index < weight[i]:
+                break
+            index -= weight[i]
+        walk.append(graph.vertices[i])
+        choices = graph.succ[i]
+    return tuple(walk)
 
 
 def enumerate_paths(graph: DetGraph, length: int,

@@ -14,15 +14,19 @@ criterion in ``toeplitz`` so the two routes stay independently checkable.
 
 ``is_latin``, ``check_random_lines`` and ``dump`` all read the cube through
 one line evaluator: build the inputs of a batch of lines along one axis,
-run the global map once, decode.
+column-major, run the global map once with the cells-major
+``apply_ca_batch``, decode.  The inputs of ``is_latin``'s chunks depend
+only on the cube shape, never on the rule, so they are built once and
+shared through a module cache of read-only arrays capped at 8 MiB.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import threading
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,14 +122,6 @@ class LatinCheck:
         return self.ok
 
 
-def _psi_array(q: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row v holds the block of b cells encoding the 0-based index v; the
-    digit weights, second, decode a block back to its index."""
-    weights = q ** np.arange(b, dtype=np.int64)
-    cells = np.arange(q**b, dtype=np.int64)[:, None] // weights % q
-    return cells.astype(np.uint8 if q <= 256 else np.int64), weights
-
-
 def _cube_shape(rule: Rule, b: int | None, k: int | None,
                 budget: int) -> tuple[int, int, int]:
     """(b, k, N) of the cube; BudgetExceededError above ``budget`` entries."""
@@ -143,44 +139,76 @@ def _line_coords(lo: int, hi: int, N: int, k: int) -> np.ndarray:
     return (np.arange(lo, hi)[:, None] // weights % N).astype(np.int64)
 
 
-def _line_inputs(psi_arr: np.ndarray, coords: np.ndarray, axis: int,
-                 b: int, k: int) -> np.ndarray:
-    """Inputs for a batch of lines: every line repeated N times with the
-    block of the swept axis running through all of GF(q)^b."""
-    N = psi_arr.shape[0]
-    L = coords.shape[0]
-    inputs = np.zeros((L * N, b * k), dtype=psi_arr.dtype)
-    others = [j for j in range(k) if j != axis - 1]
-    for t, j in enumerate(others):
-        inputs[:, b * j:b * (j + 1)] = np.repeat(psi_arr[coords[:, t]], N, axis=0)
-    j = axis - 1
-    inputs[:, b * j:b * (j + 1)] = np.tile(psi_arr, (L, 1))
+def _line_inputs(q: int, b: int, k: int, axis: int,
+                 coords: np.ndarray) -> np.ndarray:
+    """Inputs for a batch of lines, column-major: the line through row l
+    of ``coords`` (its other k-1 coordinates, 0-based) fills rows
+    l*N .. l*N+N-1, with the block of the swept axis running through all
+    of GF(q)^b.  Each block holds the base-q digits of its coordinate,
+    least significant first."""
+    N = q**b
+    L = len(coords)
+    cells = np.empty((b * k, L, N), dtype=np.uint8 if q <= 256 else np.int64)
+    weights = q ** np.arange(b)[:, None]
+    for j in range(k):
+        if j == axis - 1:
+            block = (np.arange(N) // weights % q)[:, None, :]
+        else:
+            block = (coords[:, j - (j >= axis)] // weights % q)[:, :, None]
+        cells[b * j:b * (j + 1)] = block
+    return cells.reshape(b * k, L * N).T
+
+
+# Inputs of the line scans of is_latin, keyed on (q, b, k, axis, lo, hi):
+# they do not depend on the rule, so every rule of a cube shape shares
+# them.  Least recently used entries go once the arrays pass the cap.
+_INPUT_CACHE_BYTES = 8 << 20
+_input_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_input_cache_lock = threading.Lock()
+
+
+def _scan_inputs(q: int, b: int, k: int, axis: int, lo: int,
+                 hi: int) -> np.ndarray:
+    """Read-only inputs of lines lo..hi-1 along ``axis``, from the cache."""
+    key = (q, b, k, axis, lo, hi)
+    with _input_cache_lock:
+        inputs = _input_cache.get(key)
+        if inputs is not None:
+            _input_cache.move_to_end(key)
+            return inputs
+    inputs = _line_inputs(q, b, k, axis, _line_coords(lo, hi, q**b, k))
+    inputs.flags.writeable = False
+    with _input_cache_lock:
+        _input_cache[key] = inputs
+        size = sum(a.nbytes for a in _input_cache.values())
+        while size > _INPUT_CACHE_BYTES:
+            size -= _input_cache.popitem(last=False)[1].nbytes
     return inputs
 
 
-def _line_values(rule: Rule, enc: tuple, axis: int, coords: np.ndarray,
-                 b: int, k: int) -> np.ndarray:
-    """0-based entries of the lines along ``axis`` through each row of
-    ``coords`` (the other k-1 coordinates, 0-based), as an (L, N) array;
-    ``enc`` is the encoding from :func:`_psi_array`."""
-    outs = apply_ca_batch(rule, _line_inputs(enc[0], coords, axis, b, k))
-    return (outs.astype(np.int64) @ enc[1]).reshape(len(coords), -1)
+def _line_values(rule: Rule, inputs: np.ndarray, b: int) -> np.ndarray:
+    """0-based entries of the lines whose inputs :func:`_line_inputs`
+    built, as an (L, N) array."""
+    q = rule.field.q
+    outs = apply_ca_batch(rule, inputs).T
+    vals = outs[b - 1].astype(np.intp)
+    for c in range(b - 2, -1, -1):
+        vals *= q
+        vals += outs[c]
+    return vals.reshape(-1, q**b)
 
 
-def _first_failure(rule: Rule, enc: tuple, axis: int, coords: np.ndarray,
-                   b: int, k: int) -> LatinCheck | None:
-    """The first of the lines given as for :func:`_line_values` that
-    repeats a value, as a failed LatinCheck; None when there is none."""
-    svals = np.sort(_line_values(rule, enc, axis, coords, b, k), axis=1)
-    # N entries in 0..N-1 form a permutation iff no two are equal
-    dup = svals[:, 1:] == svals[:, :-1]
-    bad_lines = dup.any(axis=1)
-    bad = int(np.argmax(bad_lines))
-    if not bad_lines[bad]:
+def _first_repeat(vals: np.ndarray) -> tuple[int, int] | None:
+    """(row, value) for the first row of ``vals`` that repeats a value,
+    with the smallest value it repeats; None when every row of N entries
+    in 0..N-1 is a permutation."""
+    L, N = vals.shape
+    seen = np.zeros(L * N, dtype=bool)
+    seen[(vals + np.arange(0, L * N, N)[:, None]).ravel()] = True
+    if seen.all():
         return None
-    value = int(svals[bad, 1:][dup[bad]][0])
-    return LatinCheck(False, axis, tuple(int(c) + 1 for c in coords[bad]),
-                      value + 1)
+    bad = int(np.argmin(seen.reshape(L, N).all(axis=1)))
+    return bad, int(np.argmax(np.bincount(vals[bad], minlength=N) > 1))
 
 
 def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
@@ -190,7 +218,10 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     each is a permutation of 1..N.
 
     Axes are scanned in order and lines in lexicographic order of their
-    fixed coordinates, so the reported counterexample is deterministic.
+    fixed coordinates, in chunks of one ``apply_ca_batch`` call each, so
+    the reported counterexample is deterministic.  The inputs of a chunk
+    depend only on the cube shape, so they are built once and kept in a
+    module cache capped at 8 MiB, least recently used out first.
     Raises BudgetExceededError for cubes with more than ``budget`` entries.
     """
     b, k, N = _cube_shape(rule, b, k, budget)
@@ -198,15 +229,19 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     for a in axes:
         if not 1 <= a <= k:
             raise ValueError(f"axis {a} out of range 1..{k}")
-    enc = _psi_array(rule.field.q, b)
+    q = rule.field.q
     n_lines = N ** (k - 1)
     chunk = max(1, 65536 // N)
     for axis in axes:
         for lo in range(0, n_lines, chunk):
-            coords = _line_coords(lo, min(lo + chunk, n_lines), N, k)
-            failure = _first_failure(rule, enc, axis, coords, b, k)
+            hi = min(lo + chunk, n_lines)
+            inputs = _scan_inputs(q, b, k, axis, lo, hi)
+            failure = _first_repeat(_line_values(rule, inputs, b))
             if failure is not None:
-                return failure
+                line, value = failure
+                fixed = unrank_cells(lo + line, N, k - 1)[::-1]
+                return LatinCheck(False, axis, tuple(c + 1 for c in fixed),
+                                  value + 1)
     return LatinCheck(True)
 
 
@@ -215,19 +250,34 @@ def check_random_lines(rule: Rule, n_lines: int = 1000, seed: int = 0,
                        k: int | None = None) -> LatinCheck:
     """Sampled Latin test for cubes too large to sweep exhaustively.
 
-    Checks ``n_lines`` independently random axis-parallel lines.  A pass
-    is evidence, not proof; a failure is a genuine counterexample.
+    Checks ``n_lines`` independently random axis-parallel lines, drawn in
+    order from ``random.Random(seed)`` and evaluated in batches, and
+    reports the first drawn line that fails.  A pass is evidence, not
+    proof; a failure is a genuine counterexample.
     """
     b, k = block_structure(rule, b, k)
-    N = rule.field.q**b
+    q = rule.field.q
+    N = q**b
     rng = random.Random(seed)
-    enc = _psi_array(rule.field.q, b)
-    for _ in range(n_lines):
-        axis = rng.randrange(k) + 1
-        coords = np.array([[rng.randrange(N) for _ in range(k - 1)]])
-        failure = _first_failure(rule, enc, axis, coords, b, k)
-        if failure is not None:
-            return failure
+    chunk = max(1, 65536 // N)
+    for lo in range(0, n_lines, chunk):
+        batch = []
+        for _ in range(min(chunk, n_lines - lo)):
+            axis = rng.randrange(k) + 1
+            batch.append((axis, [rng.randrange(N) for _ in range(k - 1)]))
+        failures = []
+        for axis in sorted({a for a, _ in batch}):
+            pos = [i for i, (a, _) in enumerate(batch) if a == axis]
+            coords = np.array([batch[i][1] for i in pos], dtype=np.int64)
+            inputs = _line_inputs(q, b, k, axis, coords)
+            failure = _first_repeat(_line_values(rule, inputs, b))
+            if failure is not None:
+                failures.append((pos[failure[0]], failure[1]))
+        if failures:
+            i, value = min(failures)
+            axis, coords = batch[i]
+            return LatinCheck(False, axis, tuple(c + 1 for c in coords),
+                              value + 1)
     return LatinCheck(True)
 
 
@@ -241,14 +291,14 @@ def dump(rule: Rule, b: int | None = None, k: int | None = None,
     1-based values.  The header records the field as rule JSON does.
     """
     b, k, N = _cube_shape(rule, b, k, budget)
-    enc = _psi_array(rule.field.q, b)
+    q = rule.field.q
     # layer rows are the lines along axis 2 through (i_1, i_3, ..., i_k)
     n_lines, chunk = N ** (k - 1), N * max(1, 65536 // N**2)
     layers = []
     for lo in range(0, n_lines, chunk):
         coords = np.roll(_line_coords(lo, min(lo + chunk, n_lines), N, k), 1,
                          axis=1)
-        vals = _line_values(rule, enc, 2, coords, b, k) + 1
+        vals = _line_values(rule, _line_inputs(q, b, k, 2, coords), b) + 1
         layers += vals.reshape(-1, N, N).tolist()
     out = {**rule.field.short_json(), "b": b, "k": k}
     if isinstance(rule, LinearRule):
@@ -306,6 +356,10 @@ def count_latin_rules(field: GF, b: int, k: int,
         raise BudgetExceededError(
             f"{total} rules x {q**b}^{k} entries exceeds budget {budget}")
     if workers and workers > 1 and total > 1:
+        # imported on use: multiprocessing adds about 2 MB and 20 ms to
+        # every import of lhca
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = min(total, workers * 4)
         bounds = [total * i // chunks for i in range(chunks + 1)]
         jobs = [(field.to_json(), b, k, bounds[i], bounds[i + 1], budget)

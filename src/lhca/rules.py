@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,12 @@ class GeneralBipermutiveRule:
         return {**self.field.short_json(), "d": self.d,
                 "g_table": list(self.g_table)}
 
+    @cached_property
+    def _g_array(self) -> np.ndarray:
+        """``g_table`` as a read-only uint8 array, built on first use by
+        the kernel of a field with tables."""
+        return _frozen_uint8(self.g_table)
+
 
 @dataclass(frozen=True)
 class TableRule:
@@ -141,6 +148,18 @@ class TableRule:
                 f"got {len(self.table)}")
         for v in self.table:
             self.field._check(v)
+
+    @cached_property
+    def _table_array(self) -> np.ndarray:
+        """``table`` as a read-only uint8 array, built on first use by
+        the kernel of a field with tables."""
+        return _frozen_uint8(self.table)
+
+
+def _frozen_uint8(values: tuple[int, ...]) -> np.ndarray:
+    arr = np.array(values, dtype=np.uint8)
+    arr.flags.writeable = False
+    return arr
 
 
 Rule = LinearRule | GeneralBipermutiveRule | TableRule
@@ -193,8 +212,12 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
     """Vectorized global map over a batch of configurations.
 
     ``inputs`` is an (M, n) integer array of configurations; returns the
-    (M, n-d+1) array of outputs.  Needs the field's lookup tables; falls
-    back to a row-by-row loop for fields above the table cap.
+    (M, n-d+1) ``uint8`` array of outputs.  The batch is evaluated cells
+    major: each cell of every configuration is one contiguous row of the
+    transposed batch, which costs no copy when ``inputs`` is a column-major
+    ``uint8`` array, and every field operation is a 1-d ``take`` on a
+    lookup table.  Fields above the table cap fall back to a row-by-row
+    loop.
     """
     fld = rule.field
     inputs = np.asarray(inputs)
@@ -210,37 +233,44 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
         return np.array([apply_ca(rule, row) for row in inputs.tolist()],
                         dtype=np.int64)
 
-    width = n - d + 1
-    add, mul = fld.add_table, fld.mul_table
-    x = inputs.astype(np.uint8, copy=False)
-    out = np.zeros((inputs.shape[0], width), dtype=np.uint8)
+    q, width = fld.q, n - d + 1
+    cells = np.ascontiguousarray(inputs.T, dtype=np.uint8)
+    add = fld.add_table.ravel()
+
+    def plus(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
+        # add[acc, term] as a 1-d lookup; the index needs more than 8 bits
+        idx = acc.astype(np.intp)
+        idx *= q
+        idx += term
+        return add.take(idx)
+
+    out = np.empty((width, inputs.shape[0]), dtype=np.uint8)
     if isinstance(rule, LinearRule):
         full = rule.full_coeffs
+        mul = fld.mul_table
         for j in range(width):
-            acc = np.zeros(inputs.shape[0], dtype=np.uint8)
-            for t, a in enumerate(full):
-                if a == 0:
-                    continue
-                term = x[:, j + t] if a == 1 else mul[a, x[:, j + t]]
-                acc = add[acc, term]
-            out[:, j] = acc
-        return out
+            acc = cells[j]
+            for t in range(1, d):
+                a = full[t]
+                if a:
+                    x = cells[j + t]
+                    acc = plus(acc, x if a == 1 else mul[a].take(x))
+            out[j] = acc
+        return out.T
 
-    powers = fld.q ** np.arange(d, dtype=np.int64)
+    powers = q ** np.arange(d, dtype=np.intp)
     if isinstance(rule, GeneralBipermutiveRule):
-        g = np.asarray(rule.g_table, dtype=np.uint8)
+        g = rule._g_array
         for j in range(width):
-            interior = x[:, j + 1:j + d - 1].astype(np.int64)
-            mid = g[interior @ powers[:d - 2]] if d > 2 else np.full(
-                inputs.shape[0], rule.g_table[0], dtype=np.uint8)
-            out[:, j] = add[add[x[:, j], mid], x[:, j + d - 1]]
-        return out
+            # d = 2 has no interior cells: every rank is 0, g[0]
+            mid = g.take(powers[:d - 2] @ cells[j + 1:j + d - 1])
+            out[j] = plus(plus(cells[j], mid), cells[j + d - 1])
+        return out.T
 
-    table = np.asarray(rule.table, dtype=np.uint8)
+    table = rule._table_array
     for j in range(width):
-        ranks = x[:, j:j + d].astype(np.int64) @ powers
-        out[:, j] = table[ranks]
-    return out
+        out[j] = table.take(powers @ cells[j:j + d])
+    return out.T
 
 
 def restriction_is_permutation(rule: Rule, side: str,

@@ -322,6 +322,14 @@ def test_synth_walk_longer_than_the_recursion_limit(capsys):
     assert rule["coeffs"] == [1] * 1198
 
 
+def test_synth_index_past_the_enumeration_budget(capsys):
+    # 2^29 walks: more than the enumeration budget, but one is unranked
+    code, rule = run_json(capsys, "synth", "--q", "2", "--b", "2",
+                          "--k", "30", "--index", "0")
+    assert code == 0
+    assert rule["k"] == 30 and rule["coeffs"][:3] == [0, 1, 0]
+
+
 def test_synth_k2_is_usage_error(capsys):
     code, _, err = run(capsys, "synth", "--q", "2", "--b", "2", "--k", "2")
     assert code == 2

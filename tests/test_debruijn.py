@@ -18,6 +18,7 @@ from lhca.debruijn import (
     fuse,
     latin_hypercube_count,
     rule_from_path,
+    unrank_path,
 )
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
@@ -118,6 +119,32 @@ def test_enumerate_paths_beyond_the_recursion_limit():
     # the q=2, b=1 graph is one vertex with a loop: one walk of any length
     walks = list(enumerate_paths(build_graph(F2, 1), 1500))
     assert walks == [((1,),) * 1501]
+
+
+@pytest.mark.parametrize("q,b,length", [
+    (2, 1, 0), (2, 1, 3), (2, 2, 0), (2, 2, 1), (2, 2, 5), (3, 2, 2),
+    (2, 3, 2), (4, 1, 3), (3, 1, 2),
+])
+def test_unrank_path_is_the_enumeration_order(q, b, length):
+    g = build_graph(GF(q), b)
+    walks = list(enumerate_paths(g, length))
+    assert [unrank_path(g, length, i) for i in range(len(walks))] == walks
+    for bad in (-1, len(walks)):
+        with pytest.raises(ValueError, match="out of range"):
+            unrank_path(g, length, bad)
+
+
+def test_unrank_path_past_the_enumeration_budget():
+    g = build_graph(F2, 2)
+    n = count_paths(g, 27)
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_paths(g, 27))
+    # the first walk stays on the loop at 010; the last alternates on the
+    # two-cycle 110 <-> 011
+    assert unrank_path(g, 27, 0) == ((0, 1, 0),) * 28
+    assert unrank_path(g, 27, n - 1) == ((1, 1, 0), (0, 1, 1)) * 14
+    with pytest.raises(BudgetExceededError):
+        unrank_path(g, 27, 0, max_bits=8)
 
 
 def test_rule_from_path_golden():

@@ -7,8 +7,10 @@ GOLDEN_CUBE[z-1][x-1][y-1] is the entry at (i1=x, i2=y, i3=z).
 
 import ast
 import itertools
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lhca.hypercube
@@ -26,7 +28,12 @@ from lhca.hypercube import (
     psi,
     psi_inverse,
 )
-from lhca.rules import GeneralBipermutiveRule, LinearRule
+from lhca.rules import (
+    GeneralBipermutiveRule,
+    LinearRule,
+    apply_ca_batch,
+    unrank_cells,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -152,6 +159,87 @@ def test_check_random_lines():
     assert not res
     assert res.axis == 2
     assert res.value >= 1
+
+
+def _random_lines_one_at_a_time(rule, n_lines, seed, b, k):
+    """check_random_lines as one apply_ca_batch call per drawn line; also
+    the draw position of the failing line (n_lines when none fails)."""
+    q = rule.field.q
+    N = q**b
+    blocks = np.array([unrank_cells(i, q, b) for i in range(N)])
+    rng = random.Random(seed)
+    for pos in range(n_lines):
+        axis = rng.randrange(k) + 1
+        fixed = [rng.randrange(N) for _ in range(k - 1)]
+        others = [np.tile(blocks[i], (N, 1)) for i in fixed]
+        rows = np.hstack(others[:axis - 1] + [blocks] + others[axis - 1:])
+        outs = apply_ca_batch(rule, rows)
+        values, counts = np.unique(outs @ q ** np.arange(b),
+                                   return_counts=True)
+        if (counts > 1).any():
+            return LatinCheck(False, axis, tuple(c + 1 for c in fixed),
+                              int(values[counts > 1][0]) + 1), pos
+    return LatinCheck(True), n_lines
+
+
+def _one_broken_cell_rule():
+    """x1 + g(x2, x3) + x4 over GF(256) with g the field sum except at one
+    cell: only lines along axis 2 with x3 = 7 and along axis 3 with
+    x2 = 5 repeat a value, one draw in 512."""
+    fld = GF(256)
+    g = [fld.add(a, c) for c in range(256) for a in range(256)]
+    g[5 + 256 * 7] ^= 1
+    return GeneralBipermutiveRule(fld, 4, tuple(g))
+
+
+def test_check_random_lines_matches_one_line_at_a_time():
+    flat = LinearRule(F2, 2, 3, (0, 0, 0))
+    rare = _one_broken_cell_rule()
+    positions = []
+    for seed in range(20):
+        for rule, n, b, k in ((XOR5, 200, 2, 3), (flat, 200, 2, 3),
+                              (rare, 1000, 1, 4)):
+            want, pos = _random_lines_one_at_a_time(rule, n, seed, b, k)
+            assert check_random_lines(rule, n, seed, b, k) == want
+        positions.append(pos)
+    # batches hold 65536 // 256 lines: some seeds fail past the first one,
+    # and some pass every line
+    assert any(256 <= p < 1000 for p in positions)
+    assert 1000 in positions
+
+
+def test_is_latin_same_cold_and_warm():
+    f9 = GF(p=3, m=2, poly=17)
+    rules = [XOR5, LinearRule(F2, 2, 3, (0, 0, 0)),
+             LinearRule(f9, 1, 4, (2, 5)), LinearRule(f9, 1, 4, (0, 1)),
+             GeneralBipermutiveRule(F3, 3, (1, 0, 2)),
+             LinearRule(F3, 2, 3, (1, 2, 0))]
+    readings = [(r, None) for r in rules] + [(XOR5, 5), (rules[4], 3)]
+    lhca.hypercube._input_cache.clear()
+    cold = [is_latin(r, k=k) for r, k in readings]
+    assert [is_latin(r, k=k) for r, k in readings] == cold
+    assert [is_latin(r, k=k) for r, k in reversed(readings)] == cold[::-1]
+    assert [bool(c) for c in cold] == [True, False, True, False, True, True,
+                                       False, True]
+
+
+def test_cached_inputs_are_read_only():
+    is_latin(XOR5)
+    assert lhca.hypercube._input_cache
+    for inputs in lhca.hypercube._input_cache.values():
+        assert not inputs.flags.writeable
+        with pytest.raises(ValueError):
+            inputs[0, 0] = 1
+
+
+def test_input_cache_stays_under_its_cap():
+    # one axis of the order-2, 19-dimensional cube takes 2^19 inputs of
+    # 19 cells, more than the cap
+    cap = lhca.hypercube._INPUT_CACHE_BYTES
+    assert 2**19 * 19 > cap
+    assert is_latin(LinearRule(F2, 1, 19, (1,) * 17), axis_subset=(1,))
+    cache = lhca.hypercube._input_cache
+    assert 0 < sum(a.nbytes for a in cache.values()) <= cap
 
 
 def test_dump_structure_and_goldens():

@@ -143,12 +143,26 @@ def test_restriction_validation():
         restriction_is_permutation(XOR5, "left", (0, 0, 0), b=1)
 
 
+def _random_rules(q: int) -> list:
+    """A linear, a general bipermutive and a table rule over GF(q) with
+    seeded random coefficients and tables."""
+    fld, rng = GF(q), random.Random(q)
+    coeffs = tuple(rng.randrange(q) for _ in range(3))
+    return [LinearRule(fld, 2, 3, coeffs),
+            GeneralBipermutiveRule(fld, 3, tuple(rng.randrange(q)
+                                                 for _ in range(q))),
+            TableRule(fld, 2, tuple(rng.randrange(q) for _ in range(q * q)))]
+
+
+# q = 16 is the last field whose table index acc*q + term fits in 8 bits
+# and 256 the largest field with tables; 27 and 243 are odd prime powers
 @pytest.mark.parametrize("rule", [
     XOR5,
     LinearRule(F3, 2, 3, (1, 2, 0)),
     LinearRule(F4, 2, 2, (3,)),
     GeneralBipermutiveRule(F3, 3, (0, 2, 1)),
     TableRule(F2, 3, (0, 1, 1, 0, 1, 0, 0, 1)),
+    *(rule for q in (16, 27, 243, 256) for rule in _random_rules(q)),
 ])
 def test_batch_matches_scalar(rule):
     rng = random.Random(2024)
