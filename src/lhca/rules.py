@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -122,12 +121,6 @@ class GeneralBipermutiveRule:
         return {**self.field.short_json(), "d": self.d,
                 "g_table": list(self.g_table)}
 
-    @cached_property
-    def _g_array(self) -> np.ndarray:
-        """``g_table`` as a read-only uint8 array, built on first use by
-        the kernel of a field with tables."""
-        return _frozen_uint8(self.g_table)
-
 
 @dataclass(frozen=True)
 class TableRule:
@@ -148,18 +141,6 @@ class TableRule:
                 f"got {len(self.table)}")
         for v in self.table:
             self.field._check(v)
-
-    @cached_property
-    def _table_array(self) -> np.ndarray:
-        """``table`` as a read-only uint8 array, built on first use by
-        the kernel of a field with tables."""
-        return _frozen_uint8(self.table)
-
-
-def _frozen_uint8(values: tuple[int, ...]) -> np.ndarray:
-    arr = np.array(values, dtype=np.uint8)
-    arr.flags.writeable = False
-    return arr
 
 
 Rule = LinearRule | GeneralBipermutiveRule | TableRule
@@ -212,12 +193,14 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
     """Vectorized global map over a batch of configurations.
 
     ``inputs`` is an (M, n) integer array of configurations; returns the
-    (M, n-d+1) ``uint8`` array of outputs.  The batch is evaluated cells
-    major: each cell of every configuration is one contiguous row of the
-    transposed batch, which costs no copy when ``inputs`` is a column-major
-    ``uint8`` array, and every field operation is a 1-d ``take`` on a
-    lookup table.  Fields above the table cap fall back to a row-by-row
-    loop.
+    (M, n-d+1) array of outputs.  For fields with tables the batch is
+    evaluated cells major: each cell of every configuration is one
+    contiguous row of the transposed batch, which costs no copy when
+    ``inputs`` is a column-major ``uint8`` array, and every field operation
+    is a 1-d ``take`` on a lookup table; the result is ``uint8`` and,
+    being the transpose of the cells-major output, column-major.  Fields
+    above the table cap fall back to a row-by-row loop whose result is a
+    C-ordered ``int64`` array.
     """
     fld = rule.field
     inputs = np.asarray(inputs)
@@ -260,14 +243,14 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
 
     powers = q ** np.arange(d, dtype=np.intp)
     if isinstance(rule, GeneralBipermutiveRule):
-        g = rule._g_array
+        g = np.asarray(rule.g_table, dtype=np.uint8)
         for j in range(width):
             # d = 2 has no interior cells: every rank is 0, g[0]
             mid = g.take(powers[:d - 2] @ cells[j + 1:j + d - 1])
             out[j] = plus(plus(cells[j], mid), cells[j + d - 1])
         return out.T
 
-    table = rule._table_array
+    table = np.asarray(rule.table, dtype=np.uint8)
     for j in range(width):
         out[j] = table.take(powers @ cells[j:j + d])
     return out.T
