@@ -106,7 +106,13 @@ class DetGraph:
 
 def build_graph(field: GF, b: int,
                 budget: int = DEFAULT_SUPPORT_BUDGET) -> DetGraph:
-    """Graph over the nonsingular windows of length 2b-1."""
+    """Graph over the nonsingular windows of length 2b-1.
+
+    The successors of a vertex depend only on its last b-1 coefficients,
+    so the vertices fall into successor classes, one per such suffix, and
+    every vertex of a class holds the same successor tuple object: one
+    tuple per class, not one copy per vertex.
+    """
     supp = support_of_det(field, b, budget)
     if b == 1:
         # length-1 windows carry no overlap: complete digraph with loops
@@ -115,23 +121,40 @@ def build_graph(field: GF, b: int,
     heads: dict[tuple[int, ...], list[int]] = {}
     for j, v in enumerate(supp):
         heads.setdefault(v[:b - 1], []).append(j)
-    succ = tuple(tuple(heads.get(u[-(b - 1):], ())) for u in supp)
+    shared = {head: tuple(js) for head, js in heads.items()}
+    succ = tuple(shared.get(u[-(b - 1):], ()) for u in supp)
     return DetGraph(field, b, tuple(supp), succ)
 
 
 def _suffix_counts(graph: DetGraph, length: int,
                    max_bits: int) -> Iterator[list[int]]:
     """Walk counts by start vertex for 0, 1, ..., ``length`` edges, by
-    iterated vector-adjacency products in exact integer arithmetic."""
+    iterated vector-adjacency products in exact integer arithmetic.
+
+    Vertices with equal successor tuples (the successor classes, which
+    :func:`build_graph` shares as one tuple each) have equal counts after
+    a step, so the vertices are grouped by ``succ`` once, and each step
+    is one sum per class and one lookup per vertex.  The grouping compares
+    tuples by value, so any graph works, shared tuples or not; it costs
+    O(edges) once per call, and less when tuples are shared.
+    """
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
+    # a tuple shared by many vertices is hashed once, not once per vertex
+    by_id: dict[int, int] = {}
+    classes: dict[tuple[int, ...], int] = {}
+    for s in graph.succ:
+        if id(s) not in by_id:
+            by_id[id(s)] = classes.setdefault(s, len(classes))
+    of_vertex = [by_id[id(s)] for s in graph.succ]
     weight = [1] * len(graph.vertices)
     yield weight
     for _ in range(length):
-        weight = [sum(weight[j] for j in s) for s in graph.succ]
-        if weight and max(weight).bit_length() > max_bits:
+        sums = [sum(map(weight.__getitem__, s)) for s in classes]
+        if sums and max(sums).bit_length() > max_bits:
             raise BudgetExceededError(
                 f"walk count exceeds the {max_bits}-bit budget")
+        weight = list(map(sums.__getitem__, of_vertex))
         yield weight
 
 

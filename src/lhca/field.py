@@ -171,37 +171,47 @@ class GF:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        q = self.q
-        if self.m == 1:
-            idx = np.arange(q, dtype=np.int64)
-            add = (idx[:, None] + idx[None, :]) % self.p
-            mul = (idx[:, None] * idx[None, :]) % self.p
-            neg = (-idx) % self.p
-        else:
-            add = np.zeros((q, q), dtype=np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            neg = np.zeros(q, dtype=np.int64)
-            for a in range(q):
-                da = _digits(a, self.p, self.m)
-                neg[a] = _undigits([(-c) % self.p for c in da], self.p)
-                for b in range(a, q):
-                    db = _digits(b, self.p, self.m)
-                    s = _undigits([(x + y) % self.p for x, y in zip(da, db)],
-                                  self.p)
-                    add[a, b] = add[b, a] = s
-                    prod = _poly_mul_mod(a, b, self._reducer, self.p, self.m)
-                    mul[a, b] = mul[b, a] = prod
+        """The four tables, built with numpy: ``add`` and ``neg`` digit-wise
+        on the base-p digits of every element, ``mul`` and ``inv`` from the
+        powers of a primitive element found by polynomial multiplication."""
+        p, m, q = self.p, self.m, self.q
+        weights = p ** np.arange(m)
+        digits = (np.arange(q)[:, None] // weights) % p
+        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+        neg = ((-digits) % p) @ weights
+        # log[x] is the exponent of x as a power of the primitive element
+        powers = self._primitive_powers()
+        log = np.zeros(q, dtype=np.int64)
+        log[powers] = np.arange(q - 1)
+        exp = np.array(powers, dtype=np.int64)
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = mul[:, 0] = 0
+        ones = mul[1:] == 1
+        unique = ones.sum(axis=1) == 1
+        if not unique.all():
+            a = 1 + int(np.argmin(unique))
+            raise ValueError(f"element {a} has no unique inverse; "
+                             f"field construction is inconsistent")
         inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            hits = np.nonzero(mul[a] == 1)[0]
-            if len(hits) != 1:
-                raise ValueError(f"element {a} has no unique inverse; "
-                                 f"field construction is inconsistent")
-            inv[a] = hits[0]
+        inv[1:] = ones.argmax(axis=1)
         self.add_table = add.astype(np.uint8)
         self.mul_table = mul.astype(np.uint8)
         self.neg_table = neg.astype(np.uint8)
         self.inv_table = inv.astype(np.uint8)
+
+    def _primitive_powers(self) -> list[int]:
+        """g^0, g^1, ..., g^(q-2) for the smallest element g whose powers
+        run through every nonzero element."""
+        for g in range(1, self.q):
+            powers = [1]
+            x = g
+            while x != 1 and len(powers) < self.q - 1:
+                powers.append(x)
+                x = _poly_mul_mod(x, g, self._reducer, self.p, self.m)
+            if x == 1 and len(powers) == self.q - 1:
+                return powers
+        raise ValueError("no element generates the multiplicative group; "
+                         "field construction is inconsistent")
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.q:

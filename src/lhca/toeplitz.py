@@ -13,6 +13,19 @@ Also here: exact determinants and linear solves over GF(q), which share
 one forward elimination, the support of the window determinant map, the
 count of nonsingular completions of a partially specified window, and
 the solver that recovers a middle block from a target output.
+
+Single matrices, the windows of one rule, and every matrix over a field
+without tables go through the scalar elimination ``_eliminate``.  The two
+exhaustive enumerations, ``support_of_det`` and
+``count_triangular_completions``, instead reduce all q^n windows of a
+field with tables at once: ``_batch_nonsingular`` runs the same
+elimination on a stack of matrices, with every field operation a
+``take`` on a lookup table, in chunks of at most ``_BATCH_CELLS`` matrix
+entries.  An enumeration of thousands of small matrices is almost all
+per-window interpreter overhead, which the batch removes; for the
+handful of windows of one rule the batch's set-up costs more than it
+saves, so those stay scalar.  The scalar path is also the reference the
+batch is tested against.
 """
 
 from __future__ import annotations
@@ -20,12 +33,17 @@ from __future__ import annotations
 from collections.abc import Sequence
 import itertools
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .field import GF
 from .hypercube import block_structure
 from .rules import LinearRule, apply_ca
 
 DEFAULT_SUPPORT_BUDGET = 1 << 20
+# matrix entries reduced at once by the batched elimination; its largest
+# temporaries are intp arrays of this many entries (8 MiB)
+_BATCH_CELLS = 1 << 20
 
 
 def windows(rule: LinearRule, b: int | None = None,
@@ -75,6 +93,8 @@ def _eliminate(field: GF, m: list[list[int]], width: int) -> int:
             m[col], m[piv] = m[piv], m[col]
             det = field.neg(det)
         det = field.mul(det, m[col][col])
+        if col + 1 == n:
+            break  # no rows below, so the pivot needs no inverse
         pinv = field.inv(m[col][col])
         for r in range(col + 1, n):
             f = field.mul(m[r][col], pinv)
@@ -110,6 +130,78 @@ def is_latin_by_windows(rule: LinearRule, b: int | None = None,
     return all(d != 0 for d in window_dets(rule, b, k))
 
 
+def _batch_nonsingular(field: GF, wins: np.ndarray) -> np.ndarray:
+    """Whether the Toeplitz matrix of each window of an (N, 2b-1) ``uint8``
+    stack is nonsingular, over a field with tables.
+
+    The forward elimination of ``_eliminate`` on all N matrices at once,
+    keeping only whether every pivot is nonzero, which row swaps do not
+    change.  A column without a pivot needs no branch: its pivot is 0,
+    whose ``inv_table`` entry is 0, so the row factors vanish and the
+    matrix is left as it is.
+    """
+    q = field.q
+    add, mul = field.add_table.ravel(), field.mul_table.ravel()
+    neg, inv = field.neg_table, field.inv_table
+
+    def times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return mul.take(x.astype(np.intp) * q + y)
+
+    b = (wins.shape[1] + 1) // 2
+    # entry (r, s) of a window's matrix is its coefficient b-1+s-r (0-based)
+    span = np.arange(b)
+    m = wins[:, b - 1 + span[None, :] - span[:, None]]
+    ok = np.ones(len(wins), dtype=bool)
+    for col in range(b):
+        piv = col + (m[:, col:, col] != 0).argmax(axis=1)
+        swap = np.flatnonzero(piv != col)
+        if len(swap):
+            top = m[swap, col]
+            m[swap, col] = m[swap, piv[swap]]
+            m[swap, piv[swap]] = top
+        ok &= m[:, col, col] != 0
+        if col + 1 == b:
+            break
+        # row r -= f_r * row col, as row r += (-f_r) * row col; column col
+        # is never read again, so only the columns right of it are updated
+        pinv = inv.take(m[:, col, col])[:, None]
+        negf = neg.take(times(m[:, col + 1:, col], pinv))
+        idx = m[:, col + 1:, col + 1:].astype(np.intp)
+        idx *= q
+        idx += times(negf[:, :, None], m[:, None, col, col + 1:])
+        m[:, col + 1:, col + 1:] = add.take(idx)
+    return ok
+
+
+def _nonsingular_mask(field: GF, prefix: Sequence[int],
+                      free: int) -> np.ndarray:
+    """For each window ``prefix + rest``, rest running over GF(q)^free in
+    lexicographic order, whether its Toeplitz matrix is nonsingular.
+
+    Fields with tables reduce the windows in batches; larger fields call
+    :func:`det_of_window` on each.
+    """
+    q, prefix = field.q, tuple(prefix)
+    total = q ** free
+    if field.add_table is None:
+        return np.fromiter(
+            (det_of_window(field, prefix + rest) != 0
+             for rest in itertools.product(range(q), repeat=free)),
+            dtype=bool, count=total)
+    width = len(prefix) + free
+    b = (width + 1) // 2
+    per_chunk = max(1, _BATCH_CELLS // (b * b))
+    mask = np.empty(total, dtype=bool)
+    for lo in range(0, total, per_chunk):
+        rest = np.arange(lo, min(lo + per_chunk, total))
+        wins = np.empty((len(rest), width), dtype=np.uint8)
+        wins[:, :len(prefix)] = prefix
+        for j in range(width - 1, len(prefix) - 1, -1):
+            rest, wins[:, j] = np.divmod(rest, q)
+        mask[lo:lo + len(wins)] = _batch_nonsingular(field, wins)
+    return mask
+
+
 def support_of_det(field: GF, b: int,
                    budget: int = DEFAULT_SUPPORT_BUDGET) -> list[tuple[int, ...]]:
     """All windows in GF(q)^{2b-1} with nonsingular matrix, in
@@ -120,8 +212,9 @@ def support_of_det(field: GF, b: int,
     if q ** (2 * b - 1) > budget:
         raise BudgetExceededError(
             f"enumerating {q}^{2 * b - 1} windows exceeds budget {budget}")
-    return [w for w in itertools.product(range(q), repeat=2 * b - 1)
-            if det_of_window(field, w) != 0]
+    mask = _nonsingular_mask(field, (), 2 * b - 1)
+    return list(itertools.compress(
+        itertools.product(range(q), repeat=2 * b - 1), mask.tolist()))
 
 
 def count_nonsingular_toeplitz(field: GF, b: int, verify: bool = False,
@@ -164,15 +257,9 @@ def count_triangular_completions(field: GF, n: int,
         raise ValueError(f"need n >= 1, got {n}")
     if len(lower) != n - 1:
         raise ValueError(f"expected {n - 1} fixed coefficients, got {len(lower)}")
-    lower = tuple(lower)
     for v in lower:
         field._check(v)
-    q = field.q
-    count = 0
-    for rest in itertools.product(range(q), repeat=n):
-        if det_of_window(field, lower + rest) != 0:
-            count += 1
-    return count
+    return int(np.count_nonzero(_nonsingular_mask(field, lower, n)))
 
 
 def solve_linear_system(field: GF, matrix: Sequence[Sequence[int]],

@@ -27,3 +27,13 @@ def mat_vec(field: GF, matrix, vec) -> list[int]:
             acc = field.add(acc, field.mul(a, x))
         out.append(acc)
     return out
+
+
+def every_modulus(q: int):
+    """GF(q) under each monic irreducible modulus, in encoding order."""
+    base = GF(q)
+    for low in range(q):
+        try:
+            yield GF(p=base.p, m=base.m, poly=q + low)
+        except ValueError:  # reducible
+            continue

@@ -147,6 +147,61 @@ def test_unrank_path_past_the_enumeration_budget():
         unrank_path(g, 27, 0, max_bits=8)
 
 
+@pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
+def test_build_graph_shares_one_successor_tuple_per_suffix(q, b):
+    g = build_graph(GF(q), b)
+    by_suffix = {}
+    for v, s in zip(g.vertices, g.succ):
+        assert by_suffix.setdefault(v[-(b - 1):], s) is s
+    assert len(by_suffix) == q ** (b - 1)
+
+
+def _walks_edge_by_edge(graph, length):
+    """Every walk as vertex indices, extended one edge at a time, in
+    lexicographic order of the indices."""
+    walks = [(i,) for i in range(len(graph.vertices))]
+    for _ in range(length):
+        walks = [w + (j,) for w in walks for j in sorted(graph.succ[w[-1]])]
+    return walks
+
+
+def _count_edge_by_edge(graph, length):
+    weight = [1] * len(graph.vertices)
+    for _ in range(length):
+        nxt = [0] * len(weight)
+        for u, s in enumerate(graph.succ):
+            for v in s:
+                nxt[u] += weight[v]
+        weight = nxt
+    return sum(weight)
+
+
+def _unshared(graph):
+    return DetGraph(graph.field, graph.b, graph.vertices,
+                    tuple(tuple(list(s)) for s in graph.succ))
+
+
+# unequal successor sets, an empty one, self-loops, and two vertices with
+# equal but separate successor tuples
+IRREGULAR = DetGraph(F2, 1, ((0,), (1,), (2,), (3,), (4,)),
+                     ((0, 2), (), (1, 2, 3), tuple([0, 2]), (4,)))
+
+
+@pytest.mark.parametrize("graph,lengths", [
+    (_unshared(build_graph(F3, 2)), (0, 1, 2, 3)),
+    (_unshared(build_graph(F2, 3)), (0, 2, 4)),
+    (IRREGULAR, (0, 1, 2, 3, 4, 5)),
+], ids=["q3b2-unshared", "q2b3-unshared", "irregular"])
+def test_walk_counts_match_an_edge_by_edge_recurrence(graph, lengths):
+    for length in lengths:
+        walks = _walks_edge_by_edge(graph, length)
+        assert count_paths(graph, length) == len(walks)
+        assert [unrank_path(graph, length, i) for i in range(len(walks))] == [
+            tuple(graph.vertices[i] for i in w) for w in walks]
+    for length in (10, 40):
+        assert count_paths(graph, length) == _count_edge_by_edge(graph, length)
+
+
 def test_rule_from_path_golden():
     # fusing 010, 011, 101 recovers x1+x3+x5+x6+x8+x9
     rule = rule_from_path(F2, [(0, 1, 0), (0, 1, 1), (1, 0, 1)])

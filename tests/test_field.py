@@ -3,7 +3,9 @@ conventions, and error handling."""
 
 import pytest
 
-from lhca.field import GF, ORDER_CAP, default_irreducible_poly
+from helpers import every_modulus
+from lhca.field import (GF, ORDER_CAP, _digits, _poly_mul_mod, _undigits,
+                        default_irreducible_poly)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -187,3 +189,31 @@ def test_large_prime_field_without_tables():
     assert f.add_table is None
     assert f.add(200, 100) == 43
     assert f.mul(f.inv(123), 123) == 1
+
+
+def _assert_tables_are_polynomial_arithmetic(f):
+    p, m, q = f.p, f.m, f.q
+    digits = [_digits(a, p, m) for a in range(q)]
+    for a in range(q):
+        assert f.add_table[a].tolist() == [
+            _undigits([(x + y) % p for x, y in zip(digits[a], digits[b])], p)
+            for b in range(q)]
+        assert f.mul_table[a].tolist() == [
+            _poly_mul_mod(a, b, f._reducer, p, m) for b in range(q)]
+        assert int(f.neg_table[a]) == _undigits([(-x) % p for x in digits[a]], p)
+        if a:
+            assert _poly_mul_mod(a, int(f.inv_table[a]), f._reducer, p, m) == 1
+    assert int(f.inv_table[0]) == 0
+
+
+# every prime power q <= 256 with m > 1
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125,
+                               128, 169, 243, 256])
+def test_tables_are_polynomial_arithmetic(q):
+    _assert_tables_are_polynomial_arithmetic(GF(q))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_tables_are_polynomial_arithmetic_for_every_modulus(q):
+    for f in every_modulus(q):
+        _assert_tables_are_polynomial_arithmetic(f)

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import every_modulus
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import dump
@@ -264,21 +265,12 @@ def test_rule_json_round_trip():
         rule_from_json({"q": 2, "b": 2, "k": 3})
 
 
-def _every_modulus(q):
-    base = GF(q)
-    for low in range(q):
-        try:
-            yield GF(p=base.p, m=base.m, poly=q + low)
-        except ValueError:  # reducible
-            continue
-
-
 # q and its number of monic irreducible moduli
 @pytest.mark.parametrize("q, moduli", [(4, 1), (8, 2), (9, 3), (16, 3),
                                        (25, 10), (27, 8)])
 def test_rule_json_keeps_every_modulus(q, moduli):
     rng = random.Random(q)
-    fields = list(_every_modulus(q))
+    fields = list(every_modulus(q))
     assert len(fields) == moduli
     for fld in fields:
         default = fld.poly == GF(q).poly

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import cofactor_det, mat_vec
+from helpers import cofactor_det, every_modulus, mat_vec
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import entry, is_latin, psi, psi_inverse
@@ -118,6 +118,38 @@ def test_support_is_balanced_on_both_sides(q, b):
     assert set(heads) == set(itertools.product(range(q), repeat=b - 1))
     assert set(heads.values()) == {expect}
     assert set(tails.values()) == {expect}
+
+
+def _scalar_support(fld, b):
+    return [w for w in itertools.product(range(fld.q), repeat=2 * b - 1)
+            if det_of_window(fld, w) != 0]
+
+
+@pytest.mark.parametrize("fld,b", [
+    *[(F2, b) for b in range(1, 6)],
+    *[(F3, b) for b in range(1, 4)],
+    *[(fld, 2) for q in (4, 8, 9, 16, 25, 27) for fld in every_modulus(q)],
+    (GF(256), 1),
+    (GF(257), 1),  # no tables: the scalar path
+    (GF(729), 1),
+], ids=repr)
+def test_support_matches_the_scalar_determinants(fld, b):
+    supp = support_of_det(fld, b)
+    assert supp == _scalar_support(fld, b)
+    assert all(type(c) is int for w in supp for c in w)
+
+
+def test_elimination_inverts_only_pivots_with_rows_below():
+    fld = GF(729)  # no tables: every inverse is square and multiply
+    inverted = []
+    inv = fld.inv
+    fld.inv = lambda a: inverted.append(a) or inv(a)
+    assert determinant(fld, [[5]]) == 5
+    assert inverted == []
+    assert determinant(fld, [[0, 2], [3, 1]]) == fld.neg(6)
+    assert inverted == [3]
+    assert solve_linear_system(fld, [[2]], [2]) == [1]
+    assert inverted == [3, 2]  # back substitution still divides
 
 
 def test_support_budget():
