@@ -136,17 +136,12 @@ def _suffix_counts(graph: DetGraph, length: int,
     a step, so the vertices are grouped by ``succ`` once, and each step
     is one sum per class and one lookup per vertex.  The grouping compares
     tuples by value, so any graph works, shared tuples or not; it costs
-    O(edges) once per call, and less when tuples are shared.
+    O(edges) once per call.
     """
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
-    # a tuple shared by many vertices is hashed once, not once per vertex
-    by_id: dict[int, int] = {}
     classes: dict[tuple[int, ...], int] = {}
-    for s in graph.succ:
-        if id(s) not in by_id:
-            by_id[id(s)] = classes.setdefault(s, len(classes))
-    of_vertex = [by_id[id(s)] for s in graph.succ]
+    of_vertex = [classes.setdefault(s, len(classes)) for s in graph.succ]
     weight = [1] * len(graph.vertices)
     yield weight
     for _ in range(length):

@@ -186,14 +186,8 @@ class GF:
         exp = np.array(powers, dtype=np.int64)
         mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
         mul[0, :] = mul[:, 0] = 0
-        ones = mul[1:] == 1
-        unique = ones.sum(axis=1) == 1
-        if not unique.all():
-            a = 1 + int(np.argmin(unique))
-            raise ValueError(f"element {a} has no unique inverse; "
-                             f"field construction is inconsistent")
         inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = ones.argmax(axis=1)
+        inv[1:] = exp[(-log[1:]) % (q - 1)]
         self.add_table = add.astype(np.uint8)
         self.mul_table = mul.astype(np.uint8)
         self.neg_table = neg.astype(np.uint8)
@@ -210,7 +204,8 @@ class GF:
                 x = _poly_mul_mod(x, g, self._reducer, self.p, self.m)
             if x == 1 and len(powers) == self.q - 1:
                 return powers
-        raise ValueError("no element generates the multiplicative group; "
+        raise ValueError("no element generates the multiplicative group, so "
+                         "some element has no unique inverse; "
                          "field construction is inconsistent")
 
     def _check(self, a: int) -> None:

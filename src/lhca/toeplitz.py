@@ -30,7 +30,7 @@ batch is tested against.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 import itertools
 
 import numpy as np
@@ -173,33 +173,34 @@ def _batch_nonsingular(field: GF, wins: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _nonsingular_mask(field: GF, prefix: Sequence[int],
-                      free: int) -> np.ndarray:
+def _nonsingular_chunks(field: GF, prefix: Sequence[int],
+                        free: int) -> Iterator[np.ndarray]:
     """For each window ``prefix + rest``, rest running over GF(q)^free in
-    lexicographic order, whether its Toeplitz matrix is nonsingular.
+    lexicographic order, whether its Toeplitz matrix is nonsingular, as
+    consecutive boolean chunks of a bounded size.
 
-    Fields with tables reduce the windows in batches; larger fields call
-    :func:`det_of_window` on each.
+    Fields with tables reduce each chunk in one batch; larger fields call
+    :func:`det_of_window` on each window.
     """
     q, prefix = field.q, tuple(prefix)
     total = q ** free
-    if field.add_table is None:
-        return np.fromiter(
-            (det_of_window(field, prefix + rest) != 0
-             for rest in itertools.product(range(q), repeat=free)),
-            dtype=bool, count=total)
     width = len(prefix) + free
     b = (width + 1) // 2
     per_chunk = max(1, _BATCH_CELLS // (b * b))
-    mask = np.empty(total, dtype=bool)
+    if field.add_table is None:
+        rests = itertools.product(range(q), repeat=free)
+        for _ in range(0, total, per_chunk):
+            yield np.fromiter(
+                (det_of_window(field, prefix + rest) != 0
+                 for rest in itertools.islice(rests, per_chunk)), dtype=bool)
+        return
     for lo in range(0, total, per_chunk):
         rest = np.arange(lo, min(lo + per_chunk, total))
         wins = np.empty((len(rest), width), dtype=np.uint8)
         wins[:, :len(prefix)] = prefix
         for j in range(width - 1, len(prefix) - 1, -1):
             rest, wins[:, j] = np.divmod(rest, q)
-        mask[lo:lo + len(wins)] = _batch_nonsingular(field, wins)
-    return mask
+        yield _batch_nonsingular(field, wins)
 
 
 def support_of_det(field: GF, b: int,
@@ -212,9 +213,10 @@ def support_of_det(field: GF, b: int,
     if q ** (2 * b - 1) > budget:
         raise BudgetExceededError(
             f"enumerating {q}^{2 * b - 1} windows exceeds budget {budget}")
-    mask = _nonsingular_mask(field, (), 2 * b - 1)
+    chunks = _nonsingular_chunks(field, (), 2 * b - 1)
     return list(itertools.compress(
-        itertools.product(range(q), repeat=2 * b - 1), mask.tolist()))
+        itertools.product(range(q), repeat=2 * b - 1),
+        itertools.chain.from_iterable(c.tolist() for c in chunks)))
 
 
 def count_nonsingular_toeplitz(field: GF, b: int, verify: bool = False,
@@ -259,7 +261,8 @@ def count_triangular_completions(field: GF, n: int,
         raise ValueError(f"expected {n - 1} fixed coefficients, got {len(lower)}")
     for v in lower:
         field._check(v)
-    return int(np.count_nonzero(_nonsingular_mask(field, lower, n)))
+    return sum(int(np.count_nonzero(c))
+               for c in _nonsingular_chunks(field, lower, n))
 
 
 def solve_linear_system(field: GF, matrix: Sequence[Sequence[int]],

@@ -206,9 +206,10 @@ def _assert_tables_are_polynomial_arithmetic(f):
     assert int(f.inv_table[0]) == 0
 
 
-# every prime power q <= 256 with m > 1
+# every prime power q <= 256 with m > 1, and primes up to the table cap
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125,
-                               128, 169, 243, 256])
+                               128, 169, 243, 256,
+                               2, 3, 11, 13, 127, 251])
 def test_tables_are_polynomial_arithmetic(q):
     _assert_tables_are_polynomial_arithmetic(GF(q))
 

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from helpers import cofactor_det, every_modulus, mat_vec
+from lhca import toeplitz
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import entry, is_latin, psi, psi_inverse
@@ -137,6 +138,18 @@ def test_support_matches_the_scalar_determinants(fld, b):
     supp = support_of_det(fld, b)
     assert supp == _scalar_support(fld, b)
     assert all(type(c) is int for w in supp for c in w)
+
+
+@pytest.mark.parametrize("fld,b", [(F3, 2), (GF(16), 2), (GF(257), 1)],
+                         ids=repr)
+def test_enumerations_span_many_chunks(fld, b, monkeypatch):
+    # a cap of 7 entries puts one 2x2 matrix, or seven 1x1, in each chunk
+    monkeypatch.setattr(toeplitz, "_BATCH_CELLS", 7)
+    assert support_of_det(fld, b) == _scalar_support(fld, b)
+    for lower in [(0,) * (b - 1), (1,) * (b - 1)]:
+        expect = sum(1 for rest in itertools.product(range(fld.q), repeat=b)
+                     if det_of_window(fld, lower + rest) != 0)
+        assert count_triangular_completions(fld, b, lower) == expect
 
 
 def test_elimination_inverts_only_pivots_with_rows_below():
