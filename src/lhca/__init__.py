@@ -57,7 +57,6 @@ from .toeplitz import (
     determinant,
     det_of_window,
     is_latin_by_windows,
-    nonsingular_count_report,
     solve_linear_system,
     solve_middle_block,
     support_of_det,
@@ -103,7 +102,6 @@ __all__ = [
     "is_latin_by_windows",
     "support_of_det",
     "count_nonsingular_toeplitz",
-    "nonsingular_count_report",
     "count_triangular_completions",
     "solve_linear_system",
     "solve_middle_block",

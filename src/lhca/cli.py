@@ -7,15 +7,26 @@ Subcommands:
   count  -- number of Latin-generating rules for (q, b, k); --verify
             recounts by graph walks and, within budget, by sweeping
             every rule.
-  graph  -- the de Bruijn graph over nonsingular windows (dot or json).
+  graph  -- the de Bruijn graph over nonsingular windows (dot or json);
+            a graph with more edges than the enumeration budget is
+            refused with exit 3.
   synth  -- synthesize Latin-generating rules from graph walks.
   dump   -- all cube entries (text or json).
 
-Rules are given inline (--q/--b/--k/--coeffs) or as a JSON file
-(--rule-file).  Exit codes: 0 success, 1 a checked property is false
-(non-Latin rule), 2 usage or value error, 3 budget exceeded.  All counts
-are emitted as decimal strings.  LHCA_BUDGET overrides the default
-enumeration and entry budgets; --budget overrides both per run.
+Flags by subcommand (any other flag is a usage error, exit 2):
+  all five      --q, --b, --budget, --out
+  check, dump   --k and a rule: --coeffs inline or --rule-file as JSON
+  count, synth  --k
+  check, synth  --verify (line sweep on or off), --seed (sampled lines
+                when the sweep is skipped)
+  count         --verify (walk and sweep recounts on or off), --workers
+  synth         --index or --all
+  graph, dump   --format
+
+Exit codes: 0 success, 1 a checked property is false (non-Latin rule),
+2 usage or value error, 3 budget exceeded.  All counts are emitted as
+decimal strings.  LHCA_BUDGET overrides the default enumeration and
+entry budgets; --budget overrides both per run.
 """
 
 from __future__ import annotations
@@ -24,7 +35,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .debruijn import (
     build_graph,
@@ -43,37 +53,11 @@ from .hypercube import (
     dump_text,
     is_latin,
 )
-from .rules import (
-    DEFAULT_INT_BITS,
-    LinearRule,
-    rule_from_json,
-)
+from .rules import LinearRule, rule_from_json
 from .toeplitz import DEFAULT_SUPPORT_BUDGET, window_dets
 
 BUDGET_ENV = "LHCA_BUDGET"
 AUTO_VERIFY_RULES = 1 << 16
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs; fully determines the run."""
-
-    command: str
-    q: int | None = None
-    b: int | None = None
-    k: int | None = None
-    coeffs: tuple[int, ...] | None = None
-    rule_file: str | None = None
-    fmt: str | None = None
-    out: str | None = None
-    workers: int | None = None
-    index: int | None = None
-    emit_all: bool = False
-    enum_budget: int = DEFAULT_SUPPORT_BUDGET
-    entry_budget: int = DEFAULT_ENTRY_BUDGET
-    max_bits: int = DEFAULT_INT_BITS
-    verify: bool | None = None
-    seed: int | None = None
 
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
@@ -83,26 +67,27 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def _load_rule(cfg: RunConfig):
-    if cfg.rule_file is not None:
-        if cfg.coeffs is not None:
+def _load_rule(args: argparse.Namespace):
+    coeffs = None if args.coeffs is None else _parse_coeffs(args.coeffs)
+    if args.rule_file is not None:
+        if coeffs is not None:
             raise ValueError("give either --rule-file or --coeffs, not both")
-        with open(cfg.rule_file) as fh:
+        with open(args.rule_file) as fh:
             return rule_from_json(json.load(fh))
-    if cfg.coeffs is None:
+    if coeffs is None:
         raise ValueError("need --rule-file or --coeffs")
-    if cfg.q is None or cfg.b is None or cfg.k is None:
+    if args.q is None or args.b is None or args.k is None:
         raise ValueError("inline rules need --q, --b and --k")
-    return LinearRule(GF(cfg.q), cfg.b, cfg.k, cfg.coeffs)
+    return LinearRule(GF(args.q), args.b, args.k, coeffs)
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    missing = [n for n in names if getattr(cfg, n) is None]
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise ValueError("missing " + ", ".join(f"--{n}" for n in missing))
 
 
-def _check_report(rule, cfg: RunConfig) -> dict:
+def _check_report(rule, args: argparse.Namespace) -> dict:
     """Shared by check and synth: criterion verdict, oracle verdict,
     fatal assert that they agree."""
     fld = rule.field
@@ -117,19 +102,19 @@ def _check_report(rule, cfg: RunConfig) -> dict:
             report["failing_window"] = 1 + dets.index(0)
         report["latin"] = latin
         size = fld.q ** (b * k)
-        verify = cfg.verify
+        verify = args.verify
         if verify is None:
-            verify = size <= cfg.entry_budget
+            verify = size <= args.entry_budget
         if verify:
             # a forced --verify above budget raises rather than running
             # unbounded; raise --budget to allow it
-            sweep = is_latin(rule, budget=cfg.entry_budget)
+            sweep = is_latin(rule, budget=args.entry_budget)
             assert bool(sweep) == latin, (
                 "window criterion and exhaustive line sweep disagree on "
                 f"{rule}; this is a bug, not an input problem")
             report["oracle"] = "agree"
-        elif cfg.seed is not None:
-            sampled = check_random_lines(rule, n_lines=1000, seed=cfg.seed)
+        elif args.seed is not None:
+            sampled = check_random_lines(rule, n_lines=1000, seed=args.seed)
             if not sampled:
                 assert not latin, (
                     f"sampled counterexample {sampled} on a rule the window "
@@ -143,24 +128,24 @@ def _check_report(rule, cfg: RunConfig) -> dict:
         return report
     # general rules carry no window structure: the sweep is the verdict
     report.update(d=rule.d, g_table=list(rule.g_table))
-    report["latin"] = bool(is_latin(rule, budget=cfg.entry_budget))
+    report["latin"] = bool(is_latin(rule, budget=args.entry_budget))
     report["oracle"] = "oracle-only"
     return report
 
 
-def cmd_check(cfg: RunConfig) -> tuple[str, int]:
-    rule = _load_rule(cfg)
-    report = _check_report(rule, cfg)
+def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
+    rule = _load_rule(args)
+    report = _check_report(rule, args)
     return _json(report), 0 if report["latin"] else 1
 
 
-def cmd_count(cfg: RunConfig) -> tuple[str, int]:
-    _require(cfg, "q", "b", "k")
-    fld = GF(cfg.q)
-    q, b, k = fld.q, cfg.b, cfg.k
-    formula = latin_hypercube_count(fld, b, k, max_bits=cfg.max_bits)
+def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
+    _require(args, "q", "b", "k")
+    fld = GF(args.q)
+    q, b, k = fld.q, args.b, args.k
+    formula = latin_hypercube_count(fld, b, k)
     report = {"q": q, "b": b, "k": k, "formula": str(formula)}
-    verify = cfg.verify
+    verify = args.verify
     if verify is None:
         # exhaustive space: q^(b(k-1)-1) linear rules, or the formula's
         # bipermutive ones at k = 2, which only a sweep within the entry
@@ -170,59 +155,55 @@ def cmd_count(cfg: RunConfig) -> tuple[str, int]:
             verify = exp <= 64 and q ** exp <= AUTO_VERIFY_RULES
         else:
             verify = (formula <= AUTO_VERIFY_RULES
-                      and formula * q ** (2 * b) <= cfg.entry_budget)
+                      and formula * q ** (2 * b) <= args.entry_budget)
     if verify:
-        counts = cross_check_count(fld, b, k, cfg.enum_budget,
-                                   cfg.entry_budget, cfg.max_bits, cfg.workers)
+        counts = cross_check_count(fld, b, k, args.enum_budget,
+                                   args.entry_budget, workers=args.workers)
         report.update((name, str(n)) for name, n in counts.items())
         report["match"] = True
     return _json(report), 0
 
 
-def cmd_graph(cfg: RunConfig) -> tuple[str, int]:
-    _require(cfg, "q", "b")
-    g = build_graph(GF(cfg.q), cfg.b, cfg.enum_budget)
-    if cfg.fmt == "json":
+def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
+    _require(args, "q", "b")
+    g = build_graph(GF(args.q), args.b, args.enum_budget)
+    # build_graph bounds the q^(2b-1) windows; edges are about q^b times more
+    edges = sum(g.out_degrees())
+    if edges > args.enum_budget:
+        raise BudgetExceededError(
+            f"{edges} edges exceed the enumeration budget {args.enum_budget}")
+    if args.format == "json":
         return _json(g.to_json()), 0
     return g.to_dot(), 0
 
 
-def cmd_synth(cfg: RunConfig) -> tuple[str, int]:
-    _require(cfg, "q", "b", "k")
-    if cfg.k < 3:
+def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
+    _require(args, "q", "b", "k")
+    if args.k < 3:
         raise ValueError("synthesis needs k >= 3; k = 2 squares are not "
                          "walk-generated")
-    if cfg.emit_all == (cfg.index is not None):
+    if args.all == (args.index is not None):
         raise ValueError("give exactly one of --index or --all")
-    fld = GF(cfg.q)
-    g = build_graph(fld, cfg.b, cfg.enum_budget)
-    if cfg.emit_all:
-        walks = enumerate_paths(g, cfg.k - 3, cfg.enum_budget)
+    fld = GF(args.q)
+    g = build_graph(fld, args.b, args.enum_budget)
+    if args.all:
+        walks = enumerate_paths(g, args.k - 3, args.enum_budget)
         rules = [rule_from_path(fld, w) for w in walks]
     else:
-        walk = unrank_path(g, cfg.k - 3, cfg.index, cfg.max_bits)
+        walk = unrank_path(g, args.k - 3, args.index)
         rules = [rule_from_path(fld, walk)]
     for rule in rules:
-        report = _check_report(rule, cfg)
+        report = _check_report(rule, args)
         assert report["latin"], f"synthesized rule {rule} failed validation"
     payload = [r.to_json() for r in rules]
-    return _json(payload if cfg.emit_all else payload[0]), 0
+    return _json(payload if args.all else payload[0]), 0
 
 
-def cmd_dump(cfg: RunConfig) -> tuple[str, int]:
-    rule = _load_rule(cfg)
-    if cfg.fmt == "json":
-        return _json(dump(rule, budget=cfg.entry_budget)), 0
-    return dump_text(rule, budget=cfg.entry_budget), 0
-
-
-COMMANDS = {
-    "check": cmd_check,
-    "count": cmd_count,
-    "graph": cmd_graph,
-    "synth": cmd_synth,
-    "dump": cmd_dump,
-}
+def cmd_dump(args: argparse.Namespace) -> tuple[str, int]:
+    rule = _load_rule(args)
+    if args.format == "json":
+        return _json(dump(rule, budget=args.entry_budget)), 0
+    return dump_text(rule, budget=args.entry_budget), 0
 
 
 def _json(payload) -> str:
@@ -234,89 +215,69 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lhca",
         description="Latin hypercubes from linear cellular automata over GF(q)")
     sub = parser.add_subparsers(dest="command", required=True)
+    check = sub.add_parser("check", help="Latin verdict for one rule")
+    count = sub.add_parser("count", help="count Latin-generating rules")
+    graph = sub.add_parser("graph", help="export the window graph")
+    synth = sub.add_parser("synth", help="rules from graph walks")
+    dumps = sub.add_parser("dump", help="list all cube entries")
+    check.set_defaults(run=cmd_check)
+    count.set_defaults(run=cmd_count)
+    graph.set_defaults(run=cmd_graph)
+    synth.set_defaults(run=cmd_synth)
+    dumps.set_defaults(run=cmd_dump)
+    every = (check, count, graph, synth, dumps)
 
-    def add_common(p, *, rule: bool = False, fmt: tuple | None = None,
-                   workers: bool = False, synth: bool = False):
-        p.add_argument("--q", type=int, help="field order (prime power)")
-        p.add_argument("--b", type=int, help="block size")
-        p.add_argument("--k", type=int, help="hypercube dimension")
-        if rule:
-            p.add_argument("--coeffs",
-                           help="interior coefficients a_2..a_{d-1}, "
-                                "comma or space separated")
-            p.add_argument("--rule-file", help="rule as JSON")
-        if fmt:
-            p.add_argument("--format", choices=fmt[0], default=fmt[1])
-        if workers:
-            p.add_argument("--workers", type=int)
-        if synth:
-            p.add_argument("--index", type=int,
-                           help="emit the nth rule (0-based)")
-            p.add_argument("--all", action="store_true",
-                           help="emit every rule")
-        p.add_argument("--budget", type=int,
-                       help="enumeration and entry cap (default "
-                            f"${BUDGET_ENV} or built-in)")
-        p.add_argument("--verify", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="force the exhaustive cross-check on or off "
-                            "(default: on within budget)")
-        p.add_argument("--seed", type=int,
-                       help="seed for sampled checks above budget")
-        p.add_argument("--out", help="write to file instead of stdout")
+    def add(flag, parsers, **kwargs):
+        for p in parsers:
+            p.add_argument(flag, **kwargs)
 
-    add_common(sub.add_parser("check", help="Latin verdict for one rule"),
-               rule=True)
-    add_common(sub.add_parser("count", help="count Latin-generating rules"),
-               workers=True)
-    add_common(sub.add_parser("graph", help="export the window graph"),
-               fmt=(("dot", "json"), "dot"))
-    add_common(sub.add_parser("synth", help="rules from graph walks"),
-               synth=True)
-    add_common(sub.add_parser("dump", help="list all cube entries"),
-               rule=True, fmt=(("text", "json"), "text"))
+    add("--q", every, type=int, help="field order (prime power)")
+    add("--b", every, type=int, help="block size")
+    add("--k", (check, count, synth, dumps), type=int,
+        help="hypercube dimension")
+    add("--coeffs", (check, dumps),
+        help="interior coefficients a_2..a_{d-1}, comma or space separated")
+    add("--rule-file", (check, dumps), help="rule as JSON")
+    graph.add_argument("--format", choices=("dot", "json"), default="dot")
+    dumps.add_argument("--format", choices=("text", "json"), default="text")
+    count.add_argument("--workers", type=int)
+    synth.add_argument("--index", type=int, help="emit the nth rule (0-based)")
+    synth.add_argument("--all", action="store_true", help="emit every rule")
+    add("--budget", every, type=int,
+        help=f"enumeration and entry cap (default ${BUDGET_ENV} or built-in)")
+    add("--verify", (check, count, synth),
+        action=argparse.BooleanOptionalAction, default=None,
+        help="force the exhaustive cross-check on or off "
+             "(default: on within budget)")
+    add("--seed", (check, synth), type=int,
+        help="seed for sampled checks above budget")
+    add("--out", every, help="write to file instead of stdout")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    budget = args.budget
-    if budget is None and os.environ.get(BUDGET_ENV):
-        budget = int(os.environ[BUDGET_ENV])
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    coeffs = getattr(args, "coeffs", None)
-    return RunConfig(
-        command=args.command,
-        q=args.q,
-        b=args.b,
-        k=args.k,
-        coeffs=None if coeffs is None else _parse_coeffs(coeffs),
-        rule_file=getattr(args, "rule_file", None),
-        fmt=getattr(args, "format", None),
-        out=args.out,
-        workers=getattr(args, "workers", None),
-        index=getattr(args, "index", None),
-        emit_all=getattr(args, "all", False),
-        enum_budget=budget if budget is not None else DEFAULT_SUPPORT_BUDGET,
-        entry_budget=budget if budget is not None else DEFAULT_ENTRY_BUDGET,
-        verify=args.verify,
-        seed=args.seed,
-    )
+# parsing keeps no state between calls, so one parser serves every main()
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        payload, code = COMMANDS[cfg.command](cfg)
+        budget = args.budget
+        if budget is None and os.environ.get(BUDGET_ENV):
+            budget = int(os.environ[BUDGET_ENV])
+        if budget is not None and budget < 1:
+            raise ValueError(f"budget must be positive, got {budget}")
+        args.enum_budget = budget or DEFAULT_SUPPORT_BUDGET
+        args.entry_budget = budget or DEFAULT_ENTRY_BUDGET
+        payload, code = args.run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)

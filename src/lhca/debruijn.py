@@ -264,7 +264,7 @@ def latin_hypercube_count(field: GF, b: int, k: int, verify: bool = False,
 
 
 def cross_check_count(field: GF, b: int, k: int, budget: int,
-                      entry_budget: int, max_bits: int,
+                      entry_budget: int, max_bits: int = DEFAULT_INT_BITS,
                       workers: int | None = None) -> dict[str, int]:
     """The single count cross-check.  Returns the closed form ``formula``,
     the walk count ``paths`` (k >= 3) and, when rules times cube entries

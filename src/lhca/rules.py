@@ -243,14 +243,15 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
 
     powers = q ** np.arange(d, dtype=np.intp)
     if isinstance(rule, GeneralBipermutiveRule):
-        g = np.asarray(rule.g_table, dtype=np.uint8)
+        # field values are below 256 here, so each fits one byte
+        g = np.frombuffer(bytes(rule.g_table), dtype=np.uint8)
         for j in range(width):
             # d = 2 has no interior cells: every rank is 0, g[0]
             mid = g.take(powers[:d - 2] @ cells[j + 1:j + d - 1])
             out[j] = plus(plus(cells[j], mid), cells[j + d - 1])
         return out.T
 
-    table = np.asarray(rule.table, dtype=np.uint8)
+    table = np.frombuffer(bytes(rule.table), dtype=np.uint8)
     for j in range(width):
         out[j] = table.take(powers @ cells[j:j + d])
     return out.T

@@ -238,15 +238,6 @@ def count_nonsingular_toeplitz(field: GF, b: int, verify: bool = False,
     return count
 
 
-def nonsingular_count_report(field: GF, b: int,
-                             budget: int = DEFAULT_SUPPORT_BUDGET) -> dict:
-    """Closed form vs exhaustive support size, as a serializable report."""
-    formula = count_nonsingular_toeplitz(field, b)
-    exhaustive = len(support_of_det(field, b, budget))
-    return {"q": field.q, "b": b, "formula": str(formula),
-            "exhaustive": str(exhaustive), "match": formula == exhaustive}
-
-
 def count_triangular_completions(field: GF, n: int,
                                  lower: Sequence[int]) -> int:
     """Completions of a window whose first n-1 coefficients are fixed.

@@ -255,6 +255,15 @@ def test_graph_budget_exceeded(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_refuses_more_edges_than_the_budget(capsys, fmt):
+    # 27^3 windows fit the default budget; their 13 305 708 edges do not
+    code, out, err = run(capsys, "graph", "--q", "27", "--b", "2",
+                         "--format", fmt)
+    assert code == 3
+    assert out == "" and "edges exceed" in err
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("LHCA_BUDGET", "1")
     code, _, _ = run(capsys, "graph", "--q", "2", "--b", "2")
@@ -373,6 +382,32 @@ def test_no_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--q", "2", "--b", "2", "--k", "3"],
+    ["graph", "--q", "2", "--b", "2", "--verify"],
+    ["graph", "--q", "2", "--b", "2", "--seed", "1"],
+    ["dump", "--q", "2", "--b", "2", "--k", "3", "--coeffs", "0,1,0",
+     "--verify"],
+    ["dump", "--q", "2", "--b", "2", "--k", "3", "--coeffs", "0,1,0",
+     "--seed", "1"],
+    ["count", "--q", "2", "--b", "2", "--k", "3", "--seed", "1"],
+])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.delenv("LHCA_BUDGET", raising=False)
+    rule = ("check", "--q", "2", "--b", "2", "--k", "3", "--coeffs", "0,1,0")
+    code, out, _ = run(capsys, *rule, "--verify", "--budget", "1")
+    assert code == 3 and out == ""
+    code, report = run_json(capsys, *rule)
+    assert code == 0
+    assert report["oracle"] == "agree"
 
 
 def test_parse_coeffs_formats():

@@ -18,7 +18,6 @@ from lhca.toeplitz import (
     det_of_window,
     determinant,
     is_latin_by_windows,
-    nonsingular_count_report,
     solve_linear_system,
     solve_middle_block,
     support_of_det,
@@ -168,12 +167,6 @@ def test_elimination_inverts_only_pivots_with_rows_below():
 def test_support_budget():
     with pytest.raises(BudgetExceededError):
         support_of_det(F2, 12, budget=100)
-
-
-def test_nonsingular_count_report():
-    report = nonsingular_count_report(F3, 2)
-    assert report == {"q": 3, "b": 2, "formula": "18", "exhaustive": "18",
-                      "match": True}
 
 
 def test_triangular_completions_q2_n2():
