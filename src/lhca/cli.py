@@ -166,12 +166,23 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     _require(args, "q", "b")
-    g = build_graph(GF(args.q), args.b, args.enum_budget)
-    # build_graph bounds the q^(2b-1) windows; edges are about q^b times more
-    edges = sum(g.out_degrees())
-    if edges > args.enum_budget:
+    fld, b, budget = GF(args.q), args.b, args.enum_budget
+    q = fld.q
+    # build_graph bounds the q^(2b-1) windows; edges are about q^b times
+    # more.  Their closed form (q-1)^2 q^(3b-3) refuses a graph before it
+    # is built; an exponent 3b-3 past the budget's bit length refuses it
+    # without computing a huge power.  The out-degrees of a built graph
+    # stay the authority.
+    if (3 * b - 3 >= budget.bit_length()
+            or (q - 1) ** 2 * q ** (3 * b - 3) > budget):
         raise BudgetExceededError(
-            f"{edges} edges exceed the enumeration budget {args.enum_budget}")
+            f"{q - 1}^2 * {q}^{3 * b - 3} edges exceed the enumeration "
+            f"budget {budget}")
+    g = build_graph(fld, b, budget)
+    edges = sum(g.out_degrees())
+    if edges > budget:
+        raise BudgetExceededError(
+            f"{edges} edges exceed the enumeration budget {budget}")
     if args.format == "json":
         return _json(g.to_json()), 0
     return g.to_dot(), 0

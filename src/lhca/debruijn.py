@@ -82,9 +82,10 @@ class DetGraph:
         return deg
 
     def to_json(self) -> dict:
-        """Vertices as cell lists, edges as index pairs into ``vertices``."""
+        """Vertices as cell lists, edges as index pairs into ``vertices``;
+        the field is written as rule JSON writes it."""
         return {
-            "q": self.field.q,
+            **self.field.short_json(),
             "b": self.b,
             "vertices": [list(v) for v in self.vertices],
             "edges": [[i, j] for i in range(len(self.vertices))

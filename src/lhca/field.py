@@ -8,9 +8,14 @@ irreducible polynomial of degree m over GF(p); by default the one with the
 smallest integer encoding (same digit convention, leading term included),
 so every run of the library agrees on the meaning of each element.
 
-For q <= 256 all arithmetic is table-driven; the q x q numpy tables are
-exposed (``add_table``, ``mul_table``, ...) so that enumeration hot loops
-can run vectorized.  Larger fields compute on the fly.
+Every field, up to ``ORDER_CAP``, computes in one log domain: ``exp`` and
+``log`` of a primitive element g make a product a sum of logarithms, and
+Zech logarithms, Z(n) = log(1 + g^n), make a sum one too, since
+a + b = a (1 + b/a).  The scalar operations index these as Python lists.
+The vectorized operations (``add_array``, ``mul_array``, ...) gather from
+q x q lookup tables (``add_table``, ``mul_table``, ...) for q <= 256, where
+those fit, and from the same exp/log/Zech vectors above.  Vector elements
+have the dtype ``dtype``: ``uint8`` up to q = 256, ``uint16`` above.
 """
 
 from __future__ import annotations
@@ -131,8 +136,7 @@ class GF:
     """
 
     def __init__(self, q: int | None = None, *, p: int | None = None,
-                 m: int | None = None, poly: int | None = None,
-                 order_cap: int = ORDER_CAP):
+                 m: int | None = None, poly: int | None = None):
         if q is not None:
             p, m = _factor_prime_power(q)
         elif p is None or m is None:
@@ -144,8 +148,8 @@ class GF:
         self.p = p
         self.m = m
         self.q = p**m
-        if self.q > order_cap:
-            raise ValueError(f"field order {self.q} exceeds cap {order_cap}")
+        if self.q > ORDER_CAP:
+            raise ValueError(f"field order {self.q} exceeds cap {ORDER_CAP}")
 
         if m == 1:
             self.poly = None
@@ -163,47 +167,80 @@ class GF:
             # x^m = -(low part), precomputed for reduction
             self._reducer = [(-c) % p for c in digits[:m]]
 
+        # an element fits one byte up to q = 256, two bytes up to ORDER_CAP
+        self.dtype = np.uint8 if self.q <= 256 else np.uint16
+        self._build_logs()
         self.add_table: np.ndarray | None = None
         self.mul_table: np.ndarray | None = None
         self.neg_table: np.ndarray | None = None
         self.inv_table: np.ndarray | None = None
         if self.q <= TABLE_CAP:
-            self._build_tables()
+            every = np.arange(self.q)
+            self.add_table = self.add_array(every[:, None], every)
+            self.mul_table = self.mul_array(every[:, None], every)
+            self.neg_table = self.scale_array(p - 1, every)
+            self.inv_table = np.zeros(self.q, dtype=self.dtype)
+            self.inv_table[1:] = self._exps[self.q - 1 - self._logs[1:]]
 
-    def _build_tables(self) -> None:
-        """The four tables, built with numpy: ``add`` and ``neg`` digit-wise
-        on the base-p digits of every element, ``mul`` and ``inv`` from the
-        powers of a primitive element found by polynomial multiplication."""
-        p, m, q = self.p, self.m, self.q
-        weights = p ** np.arange(m)
-        digits = (np.arange(q)[:, None] // weights) % p
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
-        neg = ((-digits) % p) @ weights
-        # log[x] is the exponent of x as a power of the primitive element
+    def _build_logs(self) -> None:
+        """The log domain of a primitive element g, as numpy arrays for the
+        array operations and as Python lists for the scalar ones.
+
+        With n = q - 1, log 0 is the sentinel 2n, and exp holds g^i for
+        i < 2n and 0 from 2n to 4n, so a sum of two logarithms is a valid
+        exp index and lands on 0 exactly when a term is log 0.  For a + b,
+        zech is indexed by d + 2n with d = log b - log a, and the three
+        cases take disjoint ranges of d:
+          a, b != 0: zech = log(1 + g^d), so exp[log a + zech] = a + b;
+          a = 0:     zech = d, so exp[log a + zech] = exp[log b] = b;
+          b = 0:     zech = 0, so exp[log a + zech] = a (0 when a = 0 too).
+        """
+        p, q, n = self.p, self.q, self.q - 1
+        zero = 2 * n
         powers = self._primitive_powers()
-        log = np.zeros(q, dtype=np.int64)
-        log[powers] = np.arange(q - 1)
-        exp = np.array(powers, dtype=np.int64)
-        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
-        mul[0, :] = mul[:, 0] = 0
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[(-log[1:]) % (q - 1)]
-        self.add_table = add.astype(np.uint8)
-        self.mul_table = mul.astype(np.uint8)
-        self.neg_table = neg.astype(np.uint8)
-        self.inv_table = inv.astype(np.uint8)
+        exp = np.zeros(4 * n + 1, dtype=self.dtype)
+        exp[:zero] = powers[np.arange(zero) % n]
+        log = np.full(q, zero, dtype=np.intp)
+        log[powers] = np.arange(n)
+        # 1 + g^d differs from g^d in its constant digit only
+        one_plus = powers - powers % p + (powers + 1) % p
+        zech = np.zeros(4 * n + 1, dtype=np.intp)
+        zech[:n] = np.arange(n) - zero
+        zech[n + 1:3 * n] = log[one_plus[np.arange(1 - n, n) % n]]
+        self._zero_log = zero
+        self._exps, self._logs, self._zechs = exp, log, zech
+        self._exp, self._log, self._zech = (exp.tolist(), log.tolist(),
+                                            zech.tolist())
 
-    def _primitive_powers(self) -> list[int]:
-        """g^0, g^1, ..., g^(q-2) for the smallest element g whose powers
-        run through every nonzero element."""
+    def _primitive_powers(self) -> np.ndarray:
+        """g^0, g^1, ..., g^(q-2) as integers, for the smallest element g
+        whose powers run through every nonzero element.
+
+        Each candidate's powers are built as base-p digit rows by doubling:
+        the first t powers times the matrix of multiplication by g^t give
+        the next t, and squaring that matrix gives the one of g^(2t).  A
+        candidate of smaller order e < q-1 shows itself when 1 = g^e turns
+        up, by the time the table reaches e.
+        """
+        p, m, n = self.p, self.m, self.q - 1
+        weights = p ** np.arange(m)
         for g in range(1, self.q):
-            powers = [1]
-            x = g
-            while x != 1 and len(powers) < self.q - 1:
-                powers.append(x)
-                x = _poly_mul_mod(x, g, self._reducer, self.p, self.m)
-            if x == 1 and len(powers) == self.q - 1:
-                return powers
+            powers = np.zeros((n, m), dtype=np.int64)
+            powers[0, 0] = 1
+            # row i holds the digits of g x^i
+            step = np.array([_digits(_poly_mul_mod(g, p**i, self._reducer,
+                                                   p, m), p, m)
+                             for i in range(m)])
+            t = 1
+            while t < n:
+                more = powers[:min(t, n - t)] @ step % p
+                if (more @ weights == 1).any():
+                    break
+                powers[t:t + len(more)] = more
+                step = step @ step % p
+                t += len(more)
+            else:
+                return powers @ weights
         raise ValueError("no element generates the multiplicative group, so "
                          "some element has no unique inverse; "
                          "field construction is inconsistent")
@@ -215,22 +252,13 @@ class GF:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        if self.m == 1:
-            return (a + b) % self.p
-        da = _digits(a, self.p, self.m)
-        db = _digits(b, self.p, self.m)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la + self._zero_log]]
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.neg_table is not None:
-            return int(self.neg_table[a])
-        if self.m == 1:
-            return (-a) % self.p
-        return _undigits([(-c) % self.p for c in _digits(a, self.p, self.m)],
-                         self.p)
+        # -a = (-1) a, and -1 is encoded as p - 1
+        return self._exp[self._log[a] + self._log[self.p - 1]]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -238,28 +266,52 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        if self.m == 1:
-            return (a * b) % self.p
-        return _poly_mul_mod(a, b, self._reducer, self.p, self.m)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        # a^(q-2) by square and multiply
-        result, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def _pair_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x*q + y, the index of each pair into a raveled q x q table, as
+        ``intp`` (it needs more than 8 bits)."""
+        idx = x.astype(np.intp)
+        idx *= self.q
+        if idx.shape == y.shape:
+            idx += y  # in place, one allocation where broadcasting needs two
+            return idx
+        return idx + y
+
+    def add_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x + y elementwise over integer arrays of elements, broadcast;
+        the result has the field's ``dtype``.  Inputs are not checked."""
+        if self.add_table is not None:
+            return self.add_table.ravel().take(self._pair_index(x, y))
+        lx = self._logs.take(x)
+        d = self._logs.take(y) - lx
+        d += self._zero_log
+        return self._exps.take(lx + self._zechs.take(d))
+
+    def mul_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x * y elementwise, as :meth:`add_array`."""
+        if self.mul_table is not None:
+            return self.mul_table.ravel().take(self._pair_index(x, y))
+        return self._exps.take(self._logs.take(x) + self._logs.take(y))
+
+    def scale_array(self, a: int, x: np.ndarray) -> np.ndarray:
+        """The element a times every entry of x, as :meth:`add_array`."""
+        if self.mul_table is not None:
+            return self.mul_table[a].take(x)
+        return self._exps.take(self._logs.take(x) + self._log[a])
+
+    def array(self, values) -> np.ndarray:
+        """A sequence of elements as a 1-d array of the field's ``dtype``;
+        a byte string converts several times faster than an int list."""
+        if self.dtype == np.uint8:
+            return np.frombuffer(bytes(values), dtype=np.uint8)
+        return np.fromiter(values, dtype=self.dtype, count=len(values))
 
     def elements(self) -> list[int]:
         """All q elements exactly once, in encoding order."""

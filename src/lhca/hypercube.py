@@ -139,16 +139,17 @@ def _line_coords(lo: int, hi: int, N: int, k: int) -> np.ndarray:
     return (np.arange(lo, hi)[:, None] // weights % N).astype(np.int64)
 
 
-def _line_inputs(q: int, b: int, k: int, axis: int,
+def _line_inputs(field: GF, b: int, k: int, axis: int,
                  coords: np.ndarray) -> np.ndarray:
-    """Inputs for a batch of lines, column-major: the line through row l
-    of ``coords`` (its other k-1 coordinates, 0-based) fills rows
-    l*N .. l*N+N-1, with the block of the swept axis running through all
-    of GF(q)^b.  Each block holds the base-q digits of its coordinate,
-    least significant first."""
+    """Inputs for a batch of lines, column-major, in the field's ``dtype``:
+    the line through row l of ``coords`` (its other k-1 coordinates,
+    0-based) fills rows l*N .. l*N+N-1, with the block of the swept axis
+    running through all of GF(q)^b.  Each block holds the base-q digits of
+    its coordinate, least significant first."""
+    q = field.q
     N = q**b
     L = len(coords)
-    cells = np.empty((b * k, L, N), dtype=np.uint8 if q <= 256 else np.int64)
+    cells = np.empty((b * k, L, N), dtype=field.dtype)
     weights = q ** np.arange(b)[:, None]
     for j in range(k):
         if j == axis - 1:
@@ -167,16 +168,17 @@ _input_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _input_cache_lock = threading.Lock()
 
 
-def _scan_inputs(q: int, b: int, k: int, axis: int, lo: int,
+def _scan_inputs(field: GF, b: int, k: int, axis: int, lo: int,
                  hi: int) -> np.ndarray:
     """Read-only inputs of lines lo..hi-1 along ``axis``, from the cache."""
-    key = (q, b, k, axis, lo, hi)
+    key = (field.q, b, k, axis, lo, hi)
     with _input_cache_lock:
         inputs = _input_cache.get(key)
         if inputs is not None:
             _input_cache.move_to_end(key)
             return inputs
-    inputs = _line_inputs(q, b, k, axis, _line_coords(lo, hi, q**b, k))
+    inputs = _line_inputs(field, b, k, axis,
+                          _line_coords(lo, hi, field.q**b, k))
     inputs.flags.writeable = False
     with _input_cache_lock:
         _input_cache[key] = inputs
@@ -229,13 +231,12 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     for a in axes:
         if not 1 <= a <= k:
             raise ValueError(f"axis {a} out of range 1..{k}")
-    q = rule.field.q
     n_lines = N ** (k - 1)
     chunk = max(1, 65536 // N)
     for axis in axes:
         for lo in range(0, n_lines, chunk):
             hi = min(lo + chunk, n_lines)
-            inputs = _scan_inputs(q, b, k, axis, lo, hi)
+            inputs = _scan_inputs(rule.field, b, k, axis, lo, hi)
             failure = _first_repeat(_line_values(rule, inputs, b))
             if failure is not None:
                 line, value = failure
@@ -269,7 +270,7 @@ def check_random_lines(rule: Rule, n_lines: int = 1000, seed: int = 0,
         for axis in sorted({a for a, _ in batch}):
             pos = [i for i, (a, _) in enumerate(batch) if a == axis]
             coords = np.array([batch[i][1] for i in pos], dtype=np.int64)
-            inputs = _line_inputs(q, b, k, axis, coords)
+            inputs = _line_inputs(rule.field, b, k, axis, coords)
             failure = _first_repeat(_line_values(rule, inputs, b))
             if failure is not None:
                 failures.append((pos[failure[0]], failure[1]))
@@ -291,16 +292,16 @@ def dump(rule: Rule, b: int | None = None, k: int | None = None,
     1-based values.  The header records the field as rule JSON does.
     """
     b, k, N = _cube_shape(rule, b, k, budget)
-    q = rule.field.q
+    fld = rule.field
     # layer rows are the lines along axis 2 through (i_1, i_3, ..., i_k)
     n_lines, chunk = N ** (k - 1), N * max(1, 65536 // N**2)
     layers = []
     for lo in range(0, n_lines, chunk):
         coords = np.roll(_line_coords(lo, min(lo + chunk, n_lines), N, k), 1,
                          axis=1)
-        vals = _line_values(rule, _line_inputs(q, b, k, 2, coords), b) + 1
+        vals = _line_values(rule, _line_inputs(fld, b, k, 2, coords), b) + 1
         layers += vals.reshape(-1, N, N).tolist()
-    out = {**rule.field.short_json(), "b": b, "k": k}
+    out = {**fld.short_json(), "b": b, "k": k}
     if isinstance(rule, LinearRule):
         out["coeffs"] = list(rule.coeffs)
     elif isinstance(rule, GeneralBipermutiveRule):

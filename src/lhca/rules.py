@@ -148,7 +148,23 @@ Rule = LinearRule | GeneralBipermutiveRule | TableRule
 
 def rule_from_json(data: dict) -> LinearRule | GeneralBipermutiveRule:
     """Rebuild a rule from its JSON dict form; ``poly`` selects a
-    non-default field modulus."""
+    non-default field modulus.
+
+    Values of the wrong type raise ValueError: the input comes from
+    outside, and a JSON ``true`` or ``1.5`` must not pass as an element.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("rule JSON must be an object")
+    for key, value in data.items():
+        if key in ("q", "b", "k", "d", "poly"):
+            # a missing modulus may also be written as null
+            ok = type(value) is int or (key == "poly" and value is None)
+        elif key in ("coeffs", "g_table"):
+            ok = type(value) is list and all(type(v) is int for v in value)
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"rule JSON has a malformed {key!r}: {value!r}")
     fld = GF(data["q"], poly=data.get("poly"))
     if "coeffs" in data:
         return LinearRule(fld, data["b"], data["k"], tuple(data["coeffs"]))
@@ -193,14 +209,14 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
     """Vectorized global map over a batch of configurations.
 
     ``inputs`` is an (M, n) integer array of configurations; returns the
-    (M, n-d+1) array of outputs.  For fields with tables the batch is
-    evaluated cells major: each cell of every configuration is one
-    contiguous row of the transposed batch, which costs no copy when
-    ``inputs`` is a column-major ``uint8`` array, and every field operation
-    is a 1-d ``take`` on a lookup table; the result is ``uint8`` and,
-    being the transpose of the cells-major output, column-major.  Fields
-    above the table cap fall back to a row-by-row loop whose result is a
-    C-ordered ``int64`` array.
+    (M, n-d+1) array of outputs in the field's ``dtype``.  The batch is
+    evaluated cells major: cell i of every configuration is row i of the
+    transposed batch, which costs no copy when ``inputs`` is a
+    column-major array of the field's ``dtype``, so rows t .. t+n-d of it
+    are cell t of every window of every configuration, and each field
+    operation is one of the field's array operations on such a block.
+    The result, being the transpose of the cells-major output, is
+    column-major.
     """
     fld = rule.field
     inputs = np.asarray(inputs)
@@ -212,48 +228,31 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(f"input length {n} < diameter {d}")
     if inputs.size and (inputs.min() < 0 or inputs.max() >= fld.q):
         raise ValueError("inputs contain values outside the field")
-    if fld.add_table is None:
-        return np.array([apply_ca(rule, row) for row in inputs.tolist()],
-                        dtype=np.int64)
 
-    q, width = fld.q, n - d + 1
-    cells = np.ascontiguousarray(inputs.T, dtype=np.uint8)
-    add = fld.add_table.ravel()
+    width = n - d + 1
+    cells = np.ascontiguousarray(inputs.T, dtype=fld.dtype)
 
-    def plus(acc: np.ndarray, term: np.ndarray) -> np.ndarray:
-        # add[acc, term] as a 1-d lookup; the index needs more than 8 bits
-        idx = acc.astype(np.intp)
-        idx *= q
-        idx += term
-        return add.take(idx)
+    def ranks(lo: int, hi: int) -> np.ndarray:
+        # rank of cells lo..hi-1 of every window, leftmost least significant
+        r = np.zeros((width, len(inputs)), dtype=np.intp)
+        for t in range(hi - 1, lo - 1, -1):
+            r *= fld.q
+            r += cells[t:t + width]
+        return r
 
-    out = np.empty((width, inputs.shape[0]), dtype=np.uint8)
     if isinstance(rule, LinearRule):
-        full = rule.full_coeffs
-        mul = fld.mul_table
-        for j in range(width):
-            acc = cells[j]
-            for t in range(1, d):
-                a = full[t]
-                if a:
-                    x = cells[j + t]
-                    acc = plus(acc, x if a == 1 else mul[a].take(x))
-            out[j] = acc
-        return out.T
-
-    powers = q ** np.arange(d, dtype=np.intp)
-    if isinstance(rule, GeneralBipermutiveRule):
-        # field values are below 256 here, so each fits one byte
-        g = np.frombuffer(bytes(rule.g_table), dtype=np.uint8)
-        for j in range(width):
-            # d = 2 has no interior cells: every rank is 0, g[0]
-            mid = g.take(powers[:d - 2] @ cells[j + 1:j + d - 1])
-            out[j] = plus(plus(cells[j], mid), cells[j + d - 1])
-        return out.T
-
-    table = np.frombuffer(bytes(rule.table), dtype=np.uint8)
-    for j in range(width):
-        out[j] = table.take(powers @ cells[j:j + d])
+        out = cells[:width]
+        for t, a in enumerate(rule.full_coeffs[1:], 1):
+            if a:
+                x = cells[t:t + width]
+                out = fld.add_array(out,
+                                    x if a == 1 else fld.scale_array(a, x))
+    elif isinstance(rule, GeneralBipermutiveRule):
+        # d = 2 has no interior cells: every rank is 0, g[0]
+        mid = fld.array(rule.g_table).take(ranks(1, d - 1))
+        out = fld.add_array(fld.add_array(cells[:width], mid), cells[d - 1:])
+    else:
+        out = fld.array(rule.table).take(ranks(0, d))
     return out.T
 
 

@@ -14,15 +14,14 @@ one forward elimination, the support of the window determinant map, the
 count of nonsingular completions of a partially specified window, and
 the solver that recovers a middle block from a target output.
 
-Single matrices, the windows of one rule, and every matrix over a field
-without tables go through the scalar elimination ``_eliminate``.  The two
-exhaustive enumerations, ``support_of_det`` and
-``count_triangular_completions``, instead reduce all q^n windows of a
-field with tables at once: ``_batch_nonsingular`` runs the same
-elimination on a stack of matrices, with every field operation a
-``take`` on a lookup table, in chunks of at most ``_BATCH_CELLS`` matrix
-entries.  An enumeration of thousands of small matrices is almost all
-per-window interpreter overhead, which the batch removes; for the
+Single matrices and the windows of one rule go through the scalar
+elimination ``_eliminate``.  The two exhaustive enumerations,
+``support_of_det`` and ``count_triangular_completions``, instead reduce
+all q^n windows at once: ``_batch_nonsingular`` runs the same
+elimination on a stack of matrices, with every field operation one of
+the field's array operations, in chunks of at most ``_BATCH_CELLS``
+matrix entries.  An enumeration of thousands of small matrices is almost
+all per-window interpreter overhead, which the batch removes; for the
 handful of windows of one rule the batch's set-up costs more than it
 saves, so those stay scalar.  The scalar path is also the reference the
 batch is tested against.
@@ -42,7 +41,7 @@ from .rules import LinearRule, apply_ca
 
 DEFAULT_SUPPORT_BUDGET = 1 << 20
 # matrix entries reduced at once by the batched elimination; its largest
-# temporaries are intp arrays of this many entries (8 MiB)
+# temporaries are a few intp arrays of this many entries (8 MiB each)
 _BATCH_CELLS = 1 << 20
 
 
@@ -131,22 +130,17 @@ def is_latin_by_windows(rule: LinearRule, b: int | None = None,
 
 
 def _batch_nonsingular(field: GF, wins: np.ndarray) -> np.ndarray:
-    """Whether the Toeplitz matrix of each window of an (N, 2b-1) ``uint8``
-    stack is nonsingular, over a field with tables.
+    """Whether the Toeplitz matrix of each window of an (N, 2b-1) stack,
+    in the field's ``dtype``, is nonsingular.
 
     The forward elimination of ``_eliminate`` on all N matrices at once,
     keeping only whether every pivot is nonzero, which row swaps do not
-    change.  A column without a pivot needs no branch: its pivot is 0,
-    whose ``inv_table`` entry is 0, so the row factors vanish and the
-    matrix is left as it is.
+    change.  It divides by no pivot: row r becomes -pivot times itself
+    plus m[r, col] times the pivot row, which clears m[r, col] and, for a
+    nonzero pivot, keeps the matrix nonsingular or singular as it was.  A
+    column without a pivot has already made the matrix singular, so what
+    the later steps do to it does not matter.
     """
-    q = field.q
-    add, mul = field.add_table.ravel(), field.mul_table.ravel()
-    neg, inv = field.neg_table, field.inv_table
-
-    def times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return mul.take(x.astype(np.intp) * q + y)
-
     b = (wins.shape[1] + 1) // 2
     # entry (r, s) of a window's matrix is its coefficient b-1+s-r (0-based)
     span = np.arange(b)
@@ -162,14 +156,14 @@ def _batch_nonsingular(field: GF, wins: np.ndarray) -> np.ndarray:
         ok &= m[:, col, col] != 0
         if col + 1 == b:
             break
-        # row r -= f_r * row col, as row r += (-f_r) * row col; column col
-        # is never read again, so only the columns right of it are updated
-        pinv = inv.take(m[:, col, col])[:, None]
-        negf = neg.take(times(m[:, col + 1:, col], pinv))
-        idx = m[:, col + 1:, col + 1:].astype(np.intp)
-        idx *= q
-        idx += times(negf[:, :, None], m[:, None, col, col + 1:])
-        m[:, col + 1:, col + 1:] = add.take(idx)
+        # column col is never read again, so only the columns right of it
+        # are updated; -1 is encoded as p - 1
+        minus_pivot = field.scale_array(field.p - 1, m[:, col, col])
+        m[:, col + 1:, col + 1:] = field.add_array(
+            field.mul_array(m[:, col + 1:, col + 1:],
+                            minus_pivot[:, None, None]),
+            field.mul_array(m[:, col + 1:, col, None],
+                            m[:, None, col, col + 1:]))
     return ok
 
 
@@ -177,26 +171,16 @@ def _nonsingular_chunks(field: GF, prefix: Sequence[int],
                         free: int) -> Iterator[np.ndarray]:
     """For each window ``prefix + rest``, rest running over GF(q)^free in
     lexicographic order, whether its Toeplitz matrix is nonsingular, as
-    consecutive boolean chunks of a bounded size.
-
-    Fields with tables reduce each chunk in one batch; larger fields call
-    :func:`det_of_window` on each window.
-    """
+    consecutive boolean chunks of a bounded size, each reduced in one
+    batch."""
     q, prefix = field.q, tuple(prefix)
     total = q ** free
     width = len(prefix) + free
     b = (width + 1) // 2
     per_chunk = max(1, _BATCH_CELLS // (b * b))
-    if field.add_table is None:
-        rests = itertools.product(range(q), repeat=free)
-        for _ in range(0, total, per_chunk):
-            yield np.fromiter(
-                (det_of_window(field, prefix + rest) != 0
-                 for rest in itertools.islice(rests, per_chunk)), dtype=bool)
-        return
     for lo in range(0, total, per_chunk):
         rest = np.arange(lo, min(lo + per_chunk, total))
-        wins = np.empty((len(rest), width), dtype=np.uint8)
+        wins = np.empty((len(rest), width), dtype=field.dtype)
         wins[:, :len(prefix)] = prefix
         for j in range(width - 1, len(prefix) - 1, -1):
             rest, wins[:, j] = np.divmod(rest, q)

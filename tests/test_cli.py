@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import lhca.cli
 from lhca.cli import main, _parse_coeffs
 
 
@@ -65,6 +66,27 @@ def test_check_general_rule_file(capsys, tmp_path):
     assert code == 0
     assert report["latin"] is True
     assert report["oracle"] == "oracle-only"
+
+
+_LINEAR = {"q": 2, "b": 2, "k": 3, "coeffs": [0, 1, 0]}
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {"q": 2, "b": 1, "k": 3, "coeffs": "a"},  # one coefficient, as "a" has
+    {**_LINEAR, "b": "x"},
+    {**_LINEAR, "coeffs": [1.5, 1, 0]},
+    {**_LINEAR, "coeffs": [True, 1, 0]},
+    {**_LINEAR, "q": "2"},
+], ids=["list", "coeffs-string", "b-string", "coeffs-float", "coeffs-bool",
+        "q-string"])
+def test_check_malformed_rule_file_is_usage_error(capsys, tmp_path, data):
+    # exit 1 would mean "not Latin"; a malformed file is a usage error
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--rule-file", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_check_rejects_rule_file_plus_coeffs(capsys, tmp_path):
@@ -262,6 +284,21 @@ def test_graph_refuses_more_edges_than_the_budget(capsys, fmt):
                          "--format", fmt)
     assert code == 3
     assert out == "" and "edges exceed" in err
+
+
+def test_graph_refuses_before_building(capsys, monkeypatch):
+    # (q-1)^2 q^(3b-3) edges are known in closed form before any build
+    def build_graph(*args, **kwargs):
+        raise AssertionError("a refused graph was built")
+
+    monkeypatch.setattr(lhca.cli, "build_graph", build_graph)
+    code, out, err = run(capsys, "graph", "--q", "101", "--b", "2")
+    assert code == 3
+    assert out == "" and "100^2 * 101^3 edges exceed" in err
+    # a huge b is refused by its exponent, with no huge integer to print
+    code, out, err = run(capsys, "graph", "--q", "3", "--b", "1000000")
+    assert code == 3
+    assert out == "" and "2^2 * 3^2999997 edges exceed" in err
 
 
 def test_budget_env_var(capsys, monkeypatch):

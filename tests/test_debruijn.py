@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from helpers import every_modulus
 from lhca.debruijn import (
     DetGraph,
     build_graph,
@@ -297,3 +298,12 @@ def test_graph_json_and_dot():
     assert dot.startswith("digraph")
     assert '"010" -> "011";' in dot
     assert dot.count("->") == 8
+
+
+def test_graph_json_keeps_every_modulus():
+    # the field is written as rule JSON writes it: no poly for the default
+    for fld in every_modulus(9):
+        data = build_graph(fld, 1).to_json()
+        header = {key: data[key] for key in ("q", "poly") if key in data}
+        assert header == fld.short_json()
+        assert GF(data["q"], poly=data.get("poly")) == fld

@@ -1,6 +1,9 @@
 """Field arithmetic tests: axioms by exhaustion on small orders, encoding
 conventions, and error handling."""
 
+import random
+
+import numpy as np
 import pytest
 
 from helpers import every_modulus
@@ -172,7 +175,7 @@ def test_json_round_trip(field):
 
 
 def test_tables_match_scalar_ops():
-    # table-backed and on-the-fly arithmetic must agree
+    # the lookup tables and the log-domain scalar operations must agree
     f = GF(8)
     assert f.add_table is not None
     for a in f.elements():
@@ -218,3 +221,58 @@ def test_tables_are_polynomial_arithmetic(q):
 def test_tables_are_polynomial_arithmetic_for_every_modulus(q):
     for f in every_modulus(q):
         _assert_tables_are_polynomial_arithmetic(f)
+
+
+def _reference_add(f, a, b):
+    p, m = f.p, f.m
+    return _undigits([(x + y) % p for x, y in zip(_digits(a, p, m),
+                                                  _digits(b, p, m))], p)
+
+
+def _reference_mul(f, a, b):
+    if f.m == 1:
+        return a * b % f.p
+    return _poly_mul_mod(a, b, f._reducer, f.p, f.m)
+
+
+# above the table cap the log domain is the only arithmetic; 243 and 256
+# check the table gathers of the array operations against the same
+# references
+@pytest.mark.parametrize("q", [257, 512, 625, 729, 1024, 2187, 59049, 65521,
+                               65536, 243, 256])
+def test_ops_match_polynomial_arithmetic(q):
+    f, rng = GF(q), random.Random(q)
+    pairs = [(0, 0), (0, 1), (1, 0), (q - 1, q - 1), (1, q - 1)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(500)]
+    add = [_reference_add(f, a, b) for a, b in pairs]
+    mul = [_reference_mul(f, a, b) for a, b in pairs]
+    assert [f.add(a, b) for a, b in pairs] == add
+    assert [f.mul(a, b) for a, b in pairs] == mul
+    for a, _ in pairs:
+        assert _reference_add(f, a, f.neg(a)) == 0
+        if a:
+            assert _reference_mul(f, a, f.inv(a)) == 1
+    x = np.array([a for a, _ in pairs], dtype=f.dtype)
+    y = np.array([b for _, b in pairs], dtype=f.dtype)
+    assert f.dtype == (np.uint8 if q <= 256 else np.uint16)
+    assert f.add_array(x, y).dtype == f.dtype
+    assert f.add_array(x, y).tolist() == add
+    assert f.mul_array(x, y).tolist() == mul
+    # broadcasting, as the batched elimination uses it
+    assert f.mul_array(x[:5, None], y[None, :7]).tolist() == [
+        [_reference_mul(f, a, b) for b in y[:7].tolist()]
+        for a in x[:5].tolist()]
+    for a in (0, 1, 2, q - 1):
+        assert f.scale_array(a, x).tolist() == [_reference_mul(f, a, v)
+                                                for v in x.tolist()]
+    assert f.array(x.tolist()).tolist() == x.tolist()
+
+
+def test_every_element_has_a_negative_and_an_inverse():
+    f = GF(729)
+    for a in f.elements():
+        assert f.add(a, f.neg(a)) == 0
+        assert _reference_add(f, a, f.neg(a)) == 0
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
+            assert _reference_mul(f, a, f.inv(a)) == 1

@@ -311,3 +311,17 @@ def test_sweep_never_imports_the_window_criterion():
             imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
     for name in imported:
         assert not {"toeplitz", "debruijn"} & set(name.split(".")), name
+
+
+def test_only_the_field_reads_its_tables():
+    # the field owns the choice between lookup tables and the log domain
+    private = {"add_table", "mul_table", "neg_table", "inv_table",
+               "TABLE_CAP"}
+    for path in Path(lhca.hypercube.__file__).parent.glob("*.py"):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            assert not private & names, (path.name, node.lineno)

@@ -156,14 +156,16 @@ def _random_rules(q: int) -> list:
 
 
 # q = 16 is the last field whose table index acc*q + term fits in 8 bits
-# and 256 the largest field with tables; 27 and 243 are odd prime powers
+# and 256 the largest field with tables; 27 and 243 are odd prime powers;
+# 257, 729 and 1024 compute in the log domain, on uint16 elements
 @pytest.mark.parametrize("rule", [
     XOR5,
     LinearRule(F3, 2, 3, (1, 2, 0)),
     LinearRule(F4, 2, 2, (3,)),
     GeneralBipermutiveRule(F3, 3, (0, 2, 1)),
     TableRule(F2, 3, (0, 1, 1, 0, 1, 0, 0, 1)),
-    *(rule for q in (16, 27, 243, 256) for rule in _random_rules(q)),
+    *(rule for q in (16, 27, 243, 256, 257, 729, 1024)
+      for rule in _random_rules(q)),
 ])
 def test_batch_matches_scalar(rule):
     rng = random.Random(2024)
@@ -173,15 +175,6 @@ def test_batch_matches_scalar(rule):
     got = apply_ca_batch(rule, np.array(rows))
     for row, out in zip(rows, got.tolist()):
         assert tuple(out) == apply_ca(rule, row)
-
-
-def test_batch_without_tables_falls_back():
-    f = GF(257)
-    assert f.add_table is None
-    rule = LinearRule(f, 1, 3, (256,))
-    rows = np.array([[1, 1, 1, 1], [10, 20, 30, 40]])
-    got = apply_ca_batch(rule, rows)
-    assert got.tolist() == [list(apply_ca(rule, r)) for r in rows.tolist()]
 
 
 def test_batch_rejects_bad_input():

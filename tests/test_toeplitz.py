@@ -130,7 +130,7 @@ def _scalar_support(fld, b):
     *[(F3, b) for b in range(1, 4)],
     *[(fld, 2) for q in (4, 8, 9, 16, 25, 27) for fld in every_modulus(q)],
     (GF(256), 1),
-    (GF(257), 1),  # no tables: the scalar path
+    (GF(257), 1),  # above the table cap: the log-domain batch
     (GF(729), 1),
 ], ids=repr)
 def test_support_matches_the_scalar_determinants(fld, b):
@@ -152,7 +152,7 @@ def test_enumerations_span_many_chunks(fld, b, monkeypatch):
 
 
 def test_elimination_inverts_only_pivots_with_rows_below():
-    fld = GF(729)  # no tables: every inverse is square and multiply
+    fld = GF(729)  # any field would do: the test counts calls to inv
     inverted = []
     inv = fld.inv
     fld.inv = lambda a: inverted.append(a) or inv(a)
