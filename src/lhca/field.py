@@ -14,8 +14,12 @@ Zech logarithms, Z(n) = log(1 + g^n), make a sum one too, since
 a + b = a (1 + b/a).  The scalar operations index these as Python lists.
 The vectorized operations (``add_array``, ``mul_array``, ...) gather from
 q x q lookup tables (``add_table``, ``mul_table``, ...) for q <= 256, where
-those fit, and from the same exp/log/Zech vectors above.  Vector elements
-have the dtype ``dtype``: ``uint8`` up to q = 256, ``uint16`` above.
+those fit, and from the same exp/log/Zech vectors above.  A pair's index
+into a table, x*q + y, is at most q^2 - 1 = 65 535, so it is built as
+``uint16``.  In characteristic 2 array addition gathers nothing at any q:
+digits add modulo 2, so the sum of two encodings is their XOR.  Vector
+elements have the dtype ``dtype``: ``uint8`` up to q = 256, ``uint16``
+above.
 """
 
 from __future__ import annotations
@@ -276,17 +280,24 @@ class GF:
 
     def _pair_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x*q + y, the index of each pair into a raveled q x q table, as
-        ``intp`` (it needs more than 8 bits)."""
-        idx = x.astype(np.intp)
+        ``uint16``: tables exist up to q = 256, so an index is at most
+        65 535, and a 16-bit index is cheaper to build than an ``intp`` one."""
+        idx = x.astype(np.uint16)
         idx *= self.q
-        if idx.shape == y.shape:
-            idx += y  # in place, one allocation where broadcasting needs two
-            return idx
-        return idx + y
+        # in place where the shapes agree, one allocation where
+        # broadcasting needs two; values below q fit whatever y's dtype
+        return np.add(idx, y, out=idx if idx.shape == y.shape else None,
+                      dtype=np.uint16, casting="unsafe")
 
     def add_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x + y elementwise over integer arrays of elements, broadcast;
-        the result has the field's ``dtype``.  Inputs are not checked."""
+        the result has the field's ``dtype``.  Inputs are not checked.
+
+        In characteristic 2 this is the XOR of the encodings, at every q;
+        otherwise a gather from ``add_table`` by 16-bit pair indexes up to
+        q = 256, and through the Zech logarithms above."""
+        if self.p == 2:
+            return np.bitwise_xor(x, y).astype(self.dtype, copy=False)
         if self.add_table is not None:
             return self.add_table.ravel().take(self._pair_index(x, y))
         lx = self._logs.take(x)

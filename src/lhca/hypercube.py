@@ -23,6 +23,7 @@ shared through a module cache of read-only arrays capped at 8 MiB.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import threading
 from collections import OrderedDict
@@ -346,7 +347,8 @@ def count_latin_rules(field: GF, b: int, k: int,
     cube is Latin.
 
     ``budget`` bounds rules times cube entries; ``workers`` greater than 1
-    spreads the rule range over that many processes.
+    spreads the rule range over that many processes, at most one per CPU
+    this process may run on.
     """
     if b < 1 or k < 2:
         raise ValueError(f"need b >= 1 and k >= 2, got b={b}, k={k}")
@@ -356,6 +358,13 @@ def count_latin_rules(field: GF, b: int, k: int,
     if total * q ** (b * k) > budget:
         raise BudgetExceededError(
             f"{total} rules x {q**b}^{k} entries exceeds budget {budget}")
+    if workers:
+        # more processes than CPUs only add start-up cost, and an
+        # unbounded flag would let one command start thousands of them
+        # (sched_getaffinity is Linux only)
+        workers = min(workers, len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
     if workers and workers > 1 and total > 1:
         # imported on use: multiprocessing adds about 2 MB and 20 ms to
         # every import of lhca

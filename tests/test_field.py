@@ -268,6 +268,69 @@ def test_ops_match_polynomial_arithmetic(q):
     assert f.array(x.tolist()).tolist() == x.tolist()
 
 
+def _digitwise_add(f, x, y):
+    """x + y over integer arrays, broadcast, by adding base-p digits
+    modulo p: the definition, with no XOR and no table."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    out = 0
+    for t in range(f.m):
+        w = f.p**t
+        out = out + (x // w % f.p + y // w % f.p) % f.p * w
+    return out
+
+
+def _every_pair(q, dtype):
+    every = np.arange(q, dtype=dtype)
+    return np.repeat(every, q), np.tile(every, q)
+
+
+# array addition in characteristic 2 is the XOR of the encodings, which
+# must not depend on the modulus; check that for every pair under each one
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_char2_add_array_every_pair_every_modulus(q):
+    for f in every_modulus(q):
+        x, y = _every_pair(q, f.dtype)
+        got = f.add_array(x, y)
+        assert got.dtype == f.dtype
+        assert np.array_equal(got, _digitwise_add(f, x, y))
+
+
+# the XOR path at 2^9, 2^10 and the cap; the 16-bit pair index of the
+# other tabled fields; the log domain above 256 for odd p
+@pytest.mark.parametrize("q", [512, 1024, 65536, 3, 9, 243, 251, 729])
+def test_add_array_input_dtypes_and_broadcast(q):
+    f, rng = GF(q), np.random.default_rng(q)
+    x, y = rng.integers(0, q, (2, 500))
+    want = _digitwise_add(f, x, y)
+    for dtype in (np.uint8, np.uint16, np.intp):
+        if q - 1 > np.iinfo(dtype).max:
+            continue
+        a, b = x.astype(dtype), y.astype(dtype)
+        for pair in ((a, b), (a, y), (x, b)):  # x and y are intp
+            got = f.add_array(*pair)
+            assert got.dtype == f.dtype
+            assert np.array_equal(got, want)
+    if q <= 1024:
+        # the (q,1) + (q,) broadcast that builds add_table
+        every = np.arange(q)
+        got = f.add_array(every[:, None], every)
+        assert got.dtype == f.dtype
+        assert np.array_equal(got, _digitwise_add(f, every[:, None], every))
+
+
+def test_mul_array_every_pair_at_the_16_bit_index_boundary():
+    f = GF(256)
+    x, y = _every_pair(256, np.uint8)
+    # (255, 255) indexes 255 * 256 + 255 = 65535, the largest uint16
+    idx = f._pair_index(x, y)
+    assert idx.dtype == np.uint16 and int(idx.max()) == 65535
+    want = [_reference_mul(f, a, b) for a, b in zip(x.tolist(), y.tolist())]
+    for a, b in ((x, y), (x.astype(np.intp), y), (x, y.astype(np.intp))):
+        got = f.mul_array(a, b)
+        assert got.dtype == f.dtype
+        assert got.tolist() == want
+
+
 def test_every_element_has_a_negative_and_an_inverse():
     f = GF(729)
     for a in f.elements():

@@ -6,7 +6,9 @@ GOLDEN_CUBE[z-1][x-1][y-1] is the entry at (i1=x, i2=y, i3=z).
 """
 
 import ast
+import concurrent.futures
 import itertools
+import os
 import random
 from pathlib import Path
 
@@ -292,6 +294,35 @@ def test_count_latin_rules_small():
 
 def test_count_latin_rules_workers_agree():
     assert count_latin_rules(F2, 2, 3, workers=2) == 4
+
+
+def test_count_latin_rules_caps_workers_at_the_cpus(monkeypatch):
+    # a recording pool that starts no process: map runs the jobs here
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert count_latin_rules(F2, 2, 3, workers=100_000) == 4
+    assert started == [3]
+    # one CPU: serial, no pool at all
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert count_latin_rules(F2, 2, 3, workers=2) == 4
+    assert started == [3]
 
 
 def test_count_latin_rules_budget():
