@@ -13,11 +13,14 @@ vectorized chunks; it deliberately knows nothing about the algebraic
 criterion in ``toeplitz`` so the two routes stay independently checkable.
 
 ``is_latin``, ``check_random_lines`` and ``dump`` all read the cube through
-one line evaluator: build the inputs of a batch of lines along one axis,
-column-major, run the global map once with the cells-major
-``apply_ca_batch``, decode.  The inputs of ``is_latin``'s chunks depend
-only on the cube shape, never on the rule, so they are built once and
-shared through a module cache of read-only arrays capped at 8 MiB.
+one line evaluator: build the inputs of a batch of lines, each along its
+own axis, column-major, run the global map once with the cells-major
+``apply_ca_batch``, decode.  ``is_latin`` and ``dump`` give one axis for
+the whole batch; ``check_random_lines`` gives each drawn line its drawn
+axis, so a batch of mixed axes is still one call.  The inputs of
+``is_latin``'s chunks depend only on the cube shape, never on the rule,
+so they are built once and shared through a module cache of read-only
+arrays capped at 8 MiB.
 """
 
 from __future__ import annotations
@@ -140,24 +143,30 @@ def _line_coords(lo: int, hi: int, N: int, k: int) -> np.ndarray:
     return (np.arange(lo, hi)[:, None] // weights % N).astype(np.int64)
 
 
-def _line_inputs(field: GF, b: int, k: int, axis: int,
+def _line_inputs(field: GF, b: int, k: int, axis: int | np.ndarray,
                  coords: np.ndarray) -> np.ndarray:
     """Inputs for a batch of lines, column-major, in the field's ``dtype``:
-    the line through row l of ``coords`` (its other k-1 coordinates,
-    0-based) fills rows l*N .. l*N+N-1, with the block of the swept axis
-    running through all of GF(q)^b.  Each block holds the base-q digits of
-    its coordinate, least significant first."""
+    the line along ``axis[l]`` (1-based; one int stands for every line)
+    through row l of ``coords`` (its other k-1 coordinates, 0-based, in
+    increasing axis order) fills rows l*N .. l*N+N-1, with the block of
+    its swept axis running through all of GF(q)^b.  Each block holds the
+    base-q digits of its coordinate, least significant first."""
     q = field.q
     N = q**b
     L = len(coords)
-    cells = np.empty((b * k, L, N), dtype=field.dtype)
-    weights = q ** np.arange(b)[:, None]
-    for j in range(k):
-        if j == axis - 1:
-            block = (np.arange(N) // weights % q)[:, None, :]
-        else:
-            block = (coords[:, j - (j >= axis)] // weights % q)[:, :, None]
-        cells[b * j:b * (j + 1)] = block
+    swept = np.reshape(np.asarray(axis) - 1, -1)
+    j = np.arange(k)
+    ct = coords.T
+    # coordinate of block j of each line; the swept block reads a stand-in
+    full = np.where(j[:, None] > swept, ct[np.maximum(j - 1, 0)],
+                    ct[np.minimum(j, k - 2)])
+    cells = np.empty((k, b, L, N), dtype=field.dtype)
+    # a slice when every line sweeps one axis, else each line with its own
+    lines = slice(None) if swept.size == 1 else np.arange(L)
+    for c in range(b):
+        full, digit = np.divmod(full, q)
+        cells[:, c] = digit.astype(field.dtype)[:, :, None]
+        cells[swept, c, lines] = np.arange(N) // q**c % q
     return cells.reshape(b * k, L * N).T
 
 
@@ -247,39 +256,55 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     return LatinCheck(True)
 
 
+def _draw(rng: random.Random, count: int, n: int) -> np.ndarray:
+    """``count`` values in 0..n-1 (n < 2^32) from one ``rng.randbytes``:
+    little-endian 32-bit words w mapped to (w * n) >> 32."""
+    words = np.frombuffer(rng.randbytes(4 * count), dtype="<u4")
+    return (words * np.uint64(n) >> np.uint64(32)).astype(np.uint32)
+
+
 def check_random_lines(rule: Rule, n_lines: int = 1000, seed: int = 0,
                        b: int | None = None,
                        k: int | None = None) -> LatinCheck:
     """Sampled Latin test for cubes too large to sweep exhaustively.
 
-    Checks ``n_lines`` independently random axis-parallel lines, drawn in
-    order from ``random.Random(seed)`` and evaluated in batches, and
-    reports the first drawn line that fails.  A pass is evidence, not
-    proof; a failure is a genuine counterexample.
+    Checks ``n_lines`` random axis-parallel lines and reports the first
+    drawn line that fails.  A pass is evidence, not proof; a failure is a
+    genuine counterexample.
+
+    Lines come in batches of ``max(1, 65536 // N)``.  For a batch of L
+    lines, ``random.Random(seed)`` gives L axes, then L*(k-1) coordinates
+    (line by line, in increasing axis order), each draw one
+    ``randbytes`` call read as little-endian 32-bit words w, mapped to
+    (w * n) >> 32 for n choices: exactly uniform when n is a power of
+    two, and otherwise each value within 2^-32 of probability 1/n.  The
+    whole batch, whatever its axes, is one ``apply_ca_batch`` call in
+    draw order, so its first failing row is the first failing draw.
+
+    Raises ValueError for a negative ``n_lines``, and BudgetExceededError,
+    before allocating, when the inputs of one line (N rows of bk cells)
+    exceed ``DEFAULT_ENTRY_BUDGET`` cells.
     """
+    if n_lines < 0:
+        raise ValueError(f"n_lines must be >= 0, got {n_lines}")
     b, k = block_structure(rule, b, k)
-    q = rule.field.q
-    N = q**b
+    N = rule.field.q**b
+    if N * b * k > DEFAULT_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"one line of {N} x {b * k} input cells exceeds budget "
+            f"{DEFAULT_ENTRY_BUDGET}")
     rng = random.Random(seed)
     chunk = max(1, 65536 // N)
     for lo in range(0, n_lines, chunk):
-        batch = []
-        for _ in range(min(chunk, n_lines - lo)):
-            axis = rng.randrange(k) + 1
-            batch.append((axis, [rng.randrange(N) for _ in range(k - 1)]))
-        failures = []
-        for axis in sorted({a for a, _ in batch}):
-            pos = [i for i, (a, _) in enumerate(batch) if a == axis]
-            coords = np.array([batch[i][1] for i in pos], dtype=np.int64)
-            inputs = _line_inputs(rule.field, b, k, axis, coords)
-            failure = _first_repeat(_line_values(rule, inputs, b))
-            if failure is not None:
-                failures.append((pos[failure[0]], failure[1]))
-        if failures:
-            i, value = min(failures)
-            axis, coords = batch[i]
-            return LatinCheck(False, axis, tuple(c + 1 for c in coords),
-                              value + 1)
+        L = min(chunk, n_lines - lo)
+        axes = _draw(rng, L, k) + 1
+        coords = _draw(rng, L * (k - 1), N).reshape(L, k - 1)
+        inputs = _line_inputs(rule.field, b, k, axes, coords)
+        failure = _first_repeat(_line_values(rule, inputs, b))
+        if failure is not None:
+            i, value = failure
+            return LatinCheck(False, int(axes[i]),
+                              tuple(int(c) + 1 for c in coords[i]), value + 1)
     return LatinCheck(True)
 
 

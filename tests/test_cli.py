@@ -152,6 +152,16 @@ def test_check_sampled_oracle_finds_violation(capsys):
     assert report["oracle"] == "sampled-agree"
 
 
+def test_check_sampled_line_over_entry_budget_exits_3(capsys):
+    # one line of 2^33 rows would need hundreds of GiB of inputs
+    code, out, err = run(capsys, "check", "--q", "2", "--b", "33",
+                         "--k", "3", "--coeffs", ",".join(["1"] * 65),
+                         "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 def test_check_writes_out_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(capsys, "check", "--q", "2", "--b", "2",

@@ -10,6 +10,9 @@ import concurrent.futures
 import itertools
 import os
 import random
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,7 @@ from lhca.rules import (
     apply_ca_batch,
     unrank_cells,
 )
+from lhca.toeplitz import window_dets
 
 F2 = GF(2)
 F3 = GF(3)
@@ -163,24 +167,37 @@ def test_check_random_lines():
     assert res.value >= 1
 
 
+def _draws(rng, count, n):
+    """``count`` values in 0..n-1 from one randbytes call: each
+    little-endian 32-bit word w maps to (w * n) >> 32."""
+    words = struct.unpack(f"<{count}I", rng.randbytes(4 * count))
+    return [w * n >> 32 for w in words]
+
+
 def _random_lines_one_at_a_time(rule, n_lines, seed, b, k):
     """check_random_lines as one apply_ca_batch call per drawn line; also
-    the draw position of the failing line (n_lines when none fails)."""
+    the draw position of the failing line (n_lines when none fails).
+    Each batch draws its axes, then its coordinates line by line."""
     q = rule.field.q
     N = q**b
     blocks = np.array([unrank_cells(i, q, b) for i in range(N)])
     rng = random.Random(seed)
-    for pos in range(n_lines):
-        axis = rng.randrange(k) + 1
-        fixed = [rng.randrange(N) for _ in range(k - 1)]
-        others = [np.tile(blocks[i], (N, 1)) for i in fixed]
-        rows = np.hstack(others[:axis - 1] + [blocks] + others[axis - 1:])
-        outs = apply_ca_batch(rule, rows)
-        values, counts = np.unique(outs @ q ** np.arange(b),
-                                   return_counts=True)
-        if (counts > 1).any():
-            return LatinCheck(False, axis, tuple(c + 1 for c in fixed),
-                              int(values[counts > 1][0]) + 1), pos
+    chunk = max(1, 65536 // N)
+    for lo in range(0, n_lines, chunk):
+        L = min(chunk, n_lines - lo)
+        axes = _draws(rng, L, k)
+        coords = _draws(rng, L * (k - 1), N)
+        for i in range(L):
+            axis = axes[i] + 1
+            fixed = coords[i * (k - 1):(i + 1) * (k - 1)]
+            others = [np.tile(blocks[c], (N, 1)) for c in fixed]
+            rows = np.hstack(others[:axis - 1] + [blocks] + others[axis - 1:])
+            outs = apply_ca_batch(rule, rows)
+            values, counts = np.unique(outs @ q ** np.arange(b),
+                                       return_counts=True)
+            if (counts > 1).any():
+                return LatinCheck(False, axis, tuple(c + 1 for c in fixed),
+                                  int(values[counts > 1][0]) + 1), lo + i
     return LatinCheck(True), n_lines
 
 
@@ -208,6 +225,54 @@ def test_check_random_lines_matches_one_line_at_a_time():
     # and some pass every line
     assert any(256 <= p < 1000 for p in positions)
     assert 1000 in positions
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+def test_check_random_lines_mixed_axes_report_the_failing_axis(window):
+    # b = 1: window j is the coefficient of x_{j+1}, so only lines along
+    # axis j+1 repeat, and every batch mixes them with passing lines
+    coeffs = [2, 1, 1, 2]
+    coeffs[window - 1] = 0
+    rule = LinearRule(F3, 1, 6, tuple(coeffs))
+    assert [d == 0 for d in window_dets(rule)] == [
+        j == window for j in range(1, 5)]
+    for seed in range(5):
+        res = check_random_lines(rule, n_lines=50, seed=seed)
+        assert not res and res.axis == window + 1
+        assert res == _random_lines_one_at_a_time(rule, 50, seed, 1, 6)[0]
+        line = [entry(rule, (*res.fixed[:window], i, *res.fixed[window:]))
+                for i in range(1, 4)]
+        assert res.value == min(v for v in line if line.count(v) > 1)
+
+
+def test_check_random_lines_refuses_a_line_over_the_entry_budget():
+    # one line of q^b rows x bk cells: 2^16 x 256 is exactly the budget
+    assert 2**16 * 16 * 16 == lhca.hypercube.DEFAULT_ENTRY_BUDGET
+    flat = LinearRule(F2, 16, 16, (0,) * 239)
+    assert not check_random_lines(flat, n_lines=1, seed=0)
+    with pytest.raises(BudgetExceededError):
+        check_random_lines(LinearRule(F2, 16, 17, (0,) * 255), seed=0)
+    with pytest.raises(BudgetExceededError):
+        check_random_lines(LinearRule(F2, 33, 3, (1,) * 65), seed=1)
+
+
+def test_check_random_lines_rejects_a_negative_sample():
+    flat = LinearRule(F2, 2, 3, (0, 0, 0))
+    with pytest.raises(ValueError):
+        check_random_lines(flat, n_lines=-5)
+    assert check_random_lines(flat, n_lines=0)
+
+
+def test_sampled_lines_leave_numpy_random_unimported():
+    # importing numpy.random adds about 5 MB to the peak RSS of lhca
+    code = ("import sys, lhca\n"
+            "flat = lhca.LinearRule(lhca.GF(2), 2, 3, (0, 0, 0))\n"
+            "assert not lhca.check_random_lines(flat, n_lines=100)\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(lhca.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_is_latin_same_cold_and_warm():
