@@ -17,10 +17,9 @@ Flags by subcommand (any other flag is a usage error, exit 2):
   all five      --q, --b, --budget, --out
   check, dump   --k and a rule: --coeffs inline or --rule-file as JSON
   count, synth  --k
-  check, synth  --verify (line sweep on or off), --seed (1000 sampled
-                lines when the sweep is skipped; a seed draws other lines
-                since sampling moved from randrange to 32-bit
-                multiply-shift draws)
+  check, synth  --verify (line sweep on or off), --seed (1000 lines
+                drawn from random.Random(seed), in batches, when the
+                sweep is skipped)
   count         --verify (walk and sweep recounts on or off), --workers
   synth         --index or --all
   graph, dump   --format
@@ -29,7 +28,7 @@ Exit codes: 0 success, 1 a checked property is false (non-Latin rule),
 2 usage or value error, 3 budget exceeded.  All counts are emitted as
 decimal strings.  LHCA_BUDGET overrides the default enumeration and
 entry budgets; --budget overrides both per run.  Sampling exits 3 when
-one line has more than 2^24 input cells, whatever the budget.
+one line has more than 2^30 bytes of inputs, whatever the budget.
 """
 
 from __future__ import annotations

@@ -49,6 +49,8 @@ from .rules import (
 )
 
 DEFAULT_ENTRY_BUDGET = 1 << 24
+# Largest inputs of one sampled line, in bytes; also keeps N below 2^32.
+SAMPLED_LINE_BYTES = 1 << 30
 
 
 def psi(i: int, q: int, b: int) -> tuple[int, ...]:
@@ -161,12 +163,10 @@ def _line_inputs(field: GF, b: int, k: int, axis: int | np.ndarray,
     full = np.where(j[:, None] > swept, ct[np.maximum(j - 1, 0)],
                     ct[np.minimum(j, k - 2)])
     cells = np.empty((k, b, L, N), dtype=field.dtype)
-    # a slice when every line sweeps one axis, else each line with its own
-    lines = slice(None) if swept.size == 1 else np.arange(L)
     for c in range(b):
         full, digit = np.divmod(full, q)
         cells[:, c] = digit.astype(field.dtype)[:, :, None]
-        cells[swept, c, lines] = np.arange(N) // q**c % q
+        cells[swept, c, np.arange(L)] = np.arange(N) // q**c % q
     return cells.reshape(b * k, L * N).T
 
 
@@ -282,17 +282,18 @@ def check_random_lines(rule: Rule, n_lines: int = 1000, seed: int = 0,
     draw order, so its first failing row is the first failing draw.
 
     Raises ValueError for a negative ``n_lines``, and BudgetExceededError,
-    before allocating, when the inputs of one line (N rows of bk cells)
-    exceed ``DEFAULT_ENTRY_BUDGET`` cells.
+    before allocating, when the inputs of one line (N rows of bk cells in
+    the field's ``dtype``) exceed ``SAMPLED_LINE_BYTES``.
     """
     if n_lines < 0:
         raise ValueError(f"n_lines must be >= 0, got {n_lines}")
     b, k = block_structure(rule, b, k)
     N = rule.field.q**b
-    if N * b * k > DEFAULT_ENTRY_BUDGET:
+    line_bytes = N * b * k * np.dtype(rule.field.dtype).itemsize
+    if line_bytes > SAMPLED_LINE_BYTES:
         raise BudgetExceededError(
-            f"one line of {N} x {b * k} input cells exceeds budget "
-            f"{DEFAULT_ENTRY_BUDGET}")
+            f"one line of {N} x {b * k} input cells ({line_bytes} bytes) "
+            f"exceeds the sampling budget of {SAMPLED_LINE_BYTES} bytes")
     rng = random.Random(seed)
     chunk = max(1, 65536 // N)
     for lo in range(0, n_lines, chunk):

@@ -162,6 +162,15 @@ def test_check_sampled_line_over_entry_budget_exits_3(capsys):
     assert "budget" in err
 
 
+def test_check_samples_a_line_past_the_entry_budget(capsys):
+    # one line of 2^17 rows x 136 cells holds more than 2^24 cells
+    code, report = run_json(capsys, "check", "--q", "2", "--b", "17",
+                            "--k", "8", "--coeffs", ",".join(["0"] * 118),
+                            "--seed", "1")
+    assert code == 1
+    assert report["oracle"] == "sampled-agree"
+
+
 def test_check_writes_out_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(capsys, "check", "--q", "2", "--b", "2",

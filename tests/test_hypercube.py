@@ -245,15 +245,30 @@ def test_check_random_lines_mixed_axes_report_the_failing_axis(window):
         assert res.value == min(v for v in line if line.count(v) > 1)
 
 
-def test_check_random_lines_refuses_a_line_over_the_entry_budget():
-    # one line of q^b rows x bk cells: 2^16 x 256 is exactly the budget
-    assert 2**16 * 16 * 16 == lhca.hypercube.DEFAULT_ENTRY_BUDGET
-    flat = LinearRule(F2, 16, 16, (0,) * 239)
-    assert not check_random_lines(flat, n_lines=1, seed=0)
-    with pytest.raises(BudgetExceededError):
-        check_random_lines(LinearRule(F2, 16, 17, (0,) * 255), seed=0)
+def test_check_random_lines_refuses_a_line_over_its_byte_budget():
+    # one line of 2^33 rows x 99 cells would need 792 GiB of inputs
     with pytest.raises(BudgetExceededError):
         check_random_lines(LinearRule(F2, 33, 3, (1,) * 65), seed=1)
+
+
+def test_check_random_lines_samples_lines_past_the_entry_budget():
+    # one line of 2^16 rows x 272 cells holds more than 2^24 cells
+    assert 2**16 * 16 * 17 > lhca.hypercube.DEFAULT_ENTRY_BUDGET
+    flat = LinearRule(F2, 16, 17, (0,) * 255)
+    assert not check_random_lines(flat, n_lines=1, seed=0)
+
+
+@pytest.mark.parametrize("field,b,k,itemsize", [(F2, 2, 3, 1),
+                                                (GF(257), 1, 4, 2)])
+def test_check_random_lines_budget_counts_bytes(monkeypatch, field, b, k,
+                                                 itemsize):
+    rule = LinearRule(field, b, k, (0,) * (b * k - b - 1))
+    line_bytes = field.q**b * b * k * itemsize
+    monkeypatch.setattr(lhca.hypercube, "SAMPLED_LINE_BYTES", line_bytes)
+    check_random_lines(rule, n_lines=1, seed=0)
+    monkeypatch.setattr(lhca.hypercube, "SAMPLED_LINE_BYTES", line_bytes - 1)
+    with pytest.raises(BudgetExceededError):
+        check_random_lines(rule, n_lines=1, seed=0)
 
 
 def test_check_random_lines_rejects_a_negative_sample():
