@@ -8,12 +8,18 @@ is Latin precisely when its k-2 windows trace a walk in this graph, so
 Latin rules are in bijection with walks on k-2 vertices (vertices may
 repeat) and counting them is an exact integer walk count.
 
+The graph is regular, every out-degree D = (q-1) q^(b-1), and
+:class:`DetGraph` refuses one that is not.  So each vertex starts D^L
+walks of L edges, and a walk is unranked from the base-D digits of its
+index, with no table of walk counts however long it is.
+
 Everything here uses plain Python integers; the counts grow far beyond
 any fixed-width type.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 
@@ -45,7 +51,8 @@ class DetGraph:
     """The de Bruijn graph on nonsingular windows for one (q, b).
 
     ``vertices`` is lexicographically sorted; ``succ`` holds, per vertex,
-    the sorted indices of its successors.
+    the sorted indices of its successors.  Every vertex has the same
+    out-degree ``degree``; ValueError otherwise.
     """
 
     field: GF
@@ -56,7 +63,14 @@ class DetGraph:
                                    default_factory=dict)
 
     def __post_init__(self):
+        if len(set(map(len, self.succ))) > 1:
+            raise ValueError("out-degrees differ; the window graph is regular")
         self._index.update((v, i) for i, v in enumerate(self.vertices))
+
+    @property
+    def degree(self) -> int:
+        """The out-degree shared by every vertex (0 with no vertices)."""
+        return len(self.succ[0]) if self.succ else 0
 
     def index(self, vertex: Sequence[int]) -> int:
         try:
@@ -127,41 +141,28 @@ def build_graph(field: GF, b: int,
     return DetGraph(field, b, tuple(supp), succ)
 
 
-def _suffix_counts(graph: DetGraph, length: int,
-                   max_bits: int) -> Iterator[list[int]]:
-    """Walk counts by start vertex for 0, 1, ..., ``length`` edges, by
-    iterated vector-adjacency products in exact integer arithmetic.
+def count_paths(graph: DetGraph, length: int,
+                max_bits: int = DEFAULT_INT_BITS) -> int:
+    """Number of walks with ``length`` edges; vertices may repeat.
 
-    Vertices with equal successor tuples (the successor classes, which
+    Length 0 counts the vertices.  A check of the closed form, it iterates
+    vector-adjacency products in exact integers without the regularity.
+    Vertices with equal successor tuples (the classes that
     :func:`build_graph` shares as one tuple each) have equal counts after
-    a step, so the vertices are grouped by ``succ`` once, and each step
-    is one sum per class and one lookup per vertex.  The grouping compares
-    tuples by value, so any graph works, shared tuples or not; it costs
-    O(edges) once per call.
+    a step, so each step is one sum per class and one lookup per vertex;
+    grouping by tuple value costs O(edges) once per call.
     """
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
     classes: dict[tuple[int, ...], int] = {}
     of_vertex = [classes.setdefault(s, len(classes)) for s in graph.succ]
     weight = [1] * len(graph.vertices)
-    yield weight
     for _ in range(length):
         sums = [sum(map(weight.__getitem__, s)) for s in classes]
         if sums and max(sums).bit_length() > max_bits:
             raise BudgetExceededError(
                 f"walk count exceeds the {max_bits}-bit budget")
         weight = list(map(sums.__getitem__, of_vertex))
-        yield weight
-
-
-def count_paths(graph: DetGraph, length: int,
-                max_bits: int = DEFAULT_INT_BITS) -> int:
-    """Number of walks with ``length`` edges; vertices may repeat.
-
-    Length 0 counts the vertices.
-    """
-    for weight in _suffix_counts(graph, length, max_bits):
-        pass
     return sum(weight)
 
 
@@ -169,23 +170,33 @@ def unrank_path(graph: DetGraph, length: int, index: int,
                 max_bits: int = DEFAULT_INT_BITS
                 ) -> tuple[tuple[int, ...], ...]:
     """Walk number ``index`` (0-based) of :func:`enumerate_paths`, found
-    without enumerating: each vertex is chosen by the counts of the walks
-    that continue from it, so the work is O(length x edges) big-int sums
-    however large the index."""
-    counts = list(_suffix_counts(graph, length, max_bits))
-    total = sum(counts[-1])
+    without enumerating.
+
+    Each vertex starts D^length walks, D the out-degree, so the walk
+    starts at vertex ``index // D**length`` and the base-D digits of the
+    rest, most significant first, pick the successors; ``divmod`` takes
+    them least significant first, so the work follows the index's size.
+    BudgetExceededError when D^length passes ``max_bits`` bits, refused
+    by its logarithm before a power above ``max_bits`` + 2 bits is built.
+    """
+    if length < 0:
+        raise ValueError(f"walk length must be >= 0, got {length}")
+    degree = graph.degree
+    if (length * math.log2(max(degree, 1)) > max_bits + 1
+            or (per_vertex := degree ** length).bit_length() > max_bits):
+        raise BudgetExceededError(
+            f"walk count exceeds the {max_bits}-bit budget")
+    total = len(graph.vertices) * per_vertex
     if not 0 <= index < total:
         raise ValueError(f"walk index {index} out of range 0..{total - 1}")
-    walk = []
-    choices = range(len(graph.vertices))
-    for weight in reversed(counts):
-        for i in choices:
-            if index < weight[i]:
-                break
-            index -= weight[i]
-        walk.append(graph.vertices[i])
-        choices = graph.succ[i]
-    return tuple(walk)
+    digits = []
+    for _ in range(length):
+        index, digit = divmod(index, degree)
+        digits.append(digit)
+    walk = [index]
+    for digit in reversed(digits):
+        walk.append(graph.succ[walk[-1]][digit])
+    return tuple(map(graph.vertices.__getitem__, walk))
 
 
 def enumerate_paths(graph: DetGraph, length: int,
@@ -217,41 +228,36 @@ def rule_from_path(field: GF, path: Sequence[Sequence[int]]) -> LinearRule:
 
     Consecutive windows must overlap in b-1 coefficients; fusing them all
     recovers the d-2 interior coefficients of a rule with k = len(path)+2.
-    Inverse of :func:`lhca.toeplitz.windows`.
+    Each window is checked against the one before it, so the work is
+    linear in k.  Inverse of :func:`lhca.toeplitz.windows`.
     """
     if not path:
         raise ValueError("need at least one window")
-    first = tuple(path[0])
-    if len(first) % 2 == 0:
-        raise ValueError(f"window length {len(first)} is not 2b-1")
-    b = (len(first) + 1) // 2
-    coeffs: tuple[int, ...] | None = first
+    prev = tuple(path[0])
+    if len(prev) % 2 == 0:
+        raise ValueError(f"window length {len(prev)} is not 2b-1")
+    b = (len(prev) + 1) // 2
+    coeffs = list(prev)
     for w in path[1:]:
         if len(w) != 2 * b - 1:
             raise ValueError("windows have mixed lengths")
-        coeffs = fuse(coeffs, w, b - 1)
-        if coeffs is None:
+        if fuse(prev, w, b - 1) is None:
             raise ValueError(
                 f"consecutive windows do not overlap in {b - 1} entries")
+        coeffs.extend(w[b - 1:])
+        prev = w
     k = len(path) + 2
-    return LinearRule(field, b, k, coeffs)
+    return LinearRule(field, b, k, tuple(coeffs))
 
 
-def latin_hypercube_count(field: GF, b: int, k: int, verify: bool = False,
-                          budget: int = DEFAULT_SUPPORT_BUDGET,
-                          entry_budget: int | None = None,
+def latin_hypercube_count(field: GF, b: int, k: int,
                           max_bits: int = DEFAULT_INT_BITS) -> int:
     """Number of rules with a Latin (b, k) cube.
 
     Closed form (q-1)^{k-2} q^{(k-1)(b-1)} over linear rules for k >= 3;
     for k = 2 every bipermutive rule qualifies, giving q^{q^{b-1}} counted
-    over all bipermutive rules.  ``verify`` checks it by
-    :func:`cross_check_count`, with ``entry_budget`` defaulting to the
-    standard entry budget.
+    over all bipermutive rules.  :func:`cross_check_count` checks it.
     """
-    if verify:
-        cap = DEFAULT_ENTRY_BUDGET if entry_budget is None else entry_budget
-        return cross_check_count(field, b, k, budget, cap, max_bits)["formula"]
     if b < 1 or k < 2:
         raise ValueError(f"need b >= 1 and k >= 2, got b={b}, k={k}")
     q = field.q
@@ -264,8 +270,10 @@ def latin_hypercube_count(field: GF, b: int, k: int, verify: bool = False,
     return (q - 1) ** (k - 2) * q ** ((k - 1) * (b - 1))
 
 
-def cross_check_count(field: GF, b: int, k: int, budget: int,
-                      entry_budget: int, max_bits: int = DEFAULT_INT_BITS,
+def cross_check_count(field: GF, b: int, k: int,
+                      budget: int = DEFAULT_SUPPORT_BUDGET,
+                      entry_budget: int = DEFAULT_ENTRY_BUDGET,
+                      max_bits: int = DEFAULT_INT_BITS,
                       workers: int | None = None) -> dict[str, int]:
     """The single count cross-check.  Returns the closed form ``formula``,
     the walk count ``paths`` (k >= 3) and, when rules times cube entries

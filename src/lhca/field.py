@@ -13,7 +13,7 @@ Every field, up to ``ORDER_CAP``, computes in one log domain: ``exp`` and
 Zech logarithms, Z(n) = log(1 + g^n), make a sum one too, since
 a + b = a (1 + b/a).  The scalar operations index these as Python lists.
 The vectorized operations (``add_array``, ``mul_array``, ...) gather from
-q x q lookup tables (``add_table``, ``mul_table``, ...) for q <= 256, where
+q x q lookup tables (``add_table``, ``mul_table``) for q <= 256, where
 those fit, and from the same exp/log/Zech vectors above.  A pair's index
 into a table, x*q + y, is at most q^2 - 1 = 65 535, so it is built as
 ``uint16``.  In characteristic 2 array addition gathers nothing at any q:
@@ -176,15 +176,10 @@ class GF:
         self._build_logs()
         self.add_table: np.ndarray | None = None
         self.mul_table: np.ndarray | None = None
-        self.neg_table: np.ndarray | None = None
-        self.inv_table: np.ndarray | None = None
         if self.q <= TABLE_CAP:
             every = np.arange(self.q)
             self.add_table = self.add_array(every[:, None], every)
             self.mul_table = self.mul_array(every[:, None], every)
-            self.neg_table = self.scale_array(p - 1, every)
-            self.inv_table = np.zeros(self.q, dtype=self.dtype)
-            self.inv_table[1:] = self._exps[self.q - 1 - self._logs[1:]]
 
     def _build_logs(self) -> None:
         """The log domain of a primitive element g, as numpy arrays for the

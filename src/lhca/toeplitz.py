@@ -203,23 +203,13 @@ def support_of_det(field: GF, b: int,
         itertools.chain.from_iterable(c.tolist() for c in chunks)))
 
 
-def count_nonsingular_toeplitz(field: GF, b: int, verify: bool = False,
-                               budget: int = DEFAULT_SUPPORT_BUDGET) -> int:
-    """Number of windows with nonsingular matrix: (q-1) q^{2(b-1)}.
-
-    With ``verify`` the closed form is checked against the exhaustive
-    support enumeration.
-    """
+def count_nonsingular_toeplitz(field: GF, b: int) -> int:
+    """Number of windows with nonsingular matrix: (q-1) q^{2(b-1)}, the
+    size of :func:`support_of_det`."""
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
     q = field.q
-    count = (q - 1) * q ** (2 * (b - 1))
-    if verify:
-        found = len(support_of_det(field, b, budget))
-        assert found == count, (
-            f"support size {found} contradicts closed form {count} "
-            f"for q={q}, b={b}")
-    return count
+    return (q - 1) * q ** (2 * (b - 1))
 
 
 def count_triangular_completions(field: GF, n: int,
@@ -228,7 +218,8 @@ def count_triangular_completions(field: GF, n: int,
 
     ``lower`` fills the part of an n x n Toeplitz matrix strictly below
     the diagonal; the remaining n coefficients are exhausted and the
-    nonsingular outcomes counted.
+    nonsingular outcomes counted.  BudgetExceededError when the q^n
+    completions pass the support budget, as in :func:`support_of_det`.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -236,6 +227,9 @@ def count_triangular_completions(field: GF, n: int,
         raise ValueError(f"expected {n - 1} fixed coefficients, got {len(lower)}")
     for v in lower:
         field._check(v)
+    if field.q ** n > DEFAULT_SUPPORT_BUDGET:
+        raise BudgetExceededError(f"enumerating {field.q}^{n} completions "
+                                  f"exceeds budget {DEFAULT_SUPPORT_BUDGET}")
     return sum(int(np.count_nonzero(c))
                for c in _nonsingular_chunks(field, lower, n))
 

@@ -37,3 +37,23 @@ def every_modulus(q: int):
             yield GF(p=base.p, m=base.m, poly=q + low)
         except ValueError:  # reducible
             continue
+
+
+def unrank_by_suffix_counts(graph, length: int, index: int):
+    """Walk number ``index`` of the lexicographic walk enumeration, each
+    vertex chosen by the counts of the walks that continue from it; uses
+    no regularity and shares no code with the digit unranking."""
+    counts = [[1] * len(graph.vertices)]
+    for _ in range(length):
+        counts.append([sum(counts[-1][j] for j in s) for s in graph.succ])
+    assert 0 <= index < sum(counts[-1])
+    walk = []
+    choices = range(len(graph.vertices))
+    for weight in reversed(counts):
+        for i in choices:
+            if index < weight[i]:
+                break
+            index -= weight[i]
+        walk.append(graph.vertices[i])
+        choices = graph.succ[i]
+    return tuple(walk)

@@ -395,6 +395,14 @@ def test_synth_index_past_the_enumeration_budget(capsys):
     assert rule["k"] == 30 and rule["coeffs"][:3] == [0, 1, 0]
 
 
+def test_synth_index_of_a_long_walk(capsys):
+    # 15^31997 walks from each vertex; the index's digits pick one
+    code, rule = run_json(capsys, "synth", "--q", "16", "--b", "1",
+                          "--k", "32000", "--index", "123456789")
+    assert code == 0
+    assert rule["k"] == 32000 and len(rule["coeffs"]) == 31998
+
+
 def test_synth_k2_is_usage_error(capsys):
     code, _, err = run(capsys, "synth", "--q", "2", "--b", "2", "--k", "2")
     assert code == 2

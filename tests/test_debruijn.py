@@ -6,15 +6,19 @@ and the four-cycle 010 -> 011 -> 101 -> 110 -> 010; every vertex has
 in- and out-degree 2.
 """
 
+import collections
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
-from helpers import every_modulus
+from helpers import every_modulus, unrank_by_suffix_counts
 from lhca.debruijn import (
     DetGraph,
     build_graph,
     count_paths,
+    cross_check_count,
     enumerate_paths,
     fuse,
     latin_hypercube_count,
@@ -65,14 +69,32 @@ def test_golden_graph():
         g.successors((0, 0, 0))
 
 
-@pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (2, 1), (3, 1)])
+@pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (2, 1), (3, 1)] + [
+    (q, b) for q in (4, 8, 9, 16, 25, 27) for b in (1, 2)])
 def test_graph_is_regular(q, b):
-    fld = GF(q)
-    g = build_graph(fld, b)
     r = (q - 1) * q ** (b - 1)
-    assert len(g.vertices) == (q - 1) * q ** (2 * (b - 1))
-    assert set(g.out_degrees()) == {r}
-    assert set(g.in_degrees()) == {r}
+    for fld in every_modulus(q):
+        g = build_graph(fld, b)
+        assert len(g.vertices) == (q - 1) * q ** (2 * (b - 1))
+        assert g.degree == r
+        assert set(g.out_degrees()) == {r}
+        # in-degrees by successor class, not edge by edge: a class of n
+        # vertices adds n to each of its successors
+        in_degrees = collections.Counter()
+        for s, n in collections.Counter(g.succ).items():
+            in_degrees.update(dict.fromkeys(s, n))
+        assert len(in_degrees) == len(g.vertices)
+        assert set(in_degrees.values()) == {r}
+
+
+@pytest.mark.parametrize("succ", [
+    ((0,), (2, 3), (2, 3), (0, 1)),   # 010 lost its loop
+    ((), (2, 3), (2, 3), (0, 1)),     # 010 has no successor
+], ids=["one-edge-short", "a-sink"])
+def test_an_irregular_graph_is_refused(succ):
+    g = build_graph(F2, 2)
+    with pytest.raises(ValueError, match="regular"):
+        DetGraph(F2, 2, g.vertices, succ)
 
 
 def test_b1_graph_is_complete_with_loops():
@@ -146,6 +168,38 @@ def test_unrank_path_past_the_enumeration_budget():
     assert unrank_path(g, 27, n - 1) == ((1, 1, 0), (0, 1, 1)) * 14
     with pytest.raises(BudgetExceededError):
         unrank_path(g, 27, 0, max_bits=8)
+    # 2^27 walks per vertex has 28 bits
+    assert unrank_path(g, 27, 0, max_bits=28) == ((0, 1, 0),) * 28
+    with pytest.raises(BudgetExceededError):
+        unrank_path(g, 27, 0, max_bits=27)
+    # refused by its logarithm: 2^(10^15) is never built
+    with pytest.raises(BudgetExceededError):
+        unrank_path(g, 10**15, 0)
+
+
+@pytest.mark.parametrize("q,b", [(2, 2), (3, 2), (2, 3), (5, 1), (4, 2)])
+def test_unrank_path_matches_the_suffix_count_oracle(q, b):
+    g = build_graph(GF(q), b)
+    rng = random.Random(100 * q + b)
+    for length in (20, 21, 37, 60):
+        total = count_paths(g, length)
+        for index in [0, total - 1] + [rng.randrange(total) for _ in range(6)]:
+            assert (unrank_path(g, length, index)
+                    == unrank_by_suffix_counts(g, length, index))
+
+
+def test_unranking_a_long_walk_stays_small():
+    # no table of walk counts: memory follows the walk, not k^2 counts
+    fld = GF(16)
+    g = build_graph(fld, 1)
+    tracemalloc.start()
+    try:
+        rule = rule_from_path(fld, unrank_path(g, 31997, 123456789))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rule.k == 32000
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
@@ -182,17 +236,10 @@ def _unshared(graph):
                     tuple(tuple(list(s)) for s in graph.succ))
 
 
-# unequal successor sets, an empty one, self-loops, and two vertices with
-# equal but separate successor tuples
-IRREGULAR = DetGraph(F2, 1, ((0,), (1,), (2,), (3,), (4,)),
-                     ((0, 2), (), (1, 2, 3), tuple([0, 2]), (4,)))
-
-
 @pytest.mark.parametrize("graph,lengths", [
     (_unshared(build_graph(F3, 2)), (0, 1, 2, 3)),
     (_unshared(build_graph(F2, 3)), (0, 2, 4)),
-    (IRREGULAR, (0, 1, 2, 3, 4, 5)),
-], ids=["q3b2-unshared", "q2b3-unshared", "irregular"])
+], ids=["q3b2-unshared", "q2b3-unshared"])
 def test_walk_counts_match_an_edge_by_edge_recurrence(graph, lengths):
     for length in lengths:
         walks = _walks_edge_by_edge(graph, length)
@@ -250,19 +297,19 @@ def test_walks_are_exactly_the_latin_rules():
 
 
 def test_counting_theorem_small_cases():
-    assert latin_hypercube_count(F2, 2, 5, verify=True) == 16
-    assert latin_hypercube_count(F2, 2, 4, verify=True) == 8
-    assert latin_hypercube_count(F3, 2, 4, verify=True) == 108
-    assert latin_hypercube_count(F2, 3, 3, verify=True) == 16
-    assert latin_hypercube_count(GF(4), 2, 3, verify=True) == 48
+    assert cross_check_count(F2, 2, 5)["formula"] == 16
+    assert cross_check_count(F2, 2, 4)["formula"] == 8
+    assert cross_check_count(F3, 2, 4)["formula"] == 108
+    assert cross_check_count(F2, 3, 3)["formula"] == 16
+    assert cross_check_count(GF(4), 2, 3)["formula"] == 48
 
 
 def test_square_count_verify_sweeps_within_budget():
-    assert latin_hypercube_count(F2, 2, 2, verify=True) == 4
-    assert latin_hypercube_count(F3, 2, 2, verify=True) == 27
+    assert cross_check_count(F2, 2, 2)["formula"] == 4
+    assert cross_check_count(F3, 2, 2)["formula"] == 27
     # 2^16 rules x 2^10 entries: no walk count exists, so nothing checks it
     with pytest.raises(BudgetExceededError):
-        latin_hypercube_count(F2, 5, 2, verify=True)
+        cross_check_count(F2, 5, 2)
 
 
 def test_counting_theorem_matches_brute_force():

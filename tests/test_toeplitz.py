@@ -102,7 +102,8 @@ def test_support_of_det_b2_q2():
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_nonsingular_count_matches_enumeration(q, b):
     fld = GF(q)
-    count = count_nonsingular_toeplitz(fld, b, verify=True)
+    count = count_nonsingular_toeplitz(fld, b)
+    assert count == len(support_of_det(fld, b))
     assert count == (q - 1) * q ** (2 * (b - 1))
 
 
@@ -167,6 +168,16 @@ def test_elimination_inverts_only_pivots_with_rows_below():
 def test_support_budget():
     with pytest.raises(BudgetExceededError):
         support_of_det(F2, 12, budget=100)
+
+
+def test_triangular_completions_budget():
+    # 256^5 = 2^40 completions are refused before any is enumerated
+    with pytest.raises(BudgetExceededError):
+        count_triangular_completions(GF(256), 5, [0] * 4)
+    with pytest.raises(BudgetExceededError):
+        count_triangular_completions(F2, 21, [0] * 20)
+    # 1024^2 = 2^20 completions are the most the support budget admits
+    assert count_triangular_completions(GF(1024), 2, [0]) == 1023 * 1024
 
 
 def test_triangular_completions_q2_n2():
