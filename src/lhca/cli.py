@@ -51,7 +51,7 @@ from .field import GF
 from .hypercube import (
     DEFAULT_ENTRY_BUDGET,
     check_random_lines,
-    dump,
+    dump_json,
     dump_text,
     is_latin,
 )
@@ -215,7 +215,7 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_dump(args: argparse.Namespace) -> tuple[str, int]:
     rule = _load_rule(args)
     if args.format == "json":
-        return _json(dump(rule, budget=args.entry_budget)), 0
+        return dump_json(rule, budget=args.entry_budget), 0
     return dump_text(rule, budget=args.entry_budget), 0
 
 

@@ -175,7 +175,8 @@ def unrank_path(graph: DetGraph, length: int, index: int,
     Each vertex starts D^length walks, D the out-degree, so the walk
     starts at vertex ``index // D**length`` and the base-D digits of the
     rest, most significant first, pick the successors; ``divmod`` takes
-    them least significant first, so the work follows the index's size.
+    them least significant first, a word-sized chunk of digits per
+    division of the whole index.
     BudgetExceededError when D^length passes ``max_bits`` bits, refused
     by its logarithm before a power above ``max_bits`` + 2 bits is built.
     """
@@ -190,9 +191,21 @@ def unrank_path(graph: DetGraph, length: int, index: int,
     if not 0 <= index < total:
         raise ValueError(f"walk index {index} out of range 0..{total - 1}")
     digits = []
-    for _ in range(length):
-        index, digit = divmod(index, degree)
-        digits.append(digit)
+    if length:
+        # one big-int divmod per chunk of c digits, D**c < 2**30, then the
+        # chunk's digits from a small int: a division of the whole index
+        # per digit would make a random index cost O(length**2)
+        c = 30 // degree.bit_length()
+        base = degree ** c
+        whole, rest = divmod(length, c)
+        for _ in range(whole):
+            index, chunk = divmod(index, base)
+            for _ in range(c):
+                chunk, digit = divmod(chunk, degree)
+                digits.append(digit)
+        for _ in range(rest):
+            index, digit = divmod(index, degree)
+            digits.append(digit)
     walk = [index]
     for digit in reversed(digits):
         walk.append(graph.succ[walk[-1]][digit])

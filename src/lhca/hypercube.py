@@ -20,12 +20,14 @@ the whole batch; ``check_random_lines`` gives each drawn line its drawn
 axis, so a batch of mixed axes is still one call.  The inputs of
 ``is_latin``'s chunks depend only on the cube shape, never on the rule,
 so they are built once and shared through a module cache of read-only
-arrays capped at 8 MiB.
+arrays capped at 8 MiB.  ``dump_text`` and ``dump_json`` write a dump's
+entries with one string join per block of whole layers.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import threading
@@ -338,25 +340,66 @@ def dump(rule: Rule, b: int | None = None, k: int | None = None,
     return out
 
 
+# entries per join: enough for the join to run at C speed, few enough
+# that the pieces list of a large cube is built block by block
+_RENDER_ENTRIES = 1 << 16
+
+
+def _render(layers: list, strs: Sequence[str], entry_sep: str, row_sep: str,
+            layer_seps: Sequence[str]) -> str:
+    """Text of N x N layers: value v written as ``strs[v]``, ``entry_sep``
+    between the entries of a row, ``row_sep`` between rows and
+    ``layer_seps[i]`` after layer i, the last layer too.  Each block of
+    whole layers, about ``_RENDER_ENTRIES`` entries, is one list of
+    alternating entries and separators and one ``join``."""
+    N = len(layers[0])
+    per = max(1, _RENDER_ENTRIES // (N * N))
+    blocks = []
+    for lo in range(0, len(layers), per):
+        block = layers[lo:lo + per]
+        pieces = [entry_sep] * (2 * N * N * len(block))
+        pieces[::2] = map(strs.__getitem__, itertools.chain.from_iterable(
+            itertools.chain.from_iterable(block)))
+        pieces[2 * N - 1::2 * N] = [row_sep] * (N * len(block))
+        pieces[2 * N * N - 1::2 * N * N] = layer_seps[lo:lo + per]
+        blocks.append("".join(pieces))
+    return "".join(blocks)
+
+
 def dump_text(rule: Rule, b: int | None = None, k: int | None = None,
               budget: int = DEFAULT_ENTRY_BUDGET) -> str:
-    """Human-readable rendering of :func:`dump`."""
+    """Human-readable rendering of :func:`dump`: rows of right-justified
+    entries; in a cube (k > 2) each layer is headed by ``z=i`` (k = 3) or
+    ``layer a,b,...`` (k > 3), and a blank line parts the layers."""
     data = dump(rule, b, k, budget)
-    b, k = data["b"], data["k"]
-    N = data["q"] ** b
+    k, layers = data["k"], data["layers"]
+    N = len(layers[0])
     width = len(str(N))
-    lines: list[str] = []
-    for idx, layer in zip(itertools.product(range(1, N + 1), repeat=k - 2),
-                          data["layers"]):
-        if k == 3:
-            lines.append(f"z={idx[0]}")
-        elif k > 3:
-            lines.append("layer " + ",".join(str(i) for i in idx))
-        for row in layer:
-            lines.append(" ".join(str(v).rjust(width) for v in row))
-        if k > 2:
-            lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
+    label = "z=" if k == 3 else "layer "
+    heads = [label + ",".join(map(str, idx)) + "\n" if k > 2 else ""
+             for idx in itertools.product(range(1, N + 1), repeat=k - 2)]
+    strs = [str(v).rjust(width) for v in range(N + 1)]
+    return heads[0] + _render(layers, strs, " ", "\n",
+                              ["\n\n" + h for h in heads[1:]] + ["\n"])
+
+
+def dump_json(rule: Rule, b: int | None = None, k: int | None = None,
+              budget: int = DEFAULT_ENTRY_BUDGET) -> str:
+    """:func:`dump` as JSON: exactly ``json.dumps(dump(...), indent=2)``
+    and a newline, with the layers written by one join per block instead
+    of the encoder's one step per entry."""
+    data = dump(rule, b, k, budget)
+    layers = data["layers"]
+    # "layers" is the last key: cut its placeholder "[]" and the closing "}"
+    head = json.dumps({**data, "layers": []}, indent=2)[:-len("[]\n}")]
+    # json.dumps(indent=2) opens layers at depth 2, rows at 3, entries at 4
+    d2, d3, d4 = "\n" + " " * 4, "\n" + " " * 6, "\n" + " " * 8
+    strs = [str(v) for v in range(len(layers[0]) + 1)]
+    next_layer = d3 + "]" + d2 + "]," + d2 + "[" + d3 + "[" + d4
+    end = d3 + "]" + d2 + "]\n  ]\n}\n"
+    return (head + "[" + d2 + "[" + d3 + "[" + d4
+            + _render(layers, strs, "," + d4, d3 + "]," + d3 + "[" + d4,
+                      [next_layer] * (len(layers) - 1) + [end]))
 
 
 def _count_latin_range(args: tuple) -> int:

@@ -1,5 +1,7 @@
 """Independent oracles used to cross-check the library implementations."""
 
+import itertools
+
 from lhca.field import GF
 
 
@@ -57,3 +59,37 @@ def unrank_by_suffix_counts(graph, length: int, index: int):
         walk.append(graph.vertices[i])
         choices = graph.succ[i]
     return tuple(walk)
+
+
+def unrank_by_divmod(graph, length: int, index: int):
+    """Walk number ``index`` from its base-D digits, D the out-degree,
+    split off with one ``divmod`` of the whole index per edge."""
+    digits = []
+    for _ in range(length):
+        index, digit = divmod(index, graph.degree)
+        digits.append(digit)
+    walk = [index]
+    for digit in reversed(digits):
+        walk.append(graph.succ[walk[-1]][digit])
+    return tuple(graph.vertices[i] for i in walk)
+
+
+def dump_text_by_rows(data: dict) -> str:
+    """Text rendering of a ``dump`` dict, one row of right-justified
+    entries at a time, each layer of a cube headed by ``z=i`` (k = 3) or
+    ``layer a,b,...`` (k > 3) and followed by a blank line."""
+    b, k = data["b"], data["k"]
+    N = data["q"] ** b
+    width = len(str(N))
+    lines = []
+    for idx, layer in zip(itertools.product(range(1, N + 1), repeat=k - 2),
+                          data["layers"]):
+        if k == 3:
+            lines.append(f"z={idx[0]}")
+        elif k > 3:
+            lines.append("layer " + ",".join(str(i) for i in idx))
+        for row in layer:
+            lines.append(" ".join(str(v).rjust(width) for v in row))
+        if k > 2:
+            lines.append("")
+    return "\n".join(lines).rstrip("\n") + "\n"

@@ -434,6 +434,18 @@ def test_dump_budget(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dump_out_file_matches_stdout(capsys, tmp_path, fmt):
+    argv = ["dump", "--q", "3", "--b", "1", "--k", "4", "--coeffs", "1,2",
+            "--format", fmt]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "cube.txt"
+    code, nothing, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0 and nothing == ""
+    assert out.read_bytes() == stdout.encode()
+
+
 # ----------------------------------------------------------------- misc
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import every_modulus, unrank_by_suffix_counts
+from helpers import every_modulus, unrank_by_divmod, unrank_by_suffix_counts
 from lhca.debruijn import (
     DetGraph,
     build_graph,
@@ -186,6 +186,29 @@ def test_unrank_path_matches_the_suffix_count_oracle(q, b):
         for index in [0, total - 1] + [rng.randrange(total) for _ in range(6)]:
             assert (unrank_path(g, length, index)
                     == unrank_by_suffix_counts(g, length, index))
+
+
+# the four-cycle 010 -> 011 -> 101 -> 110 -> 010 of the q=2, b=2 graph
+FOUR_CYCLE = DetGraph(F2, 2, ((0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)),
+                      ((1,), (2,), (3,), (0,)))
+
+
+@pytest.mark.parametrize("graph", [
+    build_graph(F2, 1), FOUR_CYCLE, build_graph(F3, 1), build_graph(F2, 2),
+    build_graph(GF(4), 1), build_graph(GF(16), 1), build_graph(F2, 6),
+    build_graph(GF(256), 1),
+], ids=lambda g: f"D{g.degree}-n{len(g.vertices)}")
+def test_unrank_path_matches_one_divmod_per_edge(graph):
+    # chunks of 30 // D.bit_length() digits: D = 1, 2, 3, 15, 32 and 255
+    # give chunks of 30, 15, 15, 7, 5 and 3 digits, so these lengths cross
+    # chunk edges with and without a remainder
+    rng = random.Random(graph.degree)
+    lengths = [0, 1, 2, 3, 5, 6, 7, 14, 15, 16, 29, 30, 31, 200]
+    for length in lengths + [rng.randrange(201) for _ in range(6)]:
+        total = len(graph.vertices) * graph.degree ** length
+        for index in [0, total - 1] + [rng.randrange(total) for _ in range(4)]:
+            assert (unrank_path(graph, length, index)
+                    == unrank_by_divmod(graph, length, index))
 
 
 def test_unranking_a_long_walk_stays_small():

@@ -8,6 +8,7 @@ GOLDEN_CUBE[z-1][x-1][y-1] is the entry at (i1=x, i2=y, i3=z).
 import ast
 import concurrent.futures
 import itertools
+import json
 import os
 import random
 import struct
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import lhca.hypercube
+from helpers import dump_text_by_rows
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import (
@@ -27,6 +29,7 @@ from lhca.hypercube import (
     check_random_lines,
     count_latin_rules,
     dump,
+    dump_json,
     dump_text,
     entry,
     is_latin,
@@ -358,6 +361,60 @@ def test_dump_text_layout():
     assert "z=4" in lines
     square = dump_text(LinearRule(F2, 2, 2, (0,)))
     assert square.splitlines()[0].split() == ["1", "2", "3", "4"]
+
+
+# N from 2 to 256 (widths 1 to 3), k = 2 (one layer, no header), k = 3
+# (z=), k = 4 and 5 (layer a,b), non-Latin entries, a general rule's
+# d/g_table header, a non-default modulus, and (2,1,17), whose 32 768
+# layers span two render blocks
+DUMPED_RULES = [
+    LinearRule(F2, 1, 2, ()),
+    LinearRule(GF(4), 2, 2, (3,)),
+    LinearRule(GF(256), 1, 2, ()),
+    XOR5,
+    LinearRule(F2, 2, 3, (0, 0, 0)),
+    LinearRule(GF(9), 1, 3, (4,)),
+    LinearRule(GF(27), 1, 3, (5,)),
+    LinearRule(F3, 2, 4, (1, 2, 0, 1, 2)),
+    LinearRule(GF(16), 1, 4, (7, 11)),
+    LinearRule(GF(p=2, m=3, poly=13), 1, 4, (3, 5)),
+    LinearRule(GF(8), 1, 5, (1, 2, 3)),
+    LinearRule(F2, 2, 5, (1, 0, 1, 1, 0, 1, 1)),
+    LinearRule(F2, 1, 17, (1,) * 15),
+    GeneralBipermutiveRule(F3, 2, (0,)),
+    GeneralBipermutiveRule(F3, 4, (2, 0, 1, 1, 2, 0, 0, 2, 1)),
+]
+
+
+def assert_same_text(got: str, want: str) -> None:
+    # pytest's line diff of two texts of 10^5 lines takes minutes; name
+    # the first differing character instead
+    if got != want:
+        at = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\1"))
+                  if a != b)
+        lo = max(0, at - 40)
+        pytest.fail(f"texts differ at character {at}: "
+                    f"{got[lo:at + 40]!r} != {want[lo:at + 40]!r}")
+
+
+@pytest.mark.parametrize("rule", DUMPED_RULES, ids=str)
+def test_dumps_are_byte_identical_to_the_encoder_and_the_row_loop(rule):
+    data = dump(rule)
+    text = dump_json(rule)
+    assert_same_text(text, json.dumps(data, indent=2) + "\n")
+    assert ('"poly": ' in text) == (rule.field.poly != GF(rule.field.q).poly)
+    assert_same_text(dump_text(rule), dump_text_by_rows(data))
+
+
+@pytest.mark.parametrize("entries", [1, 4, 12, 17, 40])
+def test_dumps_across_render_blocks(monkeypatch, entries):
+    # blocks of 1 to 10 layers of 4 or 16 entries, some left short at the end
+    monkeypatch.setattr(lhca.hypercube, "_RENDER_ENTRIES", entries)
+    for rule in (LinearRule(F2, 1, 5, (1, 1, 1)), XOR5,
+                 LinearRule(F2, 2, 2, (1,))):
+        data = dump(rule)
+        assert_same_text(dump_json(rule), json.dumps(data, indent=2) + "\n")
+        assert_same_text(dump_text(rule), dump_text_by_rows(data))
 
 
 def test_dump_budget():
