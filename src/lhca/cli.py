@@ -34,9 +34,11 @@ one line has more than 2^30 bytes of inputs, whatever the budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from .debruijn import (
     build_graph,
@@ -50,9 +52,8 @@ from .errors import BudgetExceededError
 from .field import GF
 from .hypercube import (
     DEFAULT_ENTRY_BUDGET,
+    _dump_parts,
     check_random_lines,
-    dump_json,
-    dump_text,
     is_latin,
 )
 from .rules import LinearRule, rule_from_json
@@ -146,7 +147,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     fld = GF(args.q)
     q, b, k = fld.q, args.b, args.k
     formula = latin_hypercube_count(fld, b, k)
-    report = {"q": q, "b": b, "k": k, "formula": str(formula)}
+    report = {"q": q, "b": b, "k": k, "formula": _decimal(formula)}
     verify = args.verify
     if verify is None:
         # exhaustive space: q^(b(k-1)-1) linear rules, or the formula's
@@ -161,7 +162,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     if verify:
         counts = cross_check_count(fld, b, k, args.enum_budget,
                                    args.entry_budget, workers=args.workers)
-        report.update((name, str(n)) for name, n in counts.items())
+        report.update((name, _decimal(n)) for name, n in counts.items())
         report["match"] = True
     return _json(report), 0
 
@@ -212,11 +213,22 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     return _json(payload if args.all else payload[0]), 0
 
 
-def cmd_dump(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_dump(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     rule = _load_rule(args)
-    if args.format == "json":
-        return dump_json(rule, budget=args.entry_budget), 0
-    return dump_text(rule, budget=args.entry_budget), 0
+    return _dump_parts(rule, args.format, None, None, args.entry_budget), 0
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` with Python's digit limit lifted for this conversion
+    only; a count within the 2^20-bit budget has at most 315 653 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _json(payload) -> str:
@@ -283,17 +295,16 @@ def main(argv=None) -> int:
         args.enum_budget = budget or DEFAULT_SUPPORT_BUDGET
         args.entry_budget = budget or DEFAULT_ENTRY_BUDGET
         payload, code = args.run(args)
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            # a dump's parts are evaluated one at a time, as they are written
+            fh.writelines([payload] if isinstance(payload, str) else payload)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
     return code
 
 

@@ -129,15 +129,12 @@ def build_graph(field: GF, b: int,
     tuple per class, not one copy per vertex.
     """
     supp = support_of_det(field, b, budget)
-    if b == 1:
-        # length-1 windows carry no overlap: complete digraph with loops
-        all_idx = tuple(range(len(supp)))
-        return DetGraph(field, b, tuple(supp), tuple(all_idx for _ in supp))
     heads: dict[tuple[int, ...], list[int]] = {}
     for j, v in enumerate(supp):
         heads.setdefault(v[:b - 1], []).append(j)
     shared = {head: tuple(js) for head, js in heads.items()}
-    succ = tuple(shared.get(u[-(b - 1):], ()) for u in supp)
+    # at b = 1 every head and suffix is (): the complete digraph, loops too
+    succ = tuple(shared.get(u[len(u) - (b - 1):], ()) for u in supp)
     return DetGraph(field, b, tuple(supp), succ)
 
 
@@ -166,6 +163,19 @@ def count_paths(graph: DetGraph, length: int,
     return sum(weight)
 
 
+def _walks_per_vertex(graph: DetGraph, length: int,
+                      max_bits: int) -> int | None:
+    """D^length, the walks of ``length`` edges from each vertex (D the
+    out-degree), or None when it passes ``max_bits`` bits, refused by its
+    logarithm before a power above ``max_bits`` + 2 bits is built."""
+    if length < 0:
+        raise ValueError(f"walk length must be >= 0, got {length}")
+    if length * math.log2(max(graph.degree, 1)) <= max_bits + 1:
+        if (per_vertex := graph.degree ** length).bit_length() <= max_bits:
+            return per_vertex
+    return None
+
+
 def unrank_path(graph: DetGraph, length: int, index: int,
                 max_bits: int = DEFAULT_INT_BITS
                 ) -> tuple[tuple[int, ...], ...]:
@@ -176,20 +186,17 @@ def unrank_path(graph: DetGraph, length: int, index: int,
     starts at vertex ``index // D**length`` and the base-D digits of the
     rest, most significant first, pick the successors; ``divmod`` takes
     them least significant first, a word-sized chunk of digits per
-    division of the whole index.
-    BudgetExceededError when D^length passes ``max_bits`` bits, refused
-    by its logarithm before a power above ``max_bits`` + 2 bits is built.
+    division of the whole index.  BudgetExceededError when D^length
+    passes ``max_bits`` bits, refused before any power that large is built.
     """
-    if length < 0:
-        raise ValueError(f"walk length must be >= 0, got {length}")
-    degree = graph.degree
-    if (length * math.log2(max(degree, 1)) > max_bits + 1
-            or (per_vertex := degree ** length).bit_length() > max_bits):
+    per_vertex = _walks_per_vertex(graph, length, max_bits)
+    if per_vertex is None:
         raise BudgetExceededError(
             f"walk count exceeds the {max_bits}-bit budget")
-    total = len(graph.vertices) * per_vertex
+    degree, total = graph.degree, len(graph.vertices) * per_vertex
     if not 0 <= index < total:
-        raise ValueError(f"walk index {index} out of range 0..{total - 1}")
+        raise ValueError(f"walk index {index} out of range for "
+                         f"{len(graph.vertices)} * {degree}^{length} walks")
     digits = []
     if length:
         # one big-int divmod per chunk of c digits, D**c < 2**30, then the
@@ -217,13 +224,14 @@ def enumerate_paths(graph: DetGraph, length: int,
     """All walks with ``length`` edges (length+1 vertices), lexicographic
     by vertex encoding.
 
-    Raises BudgetExceededError up front when there are more than
-    ``budget`` walks.
+    Raises BudgetExceededError up front when the V * D^length walks (V
+    vertices of out-degree D) are more than ``budget``.
     """
-    total = count_paths(graph, length)
-    if total > budget:
+    per_vertex = _walks_per_vertex(graph, length, budget.bit_length())
+    if per_vertex is None or len(graph.vertices) * per_vertex > budget:
         raise BudgetExceededError(
-            f"{total} walks exceed the enumeration budget {budget}")
+            f"{len(graph.vertices)} * {graph.degree}^{length} walks exceed "
+            f"the enumeration budget {budget}")
 
     # an explicit stack, not recursion; successors pushed reversed pop in order
     vs = graph.vertices
@@ -304,8 +312,8 @@ def cross_check_count(field: GF, b: int, k: int,
             counts["exhaustive"] = count_latin_rules(field, b, k, entry_budget,
                                                      workers)
     elif formula * q ** (2 * b) > entry_budget:
-        raise BudgetExceededError(f"{formula} rules x {q**b}^2 entries "
-                                  f"exceeds budget {entry_budget}")
+        raise BudgetExceededError(f"{q}^{q ** (b - 1)} rules x {q}^{2 * b} "
+                                  f"entries exceeds budget {entry_budget}")
     else:
         counts["exhaustive"] = sum(
             bool(is_latin(r, budget=entry_budget))

@@ -20,8 +20,8 @@ the whole batch; ``check_random_lines`` gives each drawn line its drawn
 axis, so a batch of mixed axes is still one call.  The inputs of
 ``is_latin``'s chunks depend only on the cube shape, never on the rule,
 so they are built once and shared through a module cache of read-only
-arrays capped at 8 MiB.  ``dump_text`` and ``dump_json`` write a dump's
-entries with one string join per block of whole layers.
+arrays capped at 8 MiB.  Dumps read the cube as blocks of whole N x N
+layers, about 65536 entries each, and render each block with one join.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import os
 import random
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +51,7 @@ from .rules import (
 )
 
 DEFAULT_ENTRY_BUDGET = 1 << 24
+_BATCH_ROWS = 65536  # rows per apply_ca_batch call; --seed lines depend on it
 # Largest inputs of one sampled line, in bytes; also keeps N below 2^32.
 SAMPLED_LINE_BYTES = 1 << 30
 
@@ -244,7 +245,7 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
         if not 1 <= a <= k:
             raise ValueError(f"axis {a} out of range 1..{k}")
     n_lines = N ** (k - 1)
-    chunk = max(1, 65536 // N)
+    chunk = max(1, _BATCH_ROWS // N)
     for axis in axes:
         for lo in range(0, n_lines, chunk):
             hi = min(lo + chunk, n_lines)
@@ -297,7 +298,7 @@ def check_random_lines(rule: Rule, n_lines: int = 1000, seed: int = 0,
             f"one line of {N} x {b * k} input cells ({line_bytes} bytes) "
             f"exceeds the sampling budget of {SAMPLED_LINE_BYTES} bytes")
     rng = random.Random(seed)
-    chunk = max(1, 65536 // N)
+    chunk = max(1, _BATCH_ROWS // N)
     for lo in range(0, n_lines, chunk):
         L = min(chunk, n_lines - lo)
         axes = _draw(rng, L, k) + 1
@@ -311,6 +312,26 @@ def check_random_lines(rule: Rule, n_lines: int = 1000, seed: int = 0,
     return LatinCheck(True)
 
 
+def _layer_blocks(rule: Rule, b: int, k: int, N: int) -> Iterator[np.ndarray]:
+    """The cube's N x N layers in order of (i_3, ..., i_k), as (layers, N, N)
+    arrays of 0-based values, one batch each; row i_1 is a line on axis 2."""
+    n_lines, chunk = N ** (k - 1), N * max(1, _BATCH_ROWS // N**2)
+    for lo in range(0, n_lines, chunk):
+        coords = _line_coords(lo, min(lo + chunk, n_lines), N, k)
+        inputs = _line_inputs(rule.field, b, k, 2, np.roll(coords, 1, axis=1))
+        yield _line_values(rule, inputs, b).reshape(-1, N, N)
+
+
+def _dump_header(rule: Rule, b: int, k: int) -> dict:
+    out = {**rule.field.short_json(), "b": b, "k": k}
+    if isinstance(rule, LinearRule):
+        out["coeffs"] = list(rule.coeffs)
+    elif isinstance(rule, GeneralBipermutiveRule):
+        out["d"] = rule.d
+        out["g_table"] = list(rule.g_table)
+    return out
+
+
 def dump(rule: Rule, b: int | None = None, k: int | None = None,
          budget: int = DEFAULT_ENTRY_BUDGET) -> dict:
     """All cube entries as nested lists, plus the rule parameters.
@@ -321,49 +342,47 @@ def dump(rule: Rule, b: int | None = None, k: int | None = None,
     1-based values.  The header records the field as rule JSON does.
     """
     b, k, N = _cube_shape(rule, b, k, budget)
-    fld = rule.field
-    # layer rows are the lines along axis 2 through (i_1, i_3, ..., i_k)
-    n_lines, chunk = N ** (k - 1), N * max(1, 65536 // N**2)
-    layers = []
-    for lo in range(0, n_lines, chunk):
-        coords = np.roll(_line_coords(lo, min(lo + chunk, n_lines), N, k), 1,
-                         axis=1)
-        vals = _line_values(rule, _line_inputs(fld, b, k, 2, coords), b) + 1
-        layers += vals.reshape(-1, N, N).tolist()
-    out = {**fld.short_json(), "b": b, "k": k}
-    if isinstance(rule, LinearRule):
-        out["coeffs"] = list(rule.coeffs)
-    elif isinstance(rule, GeneralBipermutiveRule):
-        out["d"] = rule.d
-        out["g_table"] = list(rule.g_table)
-    out["layers"] = layers
-    return out
+    layers = [layer for block in _layer_blocks(rule, b, k, N)
+              for layer in (block + 1).tolist()]
+    return {**_dump_header(rule, b, k), "layers": layers}
 
 
-# entries per join: enough for the join to run at C speed, few enough
-# that the pieces list of a large cube is built block by block
-_RENDER_ENTRIES = 1 << 16
+def _dump_parts(rule: Rule, fmt: str, b: int | None, k: int | None,
+                budget: int) -> Iterator[str]:
+    """:func:`dump_json` (``fmt`` "json") or :func:`dump_text` in parts, the
+    budget checked at the call: each block of :func:`_layer_blocks`, the
+    first after the head, rendered as one list of pieces and one ``join``."""
+    b, k, N = _cube_shape(rule, b, k, budget)
+    names = [str(v) for v in range(1, N + 1)]
+    if fmt == "json":
+        # json.dumps(indent=2) opens layers at depth 2, rows at 3, entries 4
+        d2, d3, d4 = "\n" + " " * 4, "\n" + " " * 6, "\n" + " " * 8
+        # "layers" is the last key: cut its placeholder "[]" and the "}"
+        js = json.dumps({**_dump_header(rule, b, k), "layers": []}, indent=2)
+        head = js[:-len("[]\n}")] + "[" + d2 + "[" + d3 + "[" + d4
+        entry_sep, row_sep = "," + d4, d3 + "]," + d3 + "[" + d4
+        layer_seps = itertools.chain(itertools.repeat(
+            d3 + "]" + d2 + "]," + d2 + "[" + d3 + "[" + d4, N ** (k - 2) - 1),
+            [d3 + "]" + d2 + "]\n  ]\n}\n"])
+    else:
+        label = "z=" if k == 3 else "layer "
+        heads = (label + i + "\n" if k > 2 else "" for i in
+                 map(",".join, itertools.product(names, repeat=k - 2)))
+        head, entry_sep, row_sep = next(heads), " ", "\n"
+        layer_seps = itertools.chain(("\n\n" + h for h in heads), ["\n"])
+        names = [v.rjust(len(names[-1])) for v in names]
+    strs = np.array(names, dtype=object)
+    # the head leads the first block, so a one-block dump is one string
+    leads = itertools.chain([head], itertools.repeat(""))
 
-
-def _render(layers: list, strs: Sequence[str], entry_sep: str, row_sep: str,
-            layer_seps: Sequence[str]) -> str:
-    """Text of N x N layers: value v written as ``strs[v]``, ``entry_sep``
-    between the entries of a row, ``row_sep`` between rows and
-    ``layer_seps[i]`` after layer i, the last layer too.  Each block of
-    whole layers, about ``_RENDER_ENTRIES`` entries, is one list of
-    alternating entries and separators and one ``join``."""
-    N = len(layers[0])
-    per = max(1, _RENDER_ENTRIES // (N * N))
-    blocks = []
-    for lo in range(0, len(layers), per):
-        block = layers[lo:lo + per]
-        pieces = [entry_sep] * (2 * N * N * len(block))
-        pieces[::2] = map(strs.__getitem__, itertools.chain.from_iterable(
-            itertools.chain.from_iterable(block)))
-        pieces[2 * N - 1::2 * N] = [row_sep] * (N * len(block))
-        pieces[2 * N * N - 1::2 * N * N] = layer_seps[lo:lo + per]
-        blocks.append("".join(pieces))
-    return "".join(blocks)
+    def render(block: np.ndarray) -> str:
+        pieces = [entry_sep] * (2 * block.size + 1)
+        pieces[0] = next(leads)
+        pieces[1::2] = strs[block.ravel()].tolist()
+        pieces[2 * N::2 * N] = [row_sep] * (N * len(block))
+        pieces[2 * N * N::2 * N * N] = itertools.islice(layer_seps, len(block))
+        return "".join(pieces)
+    return map(render, _layer_blocks(rule, b, k, N))
 
 
 def dump_text(rule: Rule, b: int | None = None, k: int | None = None,
@@ -371,16 +390,7 @@ def dump_text(rule: Rule, b: int | None = None, k: int | None = None,
     """Human-readable rendering of :func:`dump`: rows of right-justified
     entries; in a cube (k > 2) each layer is headed by ``z=i`` (k = 3) or
     ``layer a,b,...`` (k > 3), and a blank line parts the layers."""
-    data = dump(rule, b, k, budget)
-    k, layers = data["k"], data["layers"]
-    N = len(layers[0])
-    width = len(str(N))
-    label = "z=" if k == 3 else "layer "
-    heads = [label + ",".join(map(str, idx)) + "\n" if k > 2 else ""
-             for idx in itertools.product(range(1, N + 1), repeat=k - 2)]
-    strs = [str(v).rjust(width) for v in range(N + 1)]
-    return heads[0] + _render(layers, strs, " ", "\n",
-                              ["\n\n" + h for h in heads[1:]] + ["\n"])
+    return "".join(_dump_parts(rule, "text", b, k, budget))
 
 
 def dump_json(rule: Rule, b: int | None = None, k: int | None = None,
@@ -388,18 +398,7 @@ def dump_json(rule: Rule, b: int | None = None, k: int | None = None,
     """:func:`dump` as JSON: exactly ``json.dumps(dump(...), indent=2)``
     and a newline, with the layers written by one join per block instead
     of the encoder's one step per entry."""
-    data = dump(rule, b, k, budget)
-    layers = data["layers"]
-    # "layers" is the last key: cut its placeholder "[]" and the closing "}"
-    head = json.dumps({**data, "layers": []}, indent=2)[:-len("[]\n}")]
-    # json.dumps(indent=2) opens layers at depth 2, rows at 3, entries at 4
-    d2, d3, d4 = "\n" + " " * 4, "\n" + " " * 6, "\n" + " " * 8
-    strs = [str(v) for v in range(len(layers[0]) + 1)]
-    next_layer = d3 + "]" + d2 + "]," + d2 + "[" + d3 + "[" + d4
-    end = d3 + "]" + d2 + "]\n  ]\n}\n"
-    return (head + "[" + d2 + "[" + d3 + "[" + d4
-            + _render(layers, strs, "," + d4, d3 + "]," + d3 + "[" + d4,
-                      [next_layer] * (len(layers) - 1) + [end]))
+    return "".join(_dump_parts(rule, "json", b, k, budget))
 
 
 def _count_latin_range(args: tuple) -> int:
@@ -426,7 +425,7 @@ def count_latin_rules(field: GF, b: int, k: int,
     total = q**n
     if total * q ** (b * k) > budget:
         raise BudgetExceededError(
-            f"{total} rules x {q**b}^{k} entries exceeds budget {budget}")
+            f"{q}^{n} rules x {q}^{b * k} entries exceeds budget {budget}")
     if workers:
         # more processes than CPUs only add start-up cost, and an
         # unbounded flag would let one command start thousands of them

@@ -1,11 +1,17 @@
 """End-to-end tests of the command line, driven through main()."""
 
 import json
+import sys
+import time
 
 import pytest
 
 import lhca.cli
+import lhca.hypercube
 from lhca.cli import main, _parse_coeffs
+from lhca.field import GF
+from lhca.hypercube import dump_json, dump_text
+from lhca.rules import LinearRule
 
 
 def run(capsys, *argv):
@@ -246,6 +252,36 @@ def test_count_squares_forced_verify_over_budget_exits_3(capsys):
     assert out == "" and "exceeds budget" in err
 
 
+def _from_decimal(text: str) -> int:
+    # int() of more than 4300 digits raises; read them 1000 at a time
+    n = 0
+    for i in range(0, len(text), 1000):
+        n = n * 10 ** len(text[i:i + 1000]) + int(text[i:i + 1000])
+    return n
+
+
+@pytest.mark.parametrize("q,b,k,log2_count", [
+    (2, 2, 20000, 19999),   # 6021 digits
+    (2, 16, 2, 2 ** 15),    # 9865 digits
+])
+def test_count_prints_counts_past_the_digit_limit(capsys, q, b, k,
+                                                  log2_count):
+    limit = sys.get_int_max_str_digits()
+    code, report = run_json(capsys, "count", "--q", str(q), "--b", str(b),
+                            "--k", str(k))
+    assert code == 0
+    assert _from_decimal(report["formula"]) == 2 ** log2_count
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_count_refusal_gives_the_count_as_a_power(capsys):
+    code, out, err = run(capsys, "count", "--q", "2", "--b", "16", "--k", "2",
+                         "--verify")
+    assert code == 3 and out == ""
+    assert err == ("error: 2^32768 rules x 2^32 entries exceeds budget "
+                   "16777216\n")
+
+
 def test_count_with_workers(capsys):
     code, report = run_json(capsys, "count", "--q", "2", "--b", "2",
                             "--k", "4", "--workers", "2")
@@ -403,6 +439,17 @@ def test_synth_index_of_a_long_walk(capsys):
     assert rule["k"] == 32000 and len(rule["coeffs"]) == 31998
 
 
+@pytest.mark.parametrize("k", [14_000, 20_000, 1_100_000])
+def test_synth_all_refuses_a_long_walk_at_once(capsys, k):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "synth", "--q", "2", "--b", "2",
+                         "--k", str(k), "--all")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == (f"error: 4 * 2^{k - 3} walks exceed the enumeration "
+                   "budget 1048576\n")
+
+
 def test_synth_k2_is_usage_error(capsys):
     code, _, err = run(capsys, "synth", "--q", "2", "--b", "2", "--k", "2")
     assert code == 2
@@ -444,6 +491,58 @@ def test_dump_out_file_matches_stdout(capsys, tmp_path, fmt):
     code, nothing, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0 and nothing == ""
     assert out.read_bytes() == stdout.encode()
+
+
+def test_dump_over_budget_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "cube.json"
+    code, stdout, err = run(capsys, "dump", "--q", "2", "--b", "2",
+                            "--k", "3", "--coeffs", "0,1,0", "--format",
+                            "json", "--budget", "10", "--out", str(out))
+    assert code == 3 and stdout == "" and "exceeds budget" in err
+    assert not out.exists()
+
+
+def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--q", "2", "--b", "2", "--k", "3",
+                         "--coeffs", "0,1,0", "--out",
+                         str(tmp_path / "missing" / "report.json"))
+    assert code == 2 and out == "" and "No such file" in err
+
+
+@pytest.mark.parametrize("fmt,render", [("text", dump_text),
+                                        ("json", dump_json)])
+def test_dump_is_written_block_by_block(monkeypatch, tmp_path, fmt, render):
+    # blocks of one 4 x 4 layer: each is written, the first with the head,
+    # before the next one is evaluated
+    want = render(LinearRule(GF(2), 2, 3, (0, 1, 0)))
+    monkeypatch.setattr(lhca.hypercube, "_BATCH_ROWS", 16)
+    layer_blocks, evaluated = lhca.hypercube._layer_blocks, []
+
+    def counted(*args):
+        for block in layer_blocks(*args):
+            evaluated.append(block)
+            yield block
+
+    class Stdout(list):
+        def write(self, text):
+            self.append((len(evaluated), text))
+
+        def writelines(self, parts):
+            for part in parts:
+                self.write(part)
+
+    monkeypatch.setattr(lhca.hypercube, "_layer_blocks", counted)
+    argv = ["dump", "--q", "2", "--b", "2", "--k", "3", "--coeffs", "0,1,0",
+            "--format", fmt]
+    stdout, writes = sys.stdout, Stdout()
+    monkeypatch.setattr(sys, "stdout", writes)
+    assert main(argv) == 0
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert [n for n, _ in writes] == [1, 2, 3, 4]
+    assert "".join(text for _, text in writes) == want
+    out = tmp_path / "cube"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text() == want and len(evaluated) == 8
 
 
 # ----------------------------------------------------------------- misc

@@ -102,6 +102,7 @@ def test_b1_graph_is_complete_with_loops():
     assert g.vertices == ((1,), (2,))
     assert len(g.edges()) == 4
     assert g.successors((1,)) == [(1,), (2,)]
+    assert all(s is g.succ[0] for s in g.succ)
 
 
 def test_count_paths_golden():
@@ -136,6 +137,23 @@ def test_enumerate_paths_lex_and_complete():
     assert ((0, 1, 0), (0, 1, 1), (1, 0, 1)) in two_step
     with pytest.raises(BudgetExceededError):
         list(enumerate_paths(g, 12, budget=100))
+
+
+@pytest.mark.parametrize("length", [12, 19997, 1_099_997])
+def test_enumerate_paths_refuses_by_the_walk_count_as_a_power(length):
+    # V * D^L walks, refused by the logarithm before any big power or walk
+    # count is built; the message names the power, not its digits
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_paths(build_graph(F2, 2), length, budget=100))
+    assert str(exc.value) == (f"4 * 2^{length} walks exceed the enumeration "
+                              "budget 100")
+
+
+def test_enumerate_paths_admits_exactly_its_budget():
+    g = build_graph(F2, 2)
+    assert len(list(enumerate_paths(g, 3, budget=32))) == 32
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_paths(g, 3, budget=31))
 
 
 def test_enumerate_paths_beyond_the_recursion_limit():

@@ -366,7 +366,7 @@ def test_dump_text_layout():
 # N from 2 to 256 (widths 1 to 3), k = 2 (one layer, no header), k = 3
 # (z=), k = 4 and 5 (layer a,b), non-Latin entries, a general rule's
 # d/g_table header, a non-default modulus, and (2,1,17), whose 32 768
-# layers span two render blocks
+# layers span two evaluated and rendered blocks
 DUMPED_RULES = [
     LinearRule(F2, 1, 2, ()),
     LinearRule(GF(4), 2, 2, (3,)),
@@ -408,8 +408,9 @@ def test_dumps_are_byte_identical_to_the_encoder_and_the_row_loop(rule):
 
 @pytest.mark.parametrize("entries", [1, 4, 12, 17, 40])
 def test_dumps_across_render_blocks(monkeypatch, entries):
-    # blocks of 1 to 10 layers of 4 or 16 entries, some left short at the end
-    monkeypatch.setattr(lhca.hypercube, "_RENDER_ENTRIES", entries)
+    # blocks of 1 to 10 layers of 4 or 16 entries, some left short at the
+    # end, each evaluated by one batch and rendered by one join
+    monkeypatch.setattr(lhca.hypercube, "_BATCH_ROWS", entries)
     for rule in (LinearRule(F2, 1, 5, (1, 1, 1)), XOR5,
                  LinearRule(F2, 2, 2, (1,))):
         data = dump(rule)
@@ -465,6 +466,10 @@ def test_count_latin_rules_caps_workers_at_the_cpus(monkeypatch):
 def test_count_latin_rules_budget():
     with pytest.raises(BudgetExceededError):
         count_latin_rules(F2, 2, 3, budget=100)
+    # 2^19998 rules: the message gives the power, not its 6021 digits
+    with pytest.raises(BudgetExceededError,
+                       match=r"^2\^19998 rules x 2\^20000 entries"):
+        count_latin_rules(F2, 1, 20000)
 
 
 def test_sweep_never_imports_the_window_criterion():
