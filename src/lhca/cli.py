@@ -147,7 +147,8 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     fld = GF(args.q)
     q, b, k = fld.q, args.b, args.k
     formula = latin_hypercube_count(fld, b, k)
-    report = {"q": q, "b": b, "k": k, "formula": _decimal(formula)}
+    report = {**fld.short_json(), "b": b, "k": k,
+              "formula": _decimal(formula)}
     verify = args.verify
     if verify is None:
         # exhaustive space: q^(b(k-1)-1) linear rules, or the formula's

@@ -20,6 +20,17 @@ into a table, x*q + y, is at most q^2 - 1 = 65 535, so it is built as
 digits add modulo 2, so the sum of two encodings is their XOR.  Vector
 elements have the dtype ``dtype``: ``uint8`` up to q = 256, ``uint16``
 above.
+
+A linear combination of element arrays with constant coefficients,
+``combine_array``, is reduced once, in one of three ways:
+
+* characteristic 2: the scaled terms fold by XOR;
+* odd prime (m = 1): the products a*x add up as machine integers, in the
+  narrowest unsigned dtype that holds the largest sum, and the sum is
+  reduced modulo p once, by multiply and shift (``%`` if no wider dtype
+  holds the product), so no term gathers from a table at any p;
+* odd extension fields: base-p digits carry into each other, so the
+  scaled terms fold with ``add_array``.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import numpy as np
 
 ORDER_CAP = 1 << 16
 TABLE_CAP = 256
+_UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 def _is_prime(n: int) -> bool:
@@ -118,6 +130,21 @@ def _is_irreducible(poly_digits: list[int], p: int) -> bool:
             if not any(_poly_rem(poly_digits, den, p)):
                 return False
     return True
+
+
+@lru_cache(maxsize=1024)
+def _reciprocal(p: int, bound: int, bits: int) -> tuple[int, int] | None:
+    """(m, s) with v*m >> s == v // p for every 0 <= v <= bound and
+    bound*m < 2^bits, or None if no shift s < bits gives both.
+
+    With m = (2^s + e)/p, 0 <= e < p, and v = t*p + r, r < p:
+    v*m / 2^s = t + r/p + v*e/(p 2^s), and v*e < 2^s keeps the last two
+    terms below 1."""
+    for s in range(bits):
+        m = -(-(1 << s) // p)
+        if bound * (m * p - (1 << s)) < 1 << s and bound * m < 1 << bits:
+            return m, s
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -311,6 +338,75 @@ class GF:
         if self.mul_table is not None:
             return self.mul_table[a].take(x)
         return self._exps.take(self._logs.take(x) + self._log[a])
+
+    def combine_array(self, coeffs, terms) -> np.ndarray:
+        """The sum of a * x over the constant coefficients ``coeffs`` and
+        the element arrays ``terms``, which have one shape; the result has
+        the field's ``dtype``.  The coefficients are checked, the terms
+        are not.
+
+        In characteristic 2 the scaled terms fold by XOR, in place.  Over
+        an odd prime the products a*x add up as machine integers, in the
+        narrowest unsigned dtype that holds their largest sum,
+        (p-1)*sum(a) (at most len(coeffs)*(p-1)^2), and the sum is reduced
+        modulo p once.  In odd extension fields base-p digits carry into
+        each other, so the scaled terms fold with :meth:`add_array`."""
+        if len(coeffs) != len(terms) or not terms:
+            raise ValueError("need one coefficient per term, and a term")
+        if min(coeffs) < 0 or max(coeffs) >= self.q:
+            raise ValueError(f"coefficients {coeffs} are not all elements "
+                             f"of {self!r}")
+        acc = None
+        if self.p == 2 or self.m > 1:
+            for a, x in zip(coeffs, terms):
+                if not a:
+                    continue
+                x = x if a == 1 else self.scale_array(a, x)
+                if acc is None:
+                    acc = np.array(x, dtype=self.dtype)
+                elif self.p == 2:
+                    np.bitwise_xor(acc, x, out=acc, casting="unsafe")
+                else:
+                    acc = self.add_array(acc, x)
+        else:
+            bound = (self.p - 1) * sum(coeffs)
+            # fewer than 2^32 terms keep the bound below 2^64
+            acc_type = next(t for t in _UNSIGNED if bound <= np.iinfo(t).max)
+            scaled = None
+            for a, x in zip(coeffs, terms):
+                if not a:
+                    continue
+                if acc is None:
+                    acc = np.multiply(x, a, dtype=acc_type, casting="unsafe")
+                    continue
+                if a != 1:
+                    x = scaled = np.multiply(x, a, out=scaled, dtype=acc_type,
+                                             casting="unsafe")
+                np.add(acc, x, out=acc, casting="unsafe")
+            if acc is not None:
+                acc = self._reduce(acc, bound)
+        if acc is None:
+            return np.zeros(np.shape(terms[0]), dtype=self.dtype)
+        return acc
+
+    def _reduce(self, acc: np.ndarray, bound: int) -> np.ndarray:
+        """acc % p in the field's ``dtype``, for an unsigned array of
+        values up to ``bound``: by multiply and shift in the narrowest
+        wider dtype that holds acc * m, else by ``%``."""
+        p = self.p
+        for wide in _UNSIGNED[_UNSIGNED.index(acc.dtype.type) + 1:]:
+            shift = _reciprocal(p, bound, np.iinfo(wide).bits)
+            if shift:
+                break
+        else:
+            return (acc % p).astype(self.dtype)
+        m, s = shift
+        quot = acc.astype(wide)
+        quot *= m
+        quot >>= s
+        quot *= p
+        # acc - p*(acc // p) is below p, so it is exact modulo 2^8 or 2^16
+        return np.subtract(acc, quot, dtype=self.dtype, casting="unsafe")
 
     def array(self, values) -> np.ndarray:
         """A sequence of elements as a 1-d array of the field's ``dtype``;

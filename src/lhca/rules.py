@@ -215,18 +215,27 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
     column-major array of the field's ``dtype``, so rows t .. t+n-d of it
     are cell t of every window of every configuration, and each field
     operation is one of the field's array operations on such a block.
-    The result, being the transpose of the cells-major output, is
-    column-major.
+    A linear rule, and the border sum of a general bipermutive one, is
+    one :meth:`GF.combine_array` call over these blocks: an XOR fold in
+    characteristic 2, a machine-integer sum reduced once modulo p over an
+    odd prime, and an ``add_array`` fold in odd extension fields.  The
+    result, being the transpose of the cells-major output, is
+    column-major.  Inputs whose dtype is not an integer one (bool
+    included) raise ValueError.
     """
     fld = rule.field
     inputs = np.asarray(inputs)
+    if inputs.dtype.kind not in "iu":
+        raise ValueError(f"inputs must be integers, not {inputs.dtype}")
     if inputs.ndim != 2:
         raise ValueError("inputs must be a 2-d array of configurations")
     n = inputs.shape[1]
     d = rule.d
     if n < d:
         raise ValueError(f"input length {n} < diameter {d}")
-    if inputs.size and (inputs.min() < 0 or inputs.max() >= fld.q):
+    # an unsigned array has no negative entry to look for
+    if inputs.size and ((inputs.dtype.kind == "i" and inputs.min() < 0)
+                        or inputs.max() >= fld.q):
         raise ValueError("inputs contain values outside the field")
 
     width = n - d + 1
@@ -241,16 +250,12 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
         return r
 
     if isinstance(rule, LinearRule):
-        out = cells[:width]
-        for t, a in enumerate(rule.full_coeffs[1:], 1):
-            if a:
-                x = cells[t:t + width]
-                out = fld.add_array(out,
-                                    x if a == 1 else fld.scale_array(a, x))
+        out = fld.combine_array(rule.full_coeffs,
+                                [cells[t:t + width] for t in range(d)])
     elif isinstance(rule, GeneralBipermutiveRule):
         # d = 2 has no interior cells: every rank is 0, g[0]
         mid = fld.array(rule.g_table).take(ranks(1, d - 1))
-        out = fld.add_array(fld.add_array(cells[:width], mid), cells[d - 1:])
+        out = fld.combine_array((1, 1, 1), (cells[:width], mid, cells[d - 1:]))
     else:
         out = fld.array(rule.table).take(ranks(0, d))
     return out.T

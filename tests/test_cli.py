@@ -228,6 +228,15 @@ def test_count_no_verify(capsys):
     assert report == {"q": 2, "b": 2, "k": 3, "formula": "4"}
 
 
+@pytest.mark.parametrize("q", [2, 9, 16, 251])
+def test_count_echoes_the_field_as_every_command_does(capsys, q):
+    _, report = run_json(capsys, "count", "--q", str(q), "--b", "1",
+                         "--k", "3", "--no-verify")
+    field = GF(q).short_json()
+    assert {key: report[key] for key in field} == field
+    assert list(report)[:len(field)] == list(field)
+
+
 def test_count_squares_by_sweep(capsys):
     code, report = run_json(capsys, "count", "--q", "2", "--b", "2",
                             "--k", "2")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import every_modulus
-from lhca.field import (GF, ORDER_CAP, _digits, _poly_mul_mod, _undigits,
-                        default_irreducible_poly)
+from lhca.field import (GF, ORDER_CAP, _digits, _poly_mul_mod, _reciprocal,
+                        _undigits, default_irreducible_poly)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -332,3 +332,95 @@ def test_every_element_has_a_negative_and_an_inverse():
         if a:
             assert f.mul(a, f.inv(a)) == 1
             assert _reference_mul(f, a, f.inv(a)) == 1
+
+
+def _scalar_combination(f, coeffs, terms):
+    """sum a*x by a fold of scalar GF.add and GF.mul, entry by entry."""
+    out = []
+    for xs in zip(*(np.ravel(x).tolist() for x in terms)):
+        acc = 0
+        for a, x in zip(coeffs, xs):
+            acc = f.add(acc, f.mul(a, x))
+        out.append(acc)
+    return out
+
+
+# characteristic 2 (XOR), odd primes (machine integers, reduced once) with
+# and without tables, and odd extension fields (carrying digits)
+COMBINE_ORDERS = [2, 4, 256, 3, 5, 251, 257, 65521, 9, 27, 243, 729]
+
+
+@pytest.mark.parametrize("q", COMBINE_ORDERS)
+def test_combine_array_matches_a_scalar_fold(q):
+    f, rng = GF(q), np.random.default_rng(q)
+    for count in (1, 2, 3, 7, 20):
+        coeffs = rng.integers(0, q, count).tolist()
+        cells = rng.integers(0, q, (count + 4, 30))
+        for dtype in (f.dtype, np.intp):
+            # shifted views of one array, as the CA global map passes them
+            terms = [cells[t:t + 5].astype(dtype) for t in range(count)]
+            for cs in (coeffs, [1] + coeffs[1:], [q - 1] * count):
+                want = _scalar_combination(f, cs, terms)
+                got = f.combine_array(cs, terms)
+                assert got.dtype == f.dtype and got.shape == (5, 30)
+                assert got.ravel().tolist() == want
+    lone = cells[:5].astype(f.dtype)
+    for coeffs in ([1], [0, 1, 0]):
+        got = f.combine_array(coeffs, [lone] * len(coeffs))
+        assert np.array_equal(got, lone) and not np.shares_memory(got, lone)
+    assert not f.combine_array([0, 0], [lone, lone]).any()
+
+
+@pytest.mark.parametrize("q", COMBINE_ORDERS)
+def test_combine_array_of_zero_rows(q):
+    f = GF(q)
+    terms = [np.zeros((0, 5), dtype=f.dtype)] * 3
+    for coeffs in ((1, 1, 1), (0, 0, 0), (q - 1, 0, 1)):
+        got = f.combine_array(coeffs, terms)
+        assert got.shape == (0, 5) and got.dtype == f.dtype
+
+
+def test_combine_array_rejects_bad_coefficients():
+    f, x = GF(5), np.zeros(4, dtype=np.uint8)
+    for coeffs, terms in (((1, 5), (x, x)), ((-1, 1), (x, x)), ((1,), (x, x)),
+                          ((), ())):
+        with pytest.raises(ValueError):
+            f.combine_array(coeffs, terms)
+
+
+# every cell and every coefficient p - 1, at term counts n on both sides of
+# each point where the largest sum n (p-1)^2 outgrows 8, 16 and 32 bits
+@pytest.mark.parametrize("p, counts", [
+    (3, (63, 64, 16383, 16384)),
+    (5, (15, 16, 4095, 4096)),
+    (251, (1, 2, 68719, 68720)),
+    (257, (1, 65535, 65536)),
+    (65521, (1, 2, 3)),
+])
+def test_combine_array_worst_case_at_each_accumulator_switch(p, counts):
+    f = GF(p)
+    top = f.mul(p - 1, p - 1)
+    for n in counts:
+        acc = 0
+        for _ in range(n):
+            acc = f.add(acc, top)
+        got = f.combine_array([p - 1] * n, [np.full(6, p - 1, f.dtype)] * n)
+        assert got.tolist() == [acc] * 6 == [n % p] * 6
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 251, 257, 65521])
+def test_reciprocal_divides_exactly_up_to_its_bound(p):
+    for bits in (16, 32, 64):
+        for bound in (p - 1, 255, 65535, 2**32 - 1, 2**40):
+            shift = _reciprocal(p, bound, bits)
+            if shift is None:
+                continue
+            m, s = shift
+            assert bound * m < 1 << bits
+            top = range(max(0, bound - 3 * p), bound + 1)
+            for v in (*range(min(bound, 1 << 16) + 1), *top):
+                assert v * m >> s == v // p
+    # every sum of 8 bits has a reciprocal in 16 or 32 bits, every sum of
+    # 16 bits one in 32 or 64 bits
+    assert _reciprocal(p, 255, 16) or _reciprocal(p, 255, 32) or p > 255
+    assert _reciprocal(p, 65535, 32) or _reciprocal(p, 65535, 64)

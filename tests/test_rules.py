@@ -144,28 +144,37 @@ def test_restriction_validation():
         restriction_is_permutation(XOR5, "left", (0, 0, 0), b=1)
 
 
-def _random_rules(q: int) -> list:
-    """A linear, a general bipermutive and a table rule over GF(q) with
-    seeded random coefficients and tables."""
+def _random_rules(q: int, table: bool = True) -> list:
+    """A linear, a general bipermutive and (if ``table``) a table rule over
+    GF(q) with seeded random coefficients and tables."""
     fld, rng = GF(q), random.Random(q)
     coeffs = tuple(rng.randrange(q) for _ in range(3))
-    return [LinearRule(fld, 2, 3, coeffs),
-            GeneralBipermutiveRule(fld, 3, tuple(rng.randrange(q)
-                                                 for _ in range(q))),
-            TableRule(fld, 2, tuple(rng.randrange(q) for _ in range(q * q)))]
+    rules = [LinearRule(fld, 2, 3, coeffs),
+             GeneralBipermutiveRule(fld, 3, tuple(rng.randrange(q)
+                                                  for _ in range(q)))]
+    if table:
+        rules.append(TableRule(fld, 2, tuple(rng.randrange(q)
+                                             for _ in range(q * q))))
+    return rules
 
 
 # q = 16 is the last field whose table index acc*q + term fits in 8 bits
 # and 256 the largest field with tables; 27 and 243 are odd prime powers;
-# 257, 729 and 1024 compute in the log domain, on uint16 elements
+# 257, 729 and 1024 compute in the log domain, on uint16 elements; the odd
+# primes 3, 5, 251, 257 and 65521 sum their terms as machine integers, on
+# 8-, 16-, 32- and 64-bit accumulators, and d = 1000 on GF(3) needs 16
+# (a table rule over GF(65521) would need q^2 entries)
 @pytest.mark.parametrize("rule", [
     XOR5,
     LinearRule(F3, 2, 3, (1, 2, 0)),
     LinearRule(F4, 2, 2, (3,)),
     GeneralBipermutiveRule(F3, 3, (0, 2, 1)),
     TableRule(F2, 3, (0, 1, 1, 0, 1, 0, 0, 1)),
-    *(rule for q in (16, 27, 243, 256, 257, 729, 1024)
+    *(rule for q in (16, 27, 243, 256, 257, 729, 1024, 5, 251)
       for rule in _random_rules(q)),
+    *_random_rules(65521, table=False),
+    LinearRule(F3, 1, 1000, tuple(random.Random(3).randrange(3)
+                                  for _ in range(998))),
 ])
 def test_batch_matches_scalar(rule):
     rng = random.Random(2024)
@@ -175,15 +184,26 @@ def test_batch_matches_scalar(rule):
     got = apply_ca_batch(rule, np.array(rows))
     for row, out in zip(rows, got.tolist()):
         assert tuple(out) == apply_ca(rule, row)
+    empty = apply_ca_batch(rule, np.zeros((0, n), dtype=int))
+    assert empty.shape == (0, n - d + 1) and empty.dtype == rule.field.dtype
 
 
 def test_batch_rejects_bad_input():
     with pytest.raises(ValueError):
         apply_ca_batch(XOR5, np.zeros(6, dtype=int))
-    with pytest.raises(ValueError):
-        apply_ca_batch(XOR5, np.full((2, 6), 2))
+    for out_of_field in (np.full((2, 6), 2), np.full((2, 6), -1),
+                         np.full((2, 6), 2, dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            apply_ca_batch(XOR5, out_of_field)
     with pytest.raises(ValueError):
         apply_ca_batch(XOR5, np.zeros((2, 3), dtype=int))
+    # non-integer inputs are refused, not truncated or cast
+    rule = LinearRule(F3, 1, 3, (1,))
+    for bad in (np.array([[0.5, 1.7, 2.9]]), np.zeros((2, 3)),
+                np.array([["0", "1", "2"]]), np.ones((2, 3), dtype=bool),
+                np.zeros((0, 3))):
+        with pytest.raises(ValueError):
+            apply_ca_batch(rule, bad)
 
 
 def test_linear_global_map_is_additive():
