@@ -27,8 +27,8 @@ A linear combination of element arrays with constant coefficients,
 * characteristic 2: the scaled terms fold by XOR;
 * odd prime (m = 1): the products a*x add up as machine integers, in the
   narrowest unsigned dtype that holds the largest sum, and the sum is
-  reduced modulo p once, by multiply and shift (``%`` if no wider dtype
-  holds the product), so no term gathers from a table at any p;
+  reduced modulo p once, by one floor division by p in that dtype, so no
+  term gathers from a table at any p;
 * odd extension fields: base-p digits carry into each other, so the
   scaled terms fold with ``add_array``.
 """
@@ -130,21 +130,6 @@ def _is_irreducible(poly_digits: list[int], p: int) -> bool:
             if not any(_poly_rem(poly_digits, den, p)):
                 return False
     return True
-
-
-@lru_cache(maxsize=1024)
-def _reciprocal(p: int, bound: int, bits: int) -> tuple[int, int] | None:
-    """(m, s) with v*m >> s == v // p for every 0 <= v <= bound and
-    bound*m < 2^bits, or None if no shift s < bits gives both.
-
-    With m = (2^s + e)/p, 0 <= e < p, and v = t*p + r, r < p:
-    v*m / 2^s = t + r/p + v*e/(p 2^s), and v*e < 2^s keeps the last two
-    terms below 1."""
-    for s in range(bits):
-        m = -(-(1 << s) // p)
-        if bound * (m * p - (1 << s)) < 1 << s and bound * m < 1 << bits:
-            return m, s
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -349,8 +334,9 @@ class GF:
         an odd prime the products a*x add up as machine integers, in the
         narrowest unsigned dtype that holds their largest sum,
         (p-1)*sum(a) (at most len(coeffs)*(p-1)^2), and the sum is reduced
-        modulo p once.  In odd extension fields base-p digits carry into
-        each other, so the scaled terms fold with :meth:`add_array`."""
+        modulo p once, by one floor division.  In odd extension fields
+        base-p digits carry into each other, so the scaled terms fold with
+        :meth:`add_array`."""
         if len(coeffs) != len(terms) or not terms:
             raise ValueError("need one coefficient per term, and a term")
         if min(coeffs) < 0 or max(coeffs) >= self.q:
@@ -384,29 +370,14 @@ class GF:
                                              casting="unsafe")
                 np.add(acc, x, out=acc, casting="unsafe")
             if acc is not None:
-                acc = self._reduce(acc, bound)
+                quot = acc // self.p
+                quot *= self.p
+                # acc - p*(acc // p) is below p, so exact modulo 2^8 or 2^16
+                acc = np.subtract(acc, quot, dtype=self.dtype,
+                                  casting="unsafe")
         if acc is None:
             return np.zeros(np.shape(terms[0]), dtype=self.dtype)
         return acc
-
-    def _reduce(self, acc: np.ndarray, bound: int) -> np.ndarray:
-        """acc % p in the field's ``dtype``, for an unsigned array of
-        values up to ``bound``: by multiply and shift in the narrowest
-        wider dtype that holds acc * m, else by ``%``."""
-        p = self.p
-        for wide in _UNSIGNED[_UNSIGNED.index(acc.dtype.type) + 1:]:
-            shift = _reciprocal(p, bound, np.iinfo(wide).bits)
-            if shift:
-                break
-        else:
-            return (acc % p).astype(self.dtype)
-        m, s = shift
-        quot = acc.astype(wide)
-        quot *= m
-        quot >>= s
-        quot *= p
-        # acc - p*(acc // p) is below p, so it is exact modulo 2^8 or 2^16
-        return np.subtract(acc, quot, dtype=self.dtype, casting="unsafe")
 
     def array(self, values) -> np.ndarray:
         """A sequence of elements as a 1-d array of the field's ``dtype``;

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import every_modulus
-from lhca.field import (GF, ORDER_CAP, _digits, _poly_mul_mod, _reciprocal,
-                        _undigits, default_irreducible_poly)
+from lhca.field import (GF, ORDER_CAP, _digits, _poly_mul_mod, _undigits,
+                        default_irreducible_poly)
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -406,21 +406,3 @@ def test_combine_array_worst_case_at_each_accumulator_switch(p, counts):
             acc = f.add(acc, top)
         got = f.combine_array([p - 1] * n, [np.full(6, p - 1, f.dtype)] * n)
         assert got.tolist() == [acc] * 6 == [n % p] * 6
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 251, 257, 65521])
-def test_reciprocal_divides_exactly_up_to_its_bound(p):
-    for bits in (16, 32, 64):
-        for bound in (p - 1, 255, 65535, 2**32 - 1, 2**40):
-            shift = _reciprocal(p, bound, bits)
-            if shift is None:
-                continue
-            m, s = shift
-            assert bound * m < 1 << bits
-            top = range(max(0, bound - 3 * p), bound + 1)
-            for v in (*range(min(bound, 1 << 16) + 1), *top):
-                assert v * m >> s == v // p
-    # every sum of 8 bits has a reciprocal in 16 or 32 bits, every sum of
-    # 16 bits one in 32 or 64 bits
-    assert _reciprocal(p, 255, 16) or _reciprocal(p, 255, 32) or p > 255
-    assert _reciprocal(p, 65535, 32) or _reciprocal(p, 65535, 64)
