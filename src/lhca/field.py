@@ -318,6 +318,14 @@ class GF:
             return self.mul_table.ravel().take(self._pair_index(x, y))
         return self._exps.take(self._logs.take(x) + self._logs.take(y))
 
+    def inv_array(self, x: np.ndarray) -> np.ndarray:
+        """The inverse of every entry of an integer array of nonzero
+        elements, as :meth:`add_array`; zero entries are not checked for.
+
+        g^-i = g^(q-1-i), and q-1-i is an index into ``exp`` for every
+        log i of a nonzero element."""
+        return self._exps.take(self.q - 1 - self._logs.take(x))
+
     def scale_array(self, a: int, x: np.ndarray) -> np.ndarray:
         """The element a times every entry of x, as :meth:`add_array`."""
         if self.mul_table is not None:

@@ -216,7 +216,8 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
     are cell t of every window of every configuration, and each field
     operation is one of the field's array operations on such a block.
     A linear rule, and the border sum of a general bipermutive one, is
-    one :meth:`GF.combine_array` call over these blocks: an XOR fold in
+    one :meth:`GF.combine_array` call over these blocks (for a linear
+    rule, those with a nonzero coefficient): an XOR fold in
     characteristic 2, a machine-integer sum reduced once modulo p over an
     odd prime, and an ``add_array`` fold in odd extension fields.  The
     result, being the transpose of the cells-major output, is
@@ -250,8 +251,10 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
         return r
 
     if isinstance(rule, LinearRule):
-        out = fld.combine_array(rule.full_coeffs,
-                                [cells[t:t + width] for t in range(d)])
+        coeffs = rule.full_coeffs
+        live = [t for t, a in enumerate(coeffs) if a]
+        out = fld.combine_array([coeffs[t] for t in live],
+                                [cells[t:t + width] for t in live])
     elif isinstance(rule, GeneralBipermutiveRule):
         # d = 2 has no interior cells: every rank is 0, g[0]
         mid = fld.array(rule.g_table).take(ranks(1, d - 1))

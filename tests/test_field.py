@@ -334,6 +334,15 @@ def test_every_element_has_a_negative_and_an_inverse():
             assert _reference_mul(f, a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 9, 256, 729, 65521])
+def test_inv_array_matches_scalar_inverse(q):
+    f = GF(q)
+    nonzero = np.arange(1, q, dtype=f.dtype)
+    got = f.inv_array(nonzero)
+    assert got.dtype == f.dtype
+    assert got.tolist() == [f.inv(a) for a in range(1, q)]
+
+
 def _scalar_combination(f, coeffs, terms):
     """sum a*x by a fold of scalar GF.add and GF.mul, entry by entry."""
     out = []

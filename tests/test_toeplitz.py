@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from helpers import cofactor_det, every_modulus, mat_vec
@@ -152,6 +153,28 @@ def test_enumerations_span_many_chunks(fld, b, monkeypatch):
         assert count_triangular_completions(fld, b, lower) == expect
 
 
+# every window with q^(2b-1) <= 2^12, as criterion 11 caps its windows:
+# characteristic 2, odd primes, odd extension fields, and GF(729), whose
+# array operations go through the Zech logarithms
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 243, 729])
+def test_batch_dets_match_the_scalar_and_cofactor_determinants(q):
+    fld = GF(q)
+    b = 1
+    while q ** (2 * b - 1) <= 1 << 12:
+        wins = list(itertools.product(range(q), repeat=2 * b - 1))
+        dets = toeplitz._batch_dets(fld, np.array(wins, dtype=fld.dtype))
+        assert dets.dtype == fld.dtype
+        dets = dets.tolist()
+        assert dets == [det_of_window(fld, w) for w in wins]
+        assert dets == [cofactor_det(fld, toeplitz_matrix(w)) for w in wins]
+        assert 0 in dets
+        if b > 1:
+            # a zero top-left entry makes a row swap, and some of those
+            # matrices are nonsingular
+            assert any(d and w[b - 1] == 0 for w, d in zip(wins, dets))
+        b += 1
+
+
 def test_elimination_inverts_only_pivots_with_rows_below():
     fld = GF(729)  # any field would do: the test counts calls to inv
     inverted = []
@@ -216,6 +239,32 @@ def test_window_dets_and_criterion():
     assert window_dets(XOR5, b=4, k=2) == []
     assert is_latin_by_windows(XOR5, b=4, k=2)
     assert not is_latin_by_windows(XOR5, k=5)
+
+
+@pytest.mark.parametrize("fld", [F2, F3, GF(4), GF(257)], ids=repr)
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_window_dets_match_the_scalar_path_on_both_sides(fld, b, monkeypatch):
+    rng = random.Random(fld.q * 10 + b)
+    limit = toeplitz._BATCH_MIN_WINDOWS
+    for n in (1, limit - 1, limit, limit + 1, 40):
+        k = n + 2
+        for _ in range(5):
+            # a third of the coefficients zero: singular windows and swaps
+            coeffs = [rng.randrange(fld.q) if rng.random() < 2 / 3 else 0
+                      for _ in range(b * (k - 1) - 1)]
+            rule = LinearRule(fld, b, k, coeffs)
+            want = [det_of_window(fld, w) for w in windows(rule)]
+            got = window_dets(rule)
+            assert got == want
+            assert all(type(d) is int for d in got)
+            if n < limit:
+                continue
+            # from the threshold on, the scalar path is not taken; a cap
+            # of b*b+1 cells puts one matrix in each batch
+            with monkeypatch.context() as patch:
+                patch.setattr(toeplitz, "det_of_window", None)
+                patch.setattr(toeplitz, "_BATCH_CELLS", b * b + 1)
+                assert window_dets(rule) == want
 
 
 @pytest.mark.parametrize("q,b,k", [(2, 2, 3), (3, 2, 3), (2, 1, 4)])
