@@ -29,6 +29,10 @@ Exit codes: 0 success, 1 a checked property is false (non-Latin rule),
 decimal strings.  LHCA_BUDGET overrides the default enumeration and
 entry budgets; --budget overrides both per run.  Sampling exits 3 when
 one line has more than 2^30 bytes of inputs, whatever the budget.
+Every budget bounds a power of q or of the out-degree, and each refusal
+is decided before any work, with no huge power built, by one exact test,
+errors.power_exceeds; the k >= 3 count keeps its bit estimate, which
+also bounds the k-3 steps of the walk count of count --verify.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .debruijn import (
     rule_from_path,
     unrank_path,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, power_exceeds
 from .field import GF
 from .hypercube import (
     DEFAULT_ENTRY_BUDGET,
@@ -93,21 +97,18 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 def _check_report(rule, args: argparse.Namespace) -> dict:
     """Shared by check and synth: criterion verdict, oracle verdict,
     fatal assert that they agree."""
-    fld = rule.field
-    report: dict = fld.short_json()
+    report = rule.to_json()
     if isinstance(rule, LinearRule):
-        b, k = rule.b, rule.k
-        report.update(b=b, k=k, coeffs=list(rule.coeffs))
         dets = window_dets(rule)
         report["windows"] = [{"det": d} for d in dets]
         latin = all(d != 0 for d in dets)
         if not latin:
             report["failing_window"] = 1 + dets.index(0)
         report["latin"] = latin
-        size = fld.q ** (b * k)
         verify = args.verify
         if verify is None:
-            verify = size <= args.entry_budget
+            verify = not power_exceeds(rule.field.q, rule.b * rule.k,
+                                       args.entry_budget)
         if verify:
             # a forced --verify above budget raises rather than running
             # unbounded; raise --budget to allow it
@@ -130,7 +131,6 @@ def _check_report(rule, args: argparse.Namespace) -> dict:
             report["oracle"] = "skipped"
         return report
     # general rules carry no window structure: the sweep is the verdict
-    report.update(d=rule.d, g_table=list(rule.g_table))
     report["latin"] = bool(is_latin(rule, budget=args.entry_budget))
     report["oracle"] = "oracle-only"
     return report
@@ -147,23 +147,23 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     fld = GF(args.q)
     q, b, k = fld.q, args.b, args.k
     formula = latin_hypercube_count(fld, b, k)
-    report = {**fld.short_json(), "b": b, "k": k,
-              "formula": _decimal(formula)}
     verify = args.verify
     if verify is None:
         # exhaustive space: q^(b(k-1)-1) linear rules, or the formula's
-        # bipermutive ones at k = 2, which only a sweep within the entry
-        # budget can check; the exponent guard avoids a huge integer
+        # bipermutive ones at k = 2, which only a sweep of their q^(2b)
+        # entries each within the entry budget can check
         if k >= 3:
-            exp = b * (k - 1) - 1
-            verify = exp <= 64 and q ** exp <= AUTO_VERIFY_RULES
+            verify = not power_exceeds(q, b * (k - 1) - 1, AUTO_VERIFY_RULES)
         else:
-            verify = (formula <= AUTO_VERIFY_RULES
-                      and formula * q ** (2 * b) <= args.entry_budget)
+            verify = (formula <= AUTO_VERIFY_RULES and not power_exceeds(
+                q, 2 * b, args.entry_budget // formula))
+    # a refused cross-check writes no digits of the formula
+    counts = (cross_check_count(fld, b, k, args.enum_budget,
+                                args.entry_budget, workers=args.workers)
+              if verify else {"formula": formula})
+    report = {**fld.short_json(), "b": b, "k": k,
+              **{name: _decimal(n) for name, n in counts.items()}}
     if verify:
-        counts = cross_check_count(fld, b, k, args.enum_budget,
-                                   args.entry_budget, workers=args.workers)
-        report.update((name, _decimal(n)) for name, n in counts.items())
         report["match"] = True
     return _json(report), 0
 
@@ -174,11 +174,8 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     q = fld.q
     # build_graph bounds the q^(2b-1) windows; edges are about q^b times
     # more.  Their closed form (q-1)^2 q^(3b-3) refuses a graph before it
-    # is built; an exponent 3b-3 past the budget's bit length refuses it
-    # without computing a huge power.  The out-degrees of a built graph
-    # stay the authority.
-    if (3 * b - 3 >= budget.bit_length()
-            or (q - 1) ** 2 * q ** (3 * b - 3) > budget):
+    # is built.  The out-degrees of a built graph stay the authority.
+    if power_exceeds(q, 3 * b - 3, budget // (q - 1) ** 2):
         raise BudgetExceededError(
             f"{q - 1}^2 * {q}^{3 * b - 3} edges exceed the enumeration "
             f"budget {budget}")

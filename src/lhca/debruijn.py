@@ -19,11 +19,10 @@ any fixed-width type.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, power_exceeds
 from .field import GF
 from .hypercube import DEFAULT_ENTRY_BUDGET, count_latin_rules, is_latin
 from .rules import (DEFAULT_INT_BITS, LinearRule, count_bipermutive_rules,
@@ -163,19 +162,6 @@ def count_paths(graph: DetGraph, length: int,
     return sum(weight)
 
 
-def _walks_per_vertex(graph: DetGraph, length: int,
-                      max_bits: int) -> int | None:
-    """D^length, the walks of ``length`` edges from each vertex (D the
-    out-degree), or None when it passes ``max_bits`` bits, refused by its
-    logarithm before a power above ``max_bits`` + 2 bits is built."""
-    if length < 0:
-        raise ValueError(f"walk length must be >= 0, got {length}")
-    if length * math.log2(max(graph.degree, 1)) <= max_bits + 1:
-        if (per_vertex := graph.degree ** length).bit_length() <= max_bits:
-            return per_vertex
-    return None
-
-
 def unrank_path(graph: DetGraph, length: int, index: int,
                 max_bits: int = DEFAULT_INT_BITS
                 ) -> tuple[tuple[int, ...], ...]:
@@ -189,11 +175,14 @@ def unrank_path(graph: DetGraph, length: int, index: int,
     division of the whole index.  BudgetExceededError when D^length
     passes ``max_bits`` bits, refused before any power that large is built.
     """
-    per_vertex = _walks_per_vertex(graph, length, max_bits)
-    if per_vertex is None:
+    if length < 0:
+        raise ValueError(f"walk length must be >= 0, got {length}")
+    # D^L >= 2^max_bits needs D^L > max_bits, a test with no big cap to build
+    if (power_exceeds(graph.degree, length, max_bits)
+            and power_exceeds(graph.degree, length, (1 << max_bits) - 1)):
         raise BudgetExceededError(
             f"walk count exceeds the {max_bits}-bit budget")
-    degree, total = graph.degree, len(graph.vertices) * per_vertex
+    degree, total = graph.degree, len(graph.vertices) * graph.degree ** length
     if not 0 <= index < total:
         raise ValueError(f"walk index {index} out of range for "
                          f"{len(graph.vertices)} * {degree}^{length} walks")
@@ -227,10 +216,13 @@ def enumerate_paths(graph: DetGraph, length: int,
     Raises BudgetExceededError up front when the V * D^length walks (V
     vertices of out-degree D) are more than ``budget``.
     """
-    per_vertex = _walks_per_vertex(graph, length, budget.bit_length())
-    if per_vertex is None or len(graph.vertices) * per_vertex > budget:
+    if length < 0:
+        raise ValueError(f"walk length must be >= 0, got {length}")
+    # V * D^L > budget exactly when D^L > budget // V
+    vertices = len(graph.vertices)
+    if vertices and power_exceeds(graph.degree, length, budget // vertices):
         raise BudgetExceededError(
-            f"{len(graph.vertices)} * {graph.degree}^{length} walks exceed "
+            f"{vertices} * {graph.degree}^{length} walks exceed "
             f"the enumeration budget {budget}")
 
     # an explicit stack, not recursion; successors pushed reversed pop in order
@@ -284,6 +276,7 @@ def latin_hypercube_count(field: GF, b: int, k: int,
     q = field.q
     if k == 2:
         return count_bipermutive_rules(field, b, max_bits)
+    # an estimate: an exact test admits q=2, b=1 (k-3 walk steps) at any k
     bits = (k - 2) * max(q - 1, 1).bit_length() + (k - 1) * (b - 1) * q.bit_length()
     if bits > max_bits:
         raise BudgetExceededError(
@@ -308,10 +301,10 @@ def cross_check_count(field: GF, b: int, k: int,
     if k >= 3:
         counts["paths"] = count_paths(build_graph(field, b, budget), k - 3,
                                       max_bits)
-        if q ** (b * (k - 1) - 1) * q ** (b * k) <= entry_budget:
+        if not power_exceeds(q, b * (k - 1) - 1 + b * k, entry_budget):
             counts["exhaustive"] = count_latin_rules(field, b, k, entry_budget,
                                                      workers)
-    elif formula * q ** (2 * b) > entry_budget:
+    elif power_exceeds(q, 2 * b, entry_budget // formula):
         raise BudgetExceededError(f"{q}^{q ** (b - 1)} rules x {q}^{2 * b} "
                                   f"entries exceeds budget {entry_budget}")
     else:

@@ -39,6 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import power_exceeds
+
 ORDER_CAP = 1 << 16
 TABLE_CAP = 256
 _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
@@ -154,9 +156,13 @@ class GF:
     def __init__(self, q: int | None = None, *, p: int | None = None,
                  m: int | None = None, poly: int | None = None):
         if q is not None:
+            if q > ORDER_CAP:  # factoring and primality tests grow with q
+                raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
             p, m = _factor_prime_power(q)
         elif p is None or m is None:
             raise ValueError("give either q or both p and m")
+        elif m >= 1 and power_exceeds(p, m, ORDER_CAP):
+            raise ValueError(f"field order {p}^{m} exceeds cap {ORDER_CAP}")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
@@ -164,8 +170,6 @@ class GF:
         self.p = p
         self.m = m
         self.q = p**m
-        if self.q > ORDER_CAP:
-            raise ValueError(f"field order {self.q} exceeds cap {ORDER_CAP}")
 
         if m == 1:
             self.poly = None

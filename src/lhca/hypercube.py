@@ -37,14 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, power_exceeds
 from .field import GF
 from .rules import (
-    GeneralBipermutiveRule,
-    LinearRule,
     Rule,
+    TableRule,
     apply_ca,
     apply_ca_batch,
+    block_structure,
     enumerate_linear_rules,
     rank_cells,
     unrank_cells,
@@ -70,34 +70,6 @@ def psi_inverse(cells: Sequence[int], q: int) -> int:
         if not 0 <= c < q:
             raise ValueError(f"cell value {c} out of range for q={q}")
     return rank_cells(cells, q) + 1
-
-
-def block_structure(rule: Rule, b: int | None = None,
-                    k: int | None = None) -> tuple[int, int]:
-    """Resolve the (block size, dimension) reading of a rule.
-
-    A rule of diameter d supports any splitting with b(k-1) = d-1.  Linear
-    rules default to their declared (b, k); other rules default to the
-    square reading b = d-1, k = 2.
-    """
-    span = rule.d - 1
-    if b is None and k is None:
-        if isinstance(rule, LinearRule):
-            return rule.b, rule.k
-        return span, 2
-    if b is None:
-        if k < 2 or span % (k - 1):
-            raise ValueError(
-                f"diameter {rule.d} does not split into k={k} blocks")
-        b = span // (k - 1)
-    elif k is None:
-        if b < 1 or span % b:
-            raise ValueError(
-                f"diameter {rule.d} does not split into blocks of size {b}")
-        k = span // b + 1
-    if b < 1 or k < 2 or b * (k - 1) != span:
-        raise ValueError(f"(b={b}, k={k}) inconsistent with diameter {rule.d}")
-    return b, k
 
 
 def entry(rule: Rule, idx: Sequence[int], b: int | None = None,
@@ -136,7 +108,7 @@ def _cube_shape(rule: Rule, b: int | None, k: int | None,
     """(b, k, N) of the cube; BudgetExceededError above ``budget`` entries."""
     b, k = block_structure(rule, b, k)
     N = rule.field.q**b
-    if N**k > budget:
+    if power_exceeds(N, k, budget):
         raise BudgetExceededError(
             f"cube with {N}^{k} entries exceeds budget {budget}")
     return b, k, N
@@ -324,11 +296,8 @@ def _layer_blocks(rule: Rule, b: int, k: int, N: int) -> Iterator[np.ndarray]:
 
 def _dump_header(rule: Rule, b: int, k: int) -> dict:
     out = {**rule.field.short_json(), "b": b, "k": k}
-    if isinstance(rule, LinearRule):
-        out["coeffs"] = list(rule.coeffs)
-    elif isinstance(rule, GeneralBipermutiveRule):
-        out["d"] = rule.d
-        out["g_table"] = list(rule.g_table)
+    if not isinstance(rule, TableRule):
+        out.update(kv for kv in rule.to_json().items() if kv[0] not in out)
     return out
 
 
@@ -422,10 +391,10 @@ def count_latin_rules(field: GF, b: int, k: int,
         raise ValueError(f"need b >= 1 and k >= 2, got b={b}, k={k}")
     q = field.q
     n = b * (k - 1) - 1
-    total = q**n
-    if total * q ** (b * k) > budget:
+    if power_exceeds(q, n + b * k, budget):
         raise BudgetExceededError(
             f"{q}^{n} rules x {q}^{b * k} entries exceeds budget {budget}")
+    total = q**n
     if workers:
         # more processes than CPUs only add start-up cost, and an
         # unbounded flag would let one command start thousands of them

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, power_exceeds
 from .field import GF
 
 DEFAULT_INT_BITS = 1 << 20
@@ -110,10 +110,9 @@ class GeneralBipermutiveRule:
         if self.d < 2:
             raise ValueError(f"diameter must be >= 2, got {self.d}")
         object.__setattr__(self, "g_table", tuple(self.g_table))
-        if len(self.g_table) != self.field.q ** (self.d - 2):
-            raise ValueError(
-                f"g table needs {self.field.q ** (self.d - 2)} entries, "
-                f"got {len(self.g_table)}")
+        q, n, e = self.field.q, len(self.g_table), self.d - 2
+        if power_exceeds(q, e, n) or q**e != n:
+            raise ValueError(f"g table needs {q}^{e} entries, got {n}")
         for v in self.g_table:
             self.field._check(v)
 
@@ -135,15 +134,42 @@ class TableRule:
         if self.d < 1:
             raise ValueError(f"diameter must be >= 1, got {self.d}")
         object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.field.q ** self.d:
-            raise ValueError(
-                f"value table needs {self.field.q ** self.d} entries, "
-                f"got {len(self.table)}")
+        q, n, d = self.field.q, len(self.table), self.d
+        if power_exceeds(q, d, n) or q**d != n:
+            raise ValueError(f"value table needs {q}^{d} entries, got {n}")
         for v in self.table:
             self.field._check(v)
 
 
 Rule = LinearRule | GeneralBipermutiveRule | TableRule
+
+
+def block_structure(rule: Rule, b: int | None = None,
+                    k: int | None = None) -> tuple[int, int]:
+    """Resolve the (block size, dimension) reading of a rule.
+
+    A rule of diameter d supports any splitting with b(k-1) = d-1.  Linear
+    rules default to their declared (b, k); other rules default to the
+    square reading b = d-1, k = 2.
+    """
+    span = rule.d - 1
+    if b is None and k is None:
+        if isinstance(rule, LinearRule):
+            return rule.b, rule.k
+        return span, 2
+    if b is None:
+        if k < 2 or span % (k - 1):
+            raise ValueError(
+                f"diameter {rule.d} does not split into k={k} blocks")
+        b = span // (k - 1)
+    elif k is None:
+        if b < 1 or span % b:
+            raise ValueError(
+                f"diameter {rule.d} does not split into blocks of size {b}")
+        k = span // b + 1
+    if b < 1 or k < 2 or b * (k - 1) != span:
+        raise ValueError(f"(b={b}, k={k}) inconsistent with diameter {rule.d}")
+    return b, k
 
 
 def rule_from_json(data: dict) -> LinearRule | GeneralBipermutiveRule:
@@ -299,11 +325,11 @@ def count_bipermutive_rules(field: GF, b: int,
     if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
     q = field.q
-    exponent = q ** (b - 1)
-    if exponent * q.bit_length() > max_bits:
+    if (power_exceeds(q, b - 1, max_bits)  # q^(q^(b-1)) >= 2^(max_bits+1)
+            or power_exceeds(q, q ** (b - 1), (1 << max_bits) - 1)):
         raise BudgetExceededError(
             f"q^(q^(b-1)) for q={q}, b={b} exceeds the {max_bits}-bit budget")
-    return q**exponent
+    return q ** (q ** (b - 1))
 
 
 def enumerate_linear_rules(field: GF, b: int, k: int) -> Iterator[LinearRule]:

@@ -39,10 +39,9 @@ import itertools
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, power_exceeds
 from .field import GF
-from .hypercube import block_structure
-from .rules import LinearRule, apply_ca
+from .rules import LinearRule, apply_ca, block_structure
 
 DEFAULT_SUPPORT_BUDGET = 1 << 20
 # matrix entries reduced at once by the batched elimination; its largest
@@ -66,8 +65,12 @@ def windows(rule: LinearRule, b: int | None = None,
     b, k = block_structure(rule, b, k)
     if k < 3:
         raise ValueError(f"windows need k >= 3, got k={k}")
-    return [tuple(rule.coeffs[b * (i - 1):b * (i - 1) + 2 * b - 1])
-            for i in range(1, k - 1)]
+    return [_window(rule, b, i) for i in range(1, k - 1)]
+
+
+def _window(rule: LinearRule, b: int, i: int) -> tuple[int, ...]:
+    """Window i (1-based): the 2b-1 interior coefficients from b(i-1)."""
+    return rule.coeffs[b * (i - 1):b * (i + 1) - 1]
 
 
 def toeplitz_matrix(window: Sequence[int], b: int | None = None) -> list[list[int]]:
@@ -238,7 +241,7 @@ def support_of_det(field: GF, b: int,
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
     q = field.q
-    if q ** (2 * b - 1) > budget:
+    if power_exceeds(q, 2 * b - 1, budget):
         raise BudgetExceededError(
             f"enumerating {q}^{2 * b - 1} windows exceeds budget {budget}")
     chunks = _det_chunks(field, (), 2 * b - 1)
@@ -271,7 +274,7 @@ def count_triangular_completions(field: GF, n: int,
         raise ValueError(f"expected {n - 1} fixed coefficients, got {len(lower)}")
     for v in lower:
         field._check(v)
-    if field.q ** n > DEFAULT_SUPPORT_BUDGET:
+    if power_exceeds(field.q, n, DEFAULT_SUPPORT_BUDGET):
         raise BudgetExceededError(f"enumerating {field.q}^{n} completions "
                                   f"exceeds budget {DEFAULT_SUPPORT_BUDGET}")
     return sum(int(np.count_nonzero(c))
@@ -334,7 +337,7 @@ def solve_middle_block(rule: LinearRule, i: int,
     cells = [c for blk in blocks for c in blk]
     base = apply_ca(rule, cells)
     rhs = [fld.sub(t, c) for t, c in zip(y, base)]
-    mat = toeplitz_matrix(windows(rule, b, k)[i - 1])
+    mat = toeplitz_matrix(_window(rule, b, i))
     block = tuple(solve_linear_system(fld, mat, rhs))
     blocks[i] = block
     assert apply_ca(rule, [c for blk in blocks for c in blk]) == tuple(y)

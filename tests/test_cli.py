@@ -1,8 +1,11 @@
 """End-to-end tests of the command line, driven through main()."""
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ import lhca.hypercube
 from lhca.cli import main, _parse_coeffs
 from lhca.field import GF
 from lhca.hypercube import dump_json, dump_text
-from lhca.rules import LinearRule
+from lhca.rules import GeneralBipermutiveRule, LinearRule
 
 
 def run(capsys, *argv):
@@ -72,6 +75,20 @@ def test_check_general_rule_file(capsys, tmp_path):
     assert code == 0
     assert report["latin"] is True
     assert report["oracle"] == "oracle-only"
+
+
+@pytest.mark.parametrize("rule", [
+    LinearRule(GF(p=3, m=2, poly=17), 1, 4, (2, 5)),
+    GeneralBipermutiveRule(GF(3), 3, (1, 0, 2)),
+], ids=["linear-gf9-poly17", "general"])
+def test_check_report_leads_with_the_rule_json(capsys, tmp_path, rule):
+    # rule JSON has one writer: the report starts with to_json(), in order
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(rule.to_json()))
+    code, report = run_json(capsys, "check", "--rule-file", str(path))
+    assert code == 0
+    assert list(report.items())[:len(rule.to_json())] == list(
+        rule.to_json().items())
 
 
 _LINEAR = {"q": 2, "b": 2, "k": 3, "coeffs": [0, 1, 0]}
@@ -551,6 +568,21 @@ def test_dump_is_written_block_by_block(monkeypatch, tmp_path, fmt, render):
 
 
 # ----------------------------------------------------------------- misc
+
+@pytest.mark.parametrize("argv,code", [
+    (["count", "--q", "3", "--b", "1000000000", "--k", "2"], 3),
+    (["synth", "--q", "3", "--b", "100000000", "--k", "3", "--index", "0"], 3),
+    (["count", "--q", "2305843009213693951", "--b", "1", "--k", "3"], 2),
+], ids=["count-huge-b", "synth-huge-b", "count-huge-q"])
+def test_power_sized_inputs_are_refused_at_once(argv, code):
+    # each of these ran past 10 s, building a power or factoring q
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(lhca.cli.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "lhca.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
+
 
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -117,6 +117,14 @@ def test_count_paths_golden():
         count_paths(g, -1)
 
 
+def test_walks_of_negative_length_are_a_value_error():
+    g = build_graph(F2, 2)
+    with pytest.raises(ValueError, match="walk length must be >= 0"):
+        unrank_path(g, -1, 0)
+    with pytest.raises(ValueError, match="walk length must be >= 0"):
+        next(enumerate_paths(g, -1))
+
+
 def test_count_paths_bit_budget():
     g = build_graph(F2, 2)
     with pytest.raises(BudgetExceededError):

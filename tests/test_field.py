@@ -2,6 +2,7 @@
 conventions, and error handling."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ def test_order_cap_enforced():
     assert 2**17 > ORDER_CAP
     with pytest.raises(ValueError):
         GF(p=2, m=17)
+
+
+def test_an_order_over_the_cap_is_refused_before_factoring():
+    # trial division of the prime 2^61 - 1 would run for hours
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        GF(2**61 - 1)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        GF(p=2**61 - 1, m=1)
+    with pytest.raises(ValueError, match=r"^field order 2\^1000000000 "):
+        GF(p=2, m=10**9)
+    assert time.perf_counter() - start < 2
+    # orders within the cap keep their own messages
+    with pytest.raises(ValueError, match="not a prime power"):
+        GF(6)
+    with pytest.raises(ValueError, match="characteristic 4 is not prime"):
+        GF(p=4, m=2)
 
 
 def test_out_of_range_elements_rejected(field):

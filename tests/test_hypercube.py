@@ -14,6 +14,7 @@ import random
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -472,18 +473,30 @@ def test_count_latin_rules_budget():
         count_latin_rules(F2, 1, 20000)
 
 
+def test_count_latin_rules_refuses_a_huge_space_at_once():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"^3\^99999998 rules x 3\^100000000 entries"):
+        count_latin_rules(F3, 1, 10**8)
+    assert time.perf_counter() - start < 2
+
+
 def test_sweep_never_imports_the_window_criterion():
-    # the line sweep is an independent oracle for the window criterion
-    tree = ast.parse(Path(lhca.hypercube.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
-    for name in imported:
-        assert not {"toeplitz", "debruijn"} & set(name.split(".")), name
+    # the line sweep and the window criterion check each other, so the two
+    # routes share only rules and field
+    for module, forbidden in (("hypercube", {"toeplitz", "debruijn"}),
+                              ("toeplitz", {"hypercube", "debruijn"})):
+        path = Path(lhca.hypercube.__file__).with_name(f"{module}.py")
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{a.name}"
+                                for a in node.names)
+        for name in imported:
+            assert not forbidden & set(name.split(".")), (module, name)
 
 
 def test_only_the_field_reads_its_tables():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,31 @@ def test_count_bipermutive_rules_budget():
         count_bipermutive_rules(F2, 25)
     # loose budget allows the same computation
     assert count_bipermutive_rules(F2, 25, max_bits=1 << 26) == 2 ** (2**24)
+
+
+def test_count_bipermutive_rules_is_exact_at_its_bit_budget():
+    # 3^(3^12) has 842 315 bits, within 2^20, though 3^12 * bits(3) is not
+    n = count_bipermutive_rules(F3, 13)
+    assert n.bit_length() == 842_315 and n == 3 ** (3**12)
+    with pytest.raises(BudgetExceededError):
+        count_bipermutive_rules(F3, 14)
+
+
+def test_count_bipermutive_rules_refuses_a_huge_exponent_at_once():
+    # 3^(10^8 - 1) alone would take longer than the test allows
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        count_bipermutive_rules(F3, 10**8)
+    assert time.perf_counter() - start < 2
+
+
+def test_a_short_table_is_refused_before_its_length_is_built():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"needs 3\^999999998 entries"):
+        GeneralBipermutiveRule(F3, 10**9, ())
+    with pytest.raises(ValueError, match=r"needs 3\^1000000000 entries"):
+        TableRule(F3, 10**9, (0,) * 4)
+    assert time.perf_counter() - start < 2
 
 
 def test_enumerate_linear_rules_lex():

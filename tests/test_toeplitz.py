@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -191,6 +192,15 @@ def test_elimination_inverts_only_pivots_with_rows_below():
 def test_support_budget():
     with pytest.raises(BudgetExceededError):
         support_of_det(F2, 12, budget=100)
+
+
+def test_support_refuses_a_huge_window_length_at_once():
+    # 3^(2 * 10^8 - 1) windows: refused by the exponent, no power built
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"^enumerating 3\^199999999 windows"):
+        support_of_det(F3, 10**8)
+    assert time.perf_counter() - start < 2
 
 
 def test_triangular_completions_budget():
