@@ -156,7 +156,7 @@ def test_order_cap_enforced():
 
 
 def test_an_order_over_the_cap_is_refused_before_factoring():
-    # trial division of the prime 2^61 - 1 would run for hours
+    # trial division of the prime 2^61 - 1 runs for minutes or more
     start = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds cap"):
         GF(2**61 - 1)
