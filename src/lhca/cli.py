@@ -31,8 +31,7 @@ entry budgets; --budget overrides both per run.  Sampling exits 3 when
 one line has more than 2^30 bytes of inputs, whatever the budget.
 Every budget bounds a power of q or of the out-degree, and each refusal
 is decided before any work, with no huge power built, by one exact test,
-errors.power_exceeds; the k >= 3 count keeps its bit estimate, which
-also bounds the k-3 steps of the walk count of count --verify.
+errors.power_exceeds, the k >= 3 count and its walk recount included.
 """
 
 from __future__ import annotations
@@ -147,23 +146,22 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     fld = GF(args.q)
     q, b, k = fld.q, args.b, args.k
     formula = latin_hypercube_count(fld, b, k)
-    verify = args.verify
-    if verify is None:
-        # exhaustive space: q^(b(k-1)-1) linear rules, or the formula's
-        # bipermutive ones at k = 2, which only a sweep of their q^(2b)
-        # entries each within the entry budget can check
-        if k >= 3:
-            verify = not power_exceeds(q, b * (k - 1) - 1, AUTO_VERIFY_RULES)
-        else:
-            verify = (formula <= AUTO_VERIFY_RULES and not power_exceeds(
-                q, 2 * b, args.entry_budget // formula))
-    # a refused cross-check writes no digits of the formula
-    counts = (cross_check_count(fld, b, k, args.enum_budget,
-                                args.entry_budget, workers=args.workers)
-              if verify else {"formula": formula})
+    # by default, recount a space of at most AUTO_VERIFY_RULES rules:
+    # q^(b(k-1)-1) linear ones, or the formula's bipermutive ones at k = 2
+    small = (not power_exceeds(q, b * (k - 1) - 1, AUTO_VERIFY_RULES)
+             if k >= 3 else formula <= AUTO_VERIFY_RULES)
+    counts = {"formula": formula}
+    if args.verify or args.verify is None and small:
+        try:
+            counts = cross_check_count(fld, b, k, args.enum_budget,
+                                       args.entry_budget, workers=args.workers)
+        except BudgetExceededError:
+            # decided before any work: only a forced --verify exits 3
+            if args.verify:
+                raise
     report = {**fld.short_json(), "b": b, "k": k,
               **{name: _decimal(n) for name, n in counts.items()}}
-    if verify:
+    if len(counts) > 1:
         report["match"] = True
     return _json(report), 0
 
@@ -198,12 +196,9 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError("give exactly one of --index or --all")
     fld = GF(args.q)
     g = build_graph(fld, args.b, args.enum_budget)
-    if args.all:
-        walks = enumerate_paths(g, args.k - 3, args.enum_budget)
-        rules = [rule_from_path(fld, w) for w in walks]
-    else:
-        walk = unrank_path(g, args.k - 3, args.index)
-        rules = [rule_from_path(fld, walk)]
+    walks = (enumerate_paths(g, args.k - 3, args.enum_budget) if args.all
+             else [unrank_path(g, args.k - 3, args.index)])
+    rules = [rule_from_path(fld, w) for w in walks]
     for rule in rules:
         report = _check_report(rule, args)
         assert report["latin"], f"synthesized rule {rule} failed validation"
@@ -217,16 +212,26 @@ def cmd_dump(args: argparse.Namespace) -> tuple[Iterator[str], int]:
 
 
 def _decimal(n: int) -> str:
-    """``str(n)`` with Python's digit limit lifted for this conversion
-    only; a count within the 2^20-bit budget has at most 315 653 digits."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+    """Decimal digits of a count n >= 0.  Past 1024 bits, where str(int) is
+    quadratic and may pass ``sys.get_int_max_str_digits()`` (640 at least),
+    n is split on powers of two into an exact Decimal, as CPython 3.12 does."""
+    if n.bit_length() <= 1024:
         return str(n)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    import decimal
+    from functools import cache
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        power = cache(decimal.Decimal(2).__pow__)  # each 2^w built once
+
+        def split(m, w):  # m < 2^w
+            if w <= 1024:
+                return decimal.Decimal(m)
+            half, hi = w >> 1, m >> (w >> 1)
+            return (split(m - (hi << half), half)
+                    + split(hi, w - half) * power(half))
+
+        return str(split(n, n.bit_length()))
 
 
 def _json(payload) -> str:

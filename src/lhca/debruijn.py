@@ -141,25 +141,19 @@ def count_paths(graph: DetGraph, length: int,
                 max_bits: int = DEFAULT_INT_BITS) -> int:
     """Number of walks with ``length`` edges; vertices may repeat.
 
-    Length 0 counts the vertices.  A check of the closed form, it iterates
-    vector-adjacency products in exact integers without the regularity.
-    Vertices with equal successor tuples (the classes that
-    :func:`build_graph` shares as one tuple each) have equal counts after
-    a step, so each step is one sum per class and one lookup per vertex;
-    grouping by tuple value costs O(edges) once per call.
+    Every vertex starts D^length walks, so there are V * D^length, V and
+    D read off the built graph: a graph with wrong windows or edges still
+    disagrees with the closed form.  BudgetExceededError when D^length
+    passes ``max_bits`` bits, refused before it is built.
     """
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
-    classes: dict[tuple[int, ...], int] = {}
-    of_vertex = [classes.setdefault(s, len(classes)) for s in graph.succ]
-    weight = [1] * len(graph.vertices)
-    for _ in range(length):
-        sums = [sum(map(weight.__getitem__, s)) for s in classes]
-        if sums and max(sums).bit_length() > max_bits:
-            raise BudgetExceededError(
-                f"walk count exceeds the {max_bits}-bit budget")
-        weight = list(map(sums.__getitem__, of_vertex))
-    return sum(weight)
+    # D^L >= 2^max_bits needs D^L > max_bits, a test with no big cap to build
+    if (power_exceeds(graph.degree, length, max_bits)
+            and power_exceeds(graph.degree, length, (1 << max_bits) - 1)):
+        raise BudgetExceededError(
+            f"walk count exceeds the {max_bits}-bit budget")
+    return len(graph.vertices) * graph.degree ** length
 
 
 def unrank_path(graph: DetGraph, length: int, index: int,
@@ -171,36 +165,21 @@ def unrank_path(graph: DetGraph, length: int, index: int,
     Each vertex starts D^length walks, D the out-degree, so the walk
     starts at vertex ``index // D**length`` and the base-D digits of the
     rest, most significant first, pick the successors; ``divmod`` takes
-    them least significant first, a word-sized chunk of digits per
-    division of the whole index.  BudgetExceededError when D^length
-    passes ``max_bits`` bits, refused before any power that large is built.
+    them in word-sized chunks, least significant first.  The total and its
+    refusal are :func:`count_paths`'s.
     """
-    if length < 0:
-        raise ValueError(f"walk length must be >= 0, got {length}")
-    # D^L >= 2^max_bits needs D^L > max_bits, a test with no big cap to build
-    if (power_exceeds(graph.degree, length, max_bits)
-            and power_exceeds(graph.degree, length, (1 << max_bits) - 1)):
-        raise BudgetExceededError(
-            f"walk count exceeds the {max_bits}-bit budget")
-    degree, total = graph.degree, len(graph.vertices) * graph.degree ** length
+    degree, total = graph.degree, count_paths(graph, length, max_bits)
     if not 0 <= index < total:
         raise ValueError(f"walk index {index} out of range for "
                          f"{len(graph.vertices)} * {degree}^{length} walks")
-    digits = []
-    if length:
-        # one big-int divmod per chunk of c digits, D**c < 2**30, then the
-        # chunk's digits from a small int: a division of the whole index
-        # per digit would make a random index cost O(length**2)
-        c = 30 // degree.bit_length()
-        base = degree ** c
-        whole, rest = divmod(length, c)
-        for _ in range(whole):
-            index, chunk = divmod(index, base)
-            for _ in range(c):
-                chunk, digit = divmod(chunk, degree)
-                digits.append(digit)
-        for _ in range(rest):
-            index, digit = divmod(index, degree)
+    # one big-int divmod per chunk of c digits, D**c < 2**30, then the
+    # chunk's digits from a small int: a division of the whole index per
+    # digit would make a random index cost O(length**2)
+    c, digits = 30 // max(degree, 1).bit_length(), []
+    for n in range(length, 0, -c):
+        index, chunk = divmod(index, degree ** min(n, c))
+        for _ in range(min(n, c)):
+            chunk, digit = divmod(chunk, degree)
             digits.append(digit)
     walk = [index]
     for digit in reversed(digits):
@@ -225,15 +204,26 @@ def enumerate_paths(graph: DetGraph, length: int,
             f"{vertices} * {graph.degree}^{length} walks exceed "
             f"the enumeration budget {budget}")
 
-    # an explicit stack, not recursion; successors pushed reversed pop in order
-    vs = graph.vertices
-    stack = [((vs[i],), i) for i in reversed(range(len(vs)))]
-    while stack:
-        walk, i = stack.pop()
-        if len(walk) == length + 1:
-            yield walk
-        else:
-            stack.extend((walk + (vs[j],), j) for j in reversed(graph.succ[i]))
+    vs, succ, last = graph.vertices, graph.succ, graph.degree - 1
+    if length and last < 0:
+        return
+    for start in range(len(vs)):
+        # an odometer over the L base-D digits, the last one fastest: each
+        # increment rewrites only the steps from the digit that changed
+        digits, at = [0] * length, [start] * (length + 1)
+        walk, t = [vs[start]] * (length + 1), 0
+        while True:
+            for s in range(t, length):
+                at[s + 1] = j = succ[at[s]][digits[s]]
+                walk[s + 1] = vs[j]
+            yield tuple(walk)
+            t = length - 1
+            while t >= 0 and digits[t] == last:
+                digits[t] = 0
+                t -= 1
+            if t < 0:
+                break
+            digits[t] += 1
 
 
 def rule_from_path(field: GF, path: Sequence[Sequence[int]]) -> LinearRule:
@@ -269,19 +259,21 @@ def latin_hypercube_count(field: GF, b: int, k: int,
 
     Closed form (q-1)^{k-2} q^{(k-1)(b-1)} over linear rules for k >= 3;
     for k = 2 every bipermutive rule qualifies, giving q^{q^{b-1}} counted
-    over all bipermutive rules.  :func:`cross_check_count` checks it.
+    over all bipermutive rules.  :func:`cross_check_count` checks it.  A
+    count over ``max_bits`` bits is refused before it is built.
     """
     if b < 1 or k < 2:
         raise ValueError(f"need b >= 1 and k >= 2, got b={b}, k={k}")
     q = field.q
     if k == 2:
         return count_bipermutive_rules(field, b, max_bits)
-    # an estimate: an exact test admits q=2, b=1 (k-3 walk steps) at any k
-    bits = (k - 2) * max(q - 1, 1).bit_length() + (k - 1) * (b - 1) * q.bit_length()
-    if bits > max_bits:
+    cap, e = (1 << max_bits) - 1, (k - 1) * (b - 1)
+    qe = 0 if power_exceeds(q, e, cap) else q**e
+    # (q-1)^(k-2) q^e > cap exactly when (q-1)^(k-2) > cap // q^e
+    if not qe or power_exceeds(q - 1, k - 2, cap // qe):
         raise BudgetExceededError(
             f"count for q={q}, b={b}, k={k} exceeds the {max_bits}-bit budget")
-    return (q - 1) ** (k - 2) * q ** ((k - 1) * (b - 1))
+    return (q - 1) ** (k - 2) * qe
 
 
 def cross_check_count(field: GF, b: int, k: int,
@@ -289,11 +281,12 @@ def cross_check_count(field: GF, b: int, k: int,
                       entry_budget: int = DEFAULT_ENTRY_BUDGET,
                       max_bits: int = DEFAULT_INT_BITS,
                       workers: int | None = None) -> dict[str, int]:
-    """The single count cross-check.  Returns the closed form ``formula``,
-    the walk count ``paths`` (k >= 3) and, when rules times cube entries
-    fit ``entry_budget``, the ``exhaustive`` sweep of every linear (k >= 3)
-    or bipermutive (k = 2) rule.  A mismatch fails an assertion; a k = 2
-    sweep over budget, the only check there, raises BudgetExceededError.
+    """The single count cross-check: the closed form ``formula``, the walk
+    count ``paths`` (k >= 3) of the graph built over ``support_of_det``
+    and, when rules times cube entries fit ``entry_budget``, the
+    ``exhaustive`` sweep of every linear (k >= 3) or bipermutive (k = 2)
+    rule.  A mismatch fails an assertion; a graph or k = 2 sweep over
+    budget raises BudgetExceededError before any work.
     """
     formula = latin_hypercube_count(field, b, k, max_bits=max_bits)
     counts = {"formula": formula}

@@ -1,7 +1,9 @@
 """End-to-end tests of the command line, driven through main()."""
 
+import decimal
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ import pytest
 
 import lhca.cli
 import lhca.hypercube
-from lhca.cli import main, _parse_coeffs
+from lhca.cli import main, _decimal, _parse_coeffs
 from lhca.field import GF
 from lhca.hypercube import dump_json, dump_text
 from lhca.rules import GeneralBipermutiveRule, LinearRule
@@ -294,6 +296,66 @@ def test_count_prints_counts_past_the_digit_limit(capsys, q, b, k,
     assert code == 0
     assert _from_decimal(report["formula"]) == 2 ** log2_count
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_count_prints_every_digit_near_the_bit_budget(capsys):
+    # 3^659998 has 1 046 052 bits of the 2^20 admitted, 314 900 digits;
+    # Decimal's own power is an independent route to the same digits
+    code, report = run_json(capsys, "count", "--q", "4", "--b", "1",
+                            "--k", "660000")
+    assert code == 0
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        assert report["formula"] == str(decimal.Decimal(3) ** 659998)
+
+
+def _decimal_cases():
+    rng = random.Random(2)
+    cases = [0, 1, 2, 9, 3 ** 20000, 7 ** 9000 - 1]
+    for j in [*range(700), 1232, 1233, 1234, 4299, 4300, 4301, 20000]:
+        cases += [10 ** j - 1, 10 ** j]
+    for w in [*range(1020, 1030), 2047, 2048, 2049, 4096, 60001]:
+        cases += [2 ** w - 1, 2 ** w, 2 ** w + 1, rng.getrandbits(w)]
+    return cases
+
+
+def test_decimal_matches_str():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in _decimal_cases():
+            assert _decimal(n) == str(n), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_count_recount_over_the_graph_budget_is_left_out(capsys):
+    # 2^5 rules pass the auto-verify cutoff, but not their 2^5 windows the
+    # budget of 16: by default the formula stands alone
+    argv = ("count", "--q", "2", "--b", "3", "--k", "3", "--budget", "16")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report == {"q": 2, "b": 3, "k": 3, "formula": "16"}
+    code, out, err = run(capsys, *argv, "--verify")
+    assert code == 3 and out == ""
+    assert err == "error: enumerating 2^5 windows exceeds budget 16\n"
+
+
+def test_count_square_over_the_sweep_budget_prints_the_formula(capsys):
+    code, out, _ = run(capsys, "count", "--q", "2", "--b", "2", "--k", "2",
+                       "--budget", "8")
+    assert code == 0
+    assert out == '{\n  "q": 2,\n  "b": 2,\n  "k": 2,\n  "formula": "4"\n}\n'
+
+
+def test_count_verifies_a_billion_dimensions_on_the_single_loop(capsys):
+    code, report = run_json(capsys, "count", "--q", "2", "--b", "1",
+                            "--k", "1000000000", "--verify")
+    assert code == 0
+    assert report == {"q": 2, "b": 1, "k": 10 ** 9, "formula": "1",
+                      "paths": "1", "match": True}
 
 
 def test_count_refusal_gives_the_count_as_a_power(capsys):
@@ -582,6 +644,19 @@ def test_power_sized_inputs_are_refused_at_once(argv, code):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+def test_synth_all_on_one_long_walk_is_linear_in_its_length():
+    # GF(2), b = 1 has one walk of each length; a walk that copied its
+    # prefix at every step took about 12 s (2-core VM, Python 3.11)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(lhca.cli.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "lhca.cli", "synth", "--q",
+                           "2", "--b", "1", "--k", "60003", "--all"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    [rule] = json.loads(proc.stdout)
+    assert rule["k"] == 60003 and set(rule["coeffs"]) == {1}
 
 
 def test_unknown_subcommand_exits_2(capsys):

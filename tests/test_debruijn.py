@@ -131,6 +131,33 @@ def test_count_paths_bit_budget():
         count_paths(g, 30, max_bits=10)
 
 
+@pytest.mark.parametrize("max_bits", [1, 8, 64, 1000])
+def test_walk_count_and_unranking_refuse_at_one_boundary(max_bits):
+    # D = 2: 2^(max_bits-1) walks per vertex fit max_bits bits, 2^max_bits
+    # do not; both refusals give the same message
+    g = build_graph(F2, 2)
+    message = f"^walk count exceeds the {max_bits}-bit budget$"
+    with pytest.raises(BudgetExceededError, match=message):
+        count_paths(g, max_bits, max_bits)
+    with pytest.raises(BudgetExceededError, match=message):
+        unrank_path(g, max_bits, 0, max_bits)
+    assert count_paths(g, max_bits - 1, max_bits) == 4 * 2 ** (max_bits - 1)
+    assert unrank_path(g, max_bits - 1, 0, max_bits) == ((0, 1, 0),) * max_bits
+
+
+def test_walks_on_the_single_loop_are_counted_without_stepping():
+    # V * D^L = 1 * 1^(10^9): an edge-by-edge count would take 10^9 steps
+    assert count_paths(build_graph(F2, 1), 10**9) == 1
+
+
+def test_a_graph_without_edges_has_only_walks_of_no_edges():
+    g = DetGraph(F2, 1, ((1,),), ((),))
+    assert g.degree == 0
+    assert count_paths(g, 0) == 1 and count_paths(g, 3) == 0
+    assert list(enumerate_paths(g, 0)) == [((1,),)]
+    assert list(enumerate_paths(g, 3)) == []
+
+
 def test_enumerate_paths_lex_and_complete():
     g = build_graph(F2, 2)
     walks = list(enumerate_paths(g, 1))
@@ -285,16 +312,25 @@ def _unshared(graph):
                     tuple(tuple(list(s)) for s in graph.succ))
 
 
-@pytest.mark.parametrize("graph,lengths", [
-    (_unshared(build_graph(F3, 2)), (0, 1, 2, 3)),
-    (_unshared(build_graph(F2, 3)), (0, 2, 4)),
-], ids=["q3b2-unshared", "q2b3-unshared"])
-def test_walk_counts_match_an_edge_by_edge_recurrence(graph, lengths):
+RECURRENCE_GRAPHS = [(3, 2), (2, 3), (2, 1), (3, 1), (4, 1), (2, 2), (4, 2)]
+
+
+@pytest.mark.parametrize("q,b", RECURRENCE_GRAPHS, ids=[
+    f"q{q}b{b}-unshared" for q, b in RECURRENCE_GRAPHS])
+def test_walk_counts_match_an_edge_by_edge_recurrence(q, b):
+    # no successor tuple is shared, so nothing leans on build_graph's
+    # classes; every length with V * D^L <= 4096 walks (up to 12 edges
+    # on the single-loop graph of D = 1)
+    graph = _unshared(build_graph(GF(q), b))
+    lengths = [n for n in range(13)
+               if len(graph.vertices) * graph.degree ** n <= 4096]
     for length in lengths:
         walks = _walks_edge_by_edge(graph, length)
         assert count_paths(graph, length) == len(walks)
-        assert [unrank_path(graph, length, i) for i in range(len(walks))] == [
-            tuple(graph.vertices[i] for i in w) for w in walks]
+        as_vertices = [tuple(graph.vertices[i] for i in w) for w in walks]
+        assert [unrank_path(graph, length, i)
+                for i in range(len(walks))] == as_vertices
+        assert list(enumerate_paths(graph, length)) == as_vertices
     for length in (10, 40):
         assert count_paths(graph, length) == _count_edge_by_edge(graph, length)
 
@@ -378,6 +414,26 @@ def test_count_bit_budget():
         latin_hypercube_count(F2, 2, 10**7, max_bits=1000)
     with pytest.raises(BudgetExceededError):
         latin_hypercube_count(F2, 30, 2, max_bits=1000)
+
+
+def test_count_bit_budget_admits_exactly_its_bits():
+    # GF(2), b = 2: 2^(k-1) rules, so 1000 bits hold k = 1000, not 1001
+    assert latin_hypercube_count(F2, 2, 1000, max_bits=1000) == 2**999
+    with pytest.raises(BudgetExceededError, match=(
+            "^count for q=2, b=2, k=1001 exceeds the 1000-bit budget$")):
+        latin_hypercube_count(F2, 2, 1001, max_bits=1000)
+    # 3^598 has 948 bits; two bits per factor of 3 would make it 1196
+    assert latin_hypercube_count(GF(4), 1, 600, max_bits=1000) == 3**598
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_count_refusal_is_the_exact_bit_length(q):
+    fld = GF(q)
+    for b, k in itertools.product((1, 2, 3), range(3, 40)):
+        n = (q - 1) ** (k - 2) * q ** ((k - 1) * (b - 1))
+        assert latin_hypercube_count(fld, b, k, n.bit_length()) == n
+        with pytest.raises(BudgetExceededError):
+            latin_hypercube_count(fld, b, k, n.bit_length() - 1)
 
 
 def test_graph_json_and_dot():
