@@ -3,7 +3,7 @@
 Subcommands:
   check  -- Latin verdict for one rule: per-window determinants plus,
             within budget, an independent brute-force line sweep.  The
-            two verdicts must agree; disagreement aborts the process.
+            two verdicts must agree; disagreement exits 4.
   count  -- number of Latin-generating rules for (q, b, k); --verify
             recounts by graph walks and, within budget, by sweeping
             every rule.
@@ -25,7 +25,8 @@ Flags by subcommand (any other flag is a usage error, exit 2):
   graph, dump   --format
 
 Exit codes: 0 success, 1 a checked property is false (non-Latin rule),
-2 usage or value error, 3 budget exceeded.  All counts are emitted as
+2 usage or value error, 3 budget exceeded, 4 two independent routes
+disagree (a bug in lhca; nothing is written).  All counts are emitted as
 decimal strings.  LHCA_BUDGET overrides the default enumeration and
 entry budgets; --budget overrides both per run.  Sampling exits 3 when
 one line has more than 2^30 bytes of inputs, whatever the budget.
@@ -51,7 +52,7 @@ from .debruijn import (
     rule_from_path,
     unrank_path,
 )
-from .errors import BudgetExceededError, power_exceeds
+from .errors import BudgetExceededError, CrossCheckError, power_exceeds
 from .field import GF
 from .hypercube import (
     DEFAULT_ENTRY_BUDGET,
@@ -95,7 +96,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _check_report(rule, args: argparse.Namespace) -> dict:
     """Shared by check and synth: criterion verdict, oracle verdict,
-    fatal assert that they agree."""
+    CrossCheckError when they disagree."""
     report = rule.to_json()
     if isinstance(rule, LinearRule):
         dets = window_dets(rule)
@@ -111,21 +112,19 @@ def _check_report(rule, args: argparse.Namespace) -> dict:
         if verify:
             # a forced --verify above budget raises rather than running
             # unbounded; raise --budget to allow it
-            sweep = is_latin(rule, budget=args.entry_budget)
-            assert bool(sweep) == latin, (
-                "window criterion and exhaustive line sweep disagree on "
-                f"{rule}; this is a bug, not an input problem")
+            if bool(is_latin(rule, budget=args.entry_budget)) != latin:
+                raise CrossCheckError(
+                    "window criterion and exhaustive line sweep disagree on "
+                    f"{rule}")
             report["oracle"] = "agree"
         elif args.seed is not None:
             sampled = check_random_lines(rule, n_lines=1000, seed=args.seed)
-            if not sampled:
-                assert not latin, (
+            if latin and not sampled:
+                raise CrossCheckError(
                     f"sampled counterexample {sampled} on a rule the window "
-                    "criterion calls Latin; this is a bug")
-                report["oracle"] = "sampled-agree"
-            else:
-                report["oracle"] = ("sampled-agree" if latin
-                                    else "sampled-inconclusive")
+                    "criterion calls Latin")
+            report["oracle"] = ("sampled-agree" if latin or not sampled
+                                else "sampled-inconclusive")
         else:
             report["oracle"] = "skipped"
         return report
@@ -200,15 +199,15 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
              else [unrank_path(g, args.k - 3, args.index)])
     rules = [rule_from_path(fld, w) for w in walks]
     for rule in rules:
-        report = _check_report(rule, args)
-        assert report["latin"], f"synthesized rule {rule} failed validation"
+        if not _check_report(rule, args)["latin"]:
+            raise CrossCheckError(f"synthesized rule {rule} failed validation")
     payload = [r.to_json() for r in rules]
     return _json(payload if args.all else payload[0]), 0
 
 
 def cmd_dump(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     rule = _load_rule(args)
-    return _dump_parts(rule, args.format, None, None, args.entry_budget), 0
+    return _dump_parts(rule, args.format, args.entry_budget), 0
 
 
 def _decimal(n: int) -> str:
@@ -302,6 +301,9 @@ def main(argv=None) -> int:
               else contextlib.nullcontext(sys.stdout)) as fh:
             # a dump's parts are evaluated one at a time, as they are written
             fh.writelines([payload] if isinstance(payload, str) else payload)
+    except CrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import BudgetExceededError, power_exceeds
+from .errors import BudgetExceededError, CrossCheckError, power_exceeds
 from .field import GF
 from .hypercube import DEFAULT_ENTRY_BUDGET, count_latin_rules, is_latin
 from .rules import (DEFAULT_INT_BITS, LinearRule, count_bipermutive_rules,
@@ -285,7 +285,7 @@ def cross_check_count(field: GF, b: int, k: int,
     count ``paths`` (k >= 3) of the graph built over ``support_of_det``
     and, when rules times cube entries fit ``entry_budget``, the
     ``exhaustive`` sweep of every linear (k >= 3) or bipermutive (k = 2)
-    rule.  A mismatch fails an assertion; a graph or k = 2 sweep over
+    rule.  A mismatch raises CrossCheckError; a graph or k = 2 sweep over
     budget raises BudgetExceededError before any work.
     """
     formula = latin_hypercube_count(field, b, k, max_bits=max_bits)
@@ -304,6 +304,7 @@ def cross_check_count(field: GF, b: int, k: int,
         counts["exhaustive"] = sum(
             bool(is_latin(r, budget=entry_budget))
             for r in enumerate_bipermutive_rules(field, b, max_bits))
-    assert all(n == formula for n in counts.values()), (
-        f"counts {counts} disagree for q={q}, b={b}, k={k}")
+    if any(n != formula for n in counts.values()):
+        raise CrossCheckError(
+            f"counts {counts} disagree for q={q}, b={b}, k={k}")
     return counts

@@ -6,6 +6,11 @@ class BudgetExceededError(RuntimeError):
     materialization, or big-integer budget instead of running unbounded."""
 
 
+class CrossCheckError(RuntimeError):
+    """Raised when two independent routes to one result disagree: a bug in
+    the library, not a problem with the input."""
+
+
 def power_exceeds(base: int, exp: int, cap: int) -> bool:
     """Exactly ``base**exp > cap`` (base, exp >= 0), never building a power
     of over twice ``cap``'s bits: base**exp >= 2**((bits(base) - 1) * exp)."""

@@ -1,11 +1,13 @@
 """Hypercubes of order q^b built by running a cellular automaton once.
 
-The cube of a rule read with parameters (b, k) is the k-dimensional array
+The cube of a rule with parameters (b, k) is the k-dimensional array
 of order N = q^b whose entry at (i_1, ..., i_k) is computed by encoding
 each 1-based index as a block of b cells (the base-q digits of i-1,
 leftmost cell least significant), concatenating the k blocks into a
 configuration of bk cells, applying the global map once, and decoding the
-b output cells back to an index.
+b output cells back to an index.  A rule is read with its own (b, k):
+a linear rule's declared pair, a general one's square b = d-1, k = 2.
+Only ``is_latin`` and ``check_random_lines`` take another reading.
 
 The array is Latin when every axis-parallel line hits every value exactly
 once.  ``is_latin`` verifies this by direct evaluation of every line, in
@@ -32,7 +34,7 @@ import os
 import random
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,6 @@ from .errors import BudgetExceededError, power_exceeds
 from .field import GF
 from .rules import (
     Rule,
-    TableRule,
     apply_ca,
     apply_ca_batch,
     block_structure,
@@ -72,10 +73,9 @@ def psi_inverse(cells: Sequence[int], q: int) -> int:
     return rank_cells(cells, q) + 1
 
 
-def entry(rule: Rule, idx: Sequence[int], b: int | None = None,
-          k: int | None = None) -> int:
+def entry(rule: Rule, idx: Sequence[int]) -> int:
     """The cube entry at the 1-based position idx = (i_1, ..., i_k)."""
-    b, k = block_structure(rule, b, k)
+    b, k = block_structure(rule)
     q = rule.field.q
     if len(idx) != k:
         raise ValueError(f"expected {k} indices, got {len(idx)}")
@@ -199,8 +199,7 @@ def _first_repeat(vals: np.ndarray) -> tuple[int, int] | None:
 
 
 def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
-             budget: int = DEFAULT_ENTRY_BUDGET,
-             axis_subset: Iterable[int] | None = None) -> LatinCheck:
+             budget: int = DEFAULT_ENTRY_BUDGET) -> LatinCheck:
     """Brute-force Latin test: evaluate every axis-parallel line and check
     each is a permutation of 1..N.
 
@@ -212,13 +211,9 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     Raises BudgetExceededError for cubes with more than ``budget`` entries.
     """
     b, k, N = _cube_shape(rule, b, k, budget)
-    axes = tuple(range(1, k + 1)) if axis_subset is None else tuple(axis_subset)
-    for a in axes:
-        if not 1 <= a <= k:
-            raise ValueError(f"axis {a} out of range 1..{k}")
     n_lines = N ** (k - 1)
     chunk = max(1, _BATCH_ROWS // N)
-    for axis in axes:
+    for axis in range(1, k + 1):
         for lo in range(0, n_lines, chunk):
             hi = min(lo + chunk, n_lines)
             inputs = _scan_inputs(rule.field, b, k, axis, lo, hi)
@@ -295,14 +290,10 @@ def _layer_blocks(rule: Rule, b: int, k: int, N: int) -> Iterator[np.ndarray]:
 
 
 def _dump_header(rule: Rule, b: int, k: int) -> dict:
-    out = {**rule.field.short_json(), "b": b, "k": k}
-    if not isinstance(rule, TableRule):
-        out.update(kv for kv in rule.to_json().items() if kv[0] not in out)
-    return out
+    return {**rule.field.short_json(), "b": b, "k": k, **rule.to_json()}
 
 
-def dump(rule: Rule, b: int | None = None, k: int | None = None,
-         budget: int = DEFAULT_ENTRY_BUDGET) -> dict:
+def dump(rule: Rule, budget: int = DEFAULT_ENTRY_BUDGET) -> dict:
     """All cube entries as nested lists, plus the rule parameters.
 
     ``layers`` holds one N x N block (rows i_1, columns i_2) for each
@@ -310,18 +301,17 @@ def dump(rule: Rule, b: int | None = None, k: int | None = None,
     (i_3, ..., i_k); a square has exactly one layer.  Entries are the
     1-based values.  The header records the field as rule JSON does.
     """
-    b, k, N = _cube_shape(rule, b, k, budget)
+    b, k, N = _cube_shape(rule, None, None, budget)
     layers = [layer for block in _layer_blocks(rule, b, k, N)
               for layer in (block + 1).tolist()]
     return {**_dump_header(rule, b, k), "layers": layers}
 
 
-def _dump_parts(rule: Rule, fmt: str, b: int | None, k: int | None,
-                budget: int) -> Iterator[str]:
+def _dump_parts(rule: Rule, fmt: str, budget: int) -> Iterator[str]:
     """:func:`dump_json` (``fmt`` "json") or :func:`dump_text` in parts, the
     budget checked at the call: each block of :func:`_layer_blocks`, the
     first after the head, rendered as one list of pieces and one ``join``."""
-    b, k, N = _cube_shape(rule, b, k, budget)
+    b, k, N = _cube_shape(rule, None, None, budget)
     names = [str(v) for v in range(1, N + 1)]
     if fmt == "json":
         # json.dumps(indent=2) opens layers at depth 2, rows at 3, entries 4
@@ -354,20 +344,18 @@ def _dump_parts(rule: Rule, fmt: str, b: int | None, k: int | None,
     return map(render, _layer_blocks(rule, b, k, N))
 
 
-def dump_text(rule: Rule, b: int | None = None, k: int | None = None,
-              budget: int = DEFAULT_ENTRY_BUDGET) -> str:
+def dump_text(rule: Rule, budget: int = DEFAULT_ENTRY_BUDGET) -> str:
     """Human-readable rendering of :func:`dump`: rows of right-justified
     entries; in a cube (k > 2) each layer is headed by ``z=i`` (k = 3) or
     ``layer a,b,...`` (k > 3), and a blank line parts the layers."""
-    return "".join(_dump_parts(rule, "text", b, k, budget))
+    return "".join(_dump_parts(rule, "text", budget))
 
 
-def dump_json(rule: Rule, b: int | None = None, k: int | None = None,
-              budget: int = DEFAULT_ENTRY_BUDGET) -> str:
+def dump_json(rule: Rule, budget: int = DEFAULT_ENTRY_BUDGET) -> str:
     """:func:`dump` as JSON: exactly ``json.dumps(dump(...), indent=2)``
     and a newline, with the layers written by one join per block instead
     of the encoder's one step per entry."""
-    return "".join(_dump_parts(rule, "json", b, k, budget))
+    return "".join(_dump_parts(rule, "json", budget))
 
 
 def _count_latin_range(args: tuple) -> int:

@@ -5,17 +5,16 @@ global map of a rule of diameter d sends a configuration of length n >= d
 to the length n-d+1 configuration obtained by evaluating the rule on every
 window of d consecutive cells.
 
-Three rule representations are supported:
+Two rule representations are supported, both bipermutive by construction:
 
 * ``LinearRule``       -- a linear combination of the window cells whose
   border coefficients are fixed to 1, stored as the d-2 interior
-  coefficients.  Parameterized by a block size b and dimension k with
-  d = b(k-1)+1; these drive the hypercube construction downstream.
+  coefficients.  Declared with a block size b and dimension k with
+  d = b(k-1)+1, which is the one reading of it everywhere downstream;
+  to read the same coefficients with another (b, k), build
+  ``LinearRule(field, b, k, rule.coeffs)``.
 * ``GeneralBipermutiveRule`` -- first cell, plus a table-backed function of
-  the d-2 interior cells, plus last cell.  Bipermutive by construction.
-* ``TableRule``        -- an arbitrary rule given by its full value table;
-  exists so that checks can be exercised against rules with no structural
-  guarantees at all.
+  the d-2 interior cells, plus last cell; read as a square, b = d-1, k = 2.
 
 Table indices follow the same convention used everywhere in this package:
 a tuple of cells (c_0, ..., c_{n-1}) has rank sum(c_i * q^i), i.e. the
@@ -121,27 +120,7 @@ class GeneralBipermutiveRule:
                 "g_table": list(self.g_table)}
 
 
-@dataclass(frozen=True)
-class TableRule:
-    """Arbitrary rule of diameter d given by its full value table
-    (q^d entries, indexed by window rank)."""
-
-    field: GF
-    d: int
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"diameter must be >= 1, got {self.d}")
-        object.__setattr__(self, "table", tuple(self.table))
-        q, n, d = self.field.q, len(self.table), self.d
-        if power_exceeds(q, d, n) or q**d != n:
-            raise ValueError(f"value table needs {q}^{d} entries, got {n}")
-        for v in self.table:
-            self.field._check(v)
-
-
-Rule = LinearRule | GeneralBipermutiveRule | TableRule
+Rule = LinearRule | GeneralBipermutiveRule
 
 
 def block_structure(rule: Rule, b: int | None = None,
@@ -215,10 +194,8 @@ def apply_rule(rule: Rule, window: Sequence[int]) -> int:
         for a, x in zip(rule.full_coeffs, window):
             acc = fld.add(acc, fld.mul(a, x))
         return acc
-    if isinstance(rule, GeneralBipermutiveRule):
-        g = rule.g_table[rank_cells(window[1:-1], fld.q)]
-        return fld.add(fld.add(window[0], g), window[-1])
-    return rule.table[rank_cells(window, fld.q)]
+    g = rule.g_table[rank_cells(window[1:-1], fld.q)]
+    return fld.add(fld.add(window[0], g), window[-1])
 
 
 def apply_ca(rule: Rule, cells: Sequence[int]) -> tuple[int, ...]:
@@ -267,26 +244,20 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
 
     width = n - d + 1
     cells = np.ascontiguousarray(inputs.T, dtype=fld.dtype)
-
-    def ranks(lo: int, hi: int) -> np.ndarray:
-        # rank of cells lo..hi-1 of every window, leftmost least significant
-        r = np.zeros((width, len(inputs)), dtype=np.intp)
-        for t in range(hi - 1, lo - 1, -1):
-            r *= fld.q
-            r += cells[t:t + width]
-        return r
-
     if isinstance(rule, LinearRule):
         coeffs = rule.full_coeffs
         live = [t for t, a in enumerate(coeffs) if a]
         out = fld.combine_array([coeffs[t] for t in live],
                                 [cells[t:t + width] for t in live])
-    elif isinstance(rule, GeneralBipermutiveRule):
-        # d = 2 has no interior cells: every rank is 0, g[0]
-        mid = fld.array(rule.g_table).take(ranks(1, d - 1))
-        out = fld.combine_array((1, 1, 1), (cells[:width], mid, cells[d - 1:]))
     else:
-        out = fld.array(rule.table).take(ranks(0, d))
+        # rank of the interior cells of every window, leftmost least
+        # significant; d = 2 has none: every rank is 0, g[0]
+        ranks = np.zeros((width, len(inputs)), dtype=np.intp)
+        for t in range(d - 2, 0, -1):
+            ranks *= fld.q
+            ranks += cells[t:t + width]
+        mid = fld.array(rule.g_table).take(ranks)
+        out = fld.combine_array((1, 1, 1), (cells[:width], mid, cells[d - 1:]))
     return out.T
 
 

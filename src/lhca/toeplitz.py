@@ -7,7 +7,9 @@ b x b Toeplitz matrix, window i is exactly the linear map from input block
 i+1 to the output block once all other blocks are fixed.  The cube of the
 rule is therefore Latin if and only if every window's matrix is
 nonsingular; ``hypercube.is_latin`` never looks at windows, so the two
-routes can be played against each other.
+routes can be played against each other.  Windows are read off a rule's
+declared (b, k); they are defined for linear rules only, and every
+function here that takes a rule raises TypeError for any other.
 
 Also here: exact determinants and linear solves over GF(q), which share
 one forward elimination, the support of the window determinant map, the
@@ -39,9 +41,9 @@ import itertools
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import BudgetExceededError, power_exceeds
+from .errors import BudgetExceededError, CrossCheckError, power_exceeds
 from .field import GF
-from .rules import LinearRule, apply_ca, block_structure
+from .rules import LinearRule, apply_ca
 
 DEFAULT_SUPPORT_BUDGET = 1 << 20
 # matrix entries reduced at once by the batched elimination; its largest
@@ -53,33 +55,30 @@ _BATCH_CELLS = 1 << 20
 _BATCH_MIN_WINDOWS = 8
 
 
-def windows(rule: LinearRule, b: int | None = None,
-            k: int | None = None) -> list[tuple[int, ...]]:
+def windows(rule: LinearRule) -> list[tuple[int, ...]]:
     """The k-2 interior windows of length 2b-1, in order.
 
     Consecutive windows overlap in b-1 coefficients.  Needs k >= 3; a
-    square reading has no middle block and hence no windows.
+    square has no middle block and hence no windows.
     """
     if not isinstance(rule, LinearRule):
         raise TypeError("windows are defined for linear rules only")
-    b, k = block_structure(rule, b, k)
-    if k < 3:
-        raise ValueError(f"windows need k >= 3, got k={k}")
-    return [_window(rule, b, i) for i in range(1, k - 1)]
+    if rule.k < 3:
+        raise ValueError(f"windows need k >= 3, got k={rule.k}")
+    return [_window(rule, i) for i in range(1, rule.k - 1)]
 
 
-def _window(rule: LinearRule, b: int, i: int) -> tuple[int, ...]:
+def _window(rule: LinearRule, i: int) -> tuple[int, ...]:
     """Window i (1-based): the 2b-1 interior coefficients from b(i-1)."""
-    return rule.coeffs[b * (i - 1):b * (i + 1) - 1]
+    return rule.coeffs[rule.b * (i - 1):rule.b * (i + 1) - 1]
 
 
-def toeplitz_matrix(window: Sequence[int], b: int | None = None) -> list[list[int]]:
+def toeplitz_matrix(window: Sequence[int]) -> list[list[int]]:
     """The b x b Toeplitz matrix of a window (c_1, ..., c_{2b-1}):
     row r is (c_{b-r+1}, ..., c_{2b-r}), so entry (r, s) is c_{b+s-r}."""
-    if b is None:
-        b = (len(window) + 1) // 2
-    if len(window) != 2 * b - 1:
-        raise ValueError(f"window length {len(window)} != 2b-1 for b={b}")
+    b, even = divmod(len(window) + 1, 2)
+    if even:
+        raise ValueError(f"window length {len(window)} is not odd")
     return [[window[b + s - r - 1] for s in range(b)] for r in range(b)]
 
 
@@ -127,23 +126,19 @@ def det_of_window(field: GF, window: Sequence[int]) -> int:
     return determinant(field, toeplitz_matrix(window))
 
 
-def window_dets(rule: LinearRule, b: int | None = None,
-                k: int | None = None) -> list[int]:
+def window_dets(rule: LinearRule) -> list[int]:
     """Determinant of each window's matrix, in window order; empty for a
-    square reading.
+    square.
 
     A rule with fewer than ``_BATCH_MIN_WINDOWS`` windows reduces them one
     at a time through :func:`det_of_window`; a longer one is sliced from
     its coefficients into one stack, reduced in batches of at most
     ``_BATCH_CELLS`` matrix entries."""
-    b, k = block_structure(rule, b, k)
-    if k == 2:
-        return []
-    if k - 2 < _BATCH_MIN_WINDOWS:
-        return [det_of_window(rule.field, w) for w in windows(rule, b, k)]
     if not isinstance(rule, LinearRule):
         raise TypeError("windows are defined for linear rules only")
-    fld = rule.field
+    b, k, fld = rule.b, rule.k, rule.field
+    if k - 2 < _BATCH_MIN_WINDOWS:
+        return [det_of_window(fld, _window(rule, i)) for i in range(1, k - 1)]
     coeffs = fld.array(rule.coeffs)
     if coeffs.max() >= fld.q:
         raise ValueError(f"coefficients {rule.coeffs} are not all elements "
@@ -158,11 +153,10 @@ def window_dets(rule: LinearRule, b: int | None = None,
             for d in _batch_dets(fld, wins[lo:lo + per_chunk]).tolist()]
 
 
-def is_latin_by_windows(rule: LinearRule, b: int | None = None,
-                        k: int | None = None) -> bool:
+def is_latin_by_windows(rule: LinearRule) -> bool:
     """Latin test through the algebraic criterion: every window
     nonsingular (vacuous for squares).  Constant time in the cube size."""
-    return all(d != 0 for d in window_dets(rule, b, k))
+    return all(d != 0 for d in window_dets(rule))
 
 
 def _batch_dets(field: GF, wins: np.ndarray) -> np.ndarray:
@@ -302,8 +296,7 @@ def solve_linear_system(field: GF, matrix: Sequence[Sequence[int]],
 
 def solve_middle_block(rule: LinearRule, i: int,
                        fixed_blocks: Sequence[Sequence[int]],
-                       y: Sequence[int], b: int | None = None,
-                       k: int | None = None) -> tuple[int, ...]:
+                       y: Sequence[int]) -> tuple[int, ...]:
     """The unique block i+1 making the global map output equal y.
 
     ``fixed_blocks`` gives the other k-1 blocks of b cells each, in block
@@ -311,12 +304,13 @@ def solve_middle_block(rule: LinearRule, i: int,
     inverts, 1 <= i <= k-2.  Because the global map is linear, the output
     decomposes as the fixed blocks' contribution plus window i's matrix
     applied to the unknown block, so one linear solve recovers it; the
-    result is re-verified by applying the map.  ValueError when the
-    window is singular.
+    result is re-verified by applying the map, and CrossCheckError
+    reports a block that misses y.  ValueError when the window is
+    singular.
     """
     if not isinstance(rule, LinearRule):
         raise TypeError("middle-block solving needs a linear rule")
-    b, k = block_structure(rule, b, k)
+    b, k = rule.b, rule.k
     if not 1 <= i <= k - 2:
         raise ValueError(f"window index {i} out of range 1..{k - 2}")
     if len(fixed_blocks) != k - 1:
@@ -337,8 +331,10 @@ def solve_middle_block(rule: LinearRule, i: int,
     cells = [c for blk in blocks for c in blk]
     base = apply_ca(rule, cells)
     rhs = [fld.sub(t, c) for t, c in zip(y, base)]
-    mat = toeplitz_matrix(_window(rule, b, i))
+    mat = toeplitz_matrix(_window(rule, i))
     block = tuple(solve_linear_system(fld, mat, rhs))
     blocks[i] = block
-    assert apply_ca(rule, [c for blk in blocks for c in blk]) == tuple(y)
+    if apply_ca(rule, [c for blk in blocks for c in blk]) != tuple(y):
+        raise CrossCheckError(f"solved block {block} of {rule} does not "
+                              f"map to {tuple(y)}")
     return block

@@ -41,6 +41,17 @@ def every_modulus(q: int):
             continue
 
 
+# fields whose every modulus the central cross-checks run under
+MODULUS_ORDERS = [4, 8, 9, 16, 25, 27]
+
+
+def central_points(q: int) -> list[tuple[int, int]]:
+    """(b, k) points small enough to sweep every linear rule of GF(q)
+    under each of its moduli: (1, 3), (1, 4) up to q = 9, and (2, 3) at
+    q = 4."""
+    return [(1, 3)] + [(1, 4)] * (q <= 9) + [(2, 3)] * (q == 4)
+
+
 def unrank_by_suffix_counts(graph, length: int, index: int):
     """Walk number ``index`` of the lexicographic walk enumeration, each
     vertex chosen by the counts of the walks that continue from it; uses

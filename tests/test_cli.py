@@ -646,6 +646,48 @@ def test_power_sized_inputs_are_refused_at_once(argv, code):
     assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
+# each probe breaks one route of a cross-check, then runs the command
+_BROKEN_ROUTES = {
+    "sweep": ("lhca.cli.is_latin = lambda rule, **kw: LatinCheck(False)",
+              ["check", "--q", "2", "--b", "1", "--k", "3", "--coeffs", "1",
+               "--verify"]),
+    "walks": ("paths = lhca.debruijn.count_paths\n"
+              "lhca.debruijn.count_paths = lambda *a: paths(*a) + 1",
+              ["count", "--q", "3", "--b", "1", "--k", "4", "--verify"]),
+}
+
+
+@pytest.mark.parametrize("patch,argv", _BROKEN_ROUTES.values(),
+                         ids=_BROKEN_ROUTES)
+def test_a_cross_check_that_fails_exits_4_under_python_O(patch, argv):
+    # python -O strips assert statements, which once let both probes exit 0
+    code = ("import sys, lhca.cli, lhca.debruijn\n"
+            "from lhca.hypercube import LatinCheck\n"
+            f"{patch}\nsys.exit(lhca.cli.main({argv!r}))")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(lhca.cli.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_sampled_and_synth_cross_checks_exit_4(capsys, monkeypatch):
+    check = ("check", "--q", "2", "--b", "2", "--k", "3", "--coeffs", "0,1,0")
+    synth = ("synth", "--q", "2", "--b", "2", "--k", "3", "--index", "0")
+    with monkeypatch.context() as patch:
+        # a sampled counterexample on a rule the windows call Latin
+        patch.setattr(lhca.cli, "check_random_lines",
+                      lambda rule, **kw: lhca.hypercube.LatinCheck(False))
+        code, out, err = run(capsys, *check, "--no-verify", "--seed", "1")
+        assert (code, out) == (4, "") and "sampled counterexample" in err
+    # a synthesized rule that the window criterion rejects
+    monkeypatch.setattr(lhca.cli, "window_dets", lambda rule: [0])
+    code, out, err = run(capsys, *synth, "--no-verify")
+    assert (code, out) == (4, "") and "failed validation" in err
+
+
 def test_synth_all_on_one_long_walk_is_linear_in_its_length():
     # GF(2), b = 1 has one walk of each length; a walk that copied its
     # prefix at every step took about 12 s (2-core VM, Python 3.11)

@@ -13,7 +13,8 @@ import tracemalloc
 
 import pytest
 
-from helpers import every_modulus, unrank_by_divmod, unrank_by_suffix_counts
+from helpers import (MODULUS_ORDERS, central_points, every_modulus,
+                     unrank_by_divmod, unrank_by_suffix_counts)
 from lhca.debruijn import (
     DetGraph,
     build_graph,
@@ -387,6 +388,16 @@ def test_counting_theorem_small_cases():
     assert cross_check_count(F3, 2, 4)["formula"] == 108
     assert cross_check_count(F2, 3, 3)["formula"] == 16
     assert cross_check_count(GF(4), 2, 3)["formula"] == 48
+
+
+@pytest.mark.parametrize("q", MODULUS_ORDERS)
+def test_counts_agree_under_every_modulus(q):
+    # cross_check_count raises CrossCheckError on any mismatch
+    for fld in every_modulus(q):
+        for b, k in [(1, 2), *central_points(q)]:
+            counts = cross_check_count(fld, b, k)
+            routes = {"formula", "exhaustive"} | ({"paths"} if k >= 3 else set())
+            assert set(counts) == routes, (fld, b, k)
 
 
 def test_square_count_verify_sweeps_within_budget():

@@ -8,12 +8,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import cofactor_det, every_modulus, mat_vec
+from helpers import (MODULUS_ORDERS, central_points, cofactor_det,
+                     every_modulus, mat_vec)
 from lhca import toeplitz
-from lhca.errors import BudgetExceededError
+from lhca.errors import BudgetExceededError, CrossCheckError
 from lhca.field import GF
 from lhca.hypercube import entry, is_latin, psi, psi_inverse
-from lhca.rules import GeneralBipermutiveRule, LinearRule, apply_ca
+from lhca.rules import (GeneralBipermutiveRule, LinearRule, apply_ca,
+                        enumerate_linear_rules)
 from lhca.toeplitz import (
     count_nonsingular_toeplitz,
     count_triangular_completions,
@@ -43,10 +45,11 @@ def test_windows_overlap_and_values():
     ws = windows(LONG9)
     for left, right in zip(ws, ws[1:]):
         assert left[-1:] == right[:1]
-    assert windows(XOR5, k=5) == [(0,), (1,), (0,)]
+    assert windows(LinearRule(F2, 1, 5, XOR5.coeffs)) == [(0,), (1,), (0,)]
     assert windows(LinearRule(F2, 1, 4, (1, 1))) == [(1,), (1,)]
     with pytest.raises(ValueError):
-        windows(XOR5, b=4, k=2)    # squares have no middle block
+        # squares have no middle block
+        windows(LinearRule(F2, 4, 2, XOR5.coeffs))
     with pytest.raises(TypeError):
         windows(GeneralBipermutiveRule(F2, 3, (0, 1)))
 
@@ -60,9 +63,10 @@ def test_toeplitz_matrix_layout():
         [0, 1, 0],
         [1, 0, 1],
     ]
-    assert toeplitz_matrix((5,), b=1) == [[5]]
-    with pytest.raises(ValueError):
-        toeplitz_matrix((1, 0), b=2)
+    assert toeplitz_matrix((5,)) == [[5]]
+    for even in ((), (1, 0), (1, 0, 1, 0)):
+        with pytest.raises(ValueError):
+            toeplitz_matrix(even)
 
 
 def test_determinant_known_values():
@@ -245,10 +249,16 @@ def test_window_dets_and_criterion():
     flat = LinearRule(F2, 2, 3, (0, 0, 0))
     assert window_dets(flat) == [0]
     assert not is_latin_by_windows(flat)
-    # square readings have no windows to fail
-    assert window_dets(XOR5, b=4, k=2) == []
-    assert is_latin_by_windows(XOR5, b=4, k=2)
-    assert not is_latin_by_windows(XOR5, k=5)
+    # squares have no windows to fail
+    assert window_dets(LinearRule(F2, 4, 2, XOR5.coeffs)) == []
+    assert is_latin_by_windows(LinearRule(F2, 4, 2, XOR5.coeffs))
+    assert not is_latin_by_windows(LinearRule(F2, 1, 5, XOR5.coeffs))
+    # general rules have no windows, squares included, as windows() says
+    for d in (2, 3, 5):
+        gen = GeneralBipermutiveRule(F2, d, (0,) * 2 ** (d - 2))
+        for criterion in (window_dets, is_latin_by_windows):
+            with pytest.raises(TypeError):
+                criterion(gen)
 
 
 @pytest.mark.parametrize("fld", [F2, F3, GF(4), GF(257)], ids=repr)
@@ -284,6 +294,14 @@ def test_criterion_agrees_with_brute_force(q, b, k):
     for coeffs in itertools.product(range(q), repeat=n):
         rule = LinearRule(fld, b, k, coeffs)
         assert bool(is_latin(rule)) == is_latin_by_windows(rule)
+
+
+@pytest.mark.parametrize("q", MODULUS_ORDERS)
+def test_criterion_agrees_with_brute_force_under_every_modulus(q):
+    for fld in every_modulus(q):
+        for b, k in central_points(q):
+            for rule in enumerate_linear_rules(fld, b, k):
+                assert bool(is_latin(rule)) == is_latin_by_windows(rule), rule
 
 
 def test_solve_linear_system_round_trip():
@@ -351,3 +369,11 @@ def test_solve_middle_block_errors():
     with pytest.raises(TypeError):
         solve_middle_block(GeneralBipermutiveRule(F2, 5, tuple([0] * 8)),
                            1, [(0, 0), (1, 0)], (1, 1))
+
+
+def test_solve_middle_block_rechecks_its_block(monkeypatch):
+    # a solver that returns a wrong block is caught by the re-applied map
+    monkeypatch.setattr(toeplitz, "solve_linear_system",
+                        lambda fld, mat, rhs: [fld.add(rhs[0], 1), *rhs[1:]])
+    with pytest.raises(CrossCheckError, match="does not map to"):
+        solve_middle_block(XOR5, 1, [(0, 0), (1, 0)], (1, 1))
