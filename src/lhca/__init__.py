@@ -54,7 +54,6 @@ from .rules import (
 from .toeplitz import (
     DEFAULT_SUPPORT_BUDGET,
     count_nonsingular_toeplitz,
-    count_triangular_completions,
     determinant,
     det_of_window,
     is_latin_by_windows,
@@ -104,7 +103,6 @@ __all__ = [
     "is_latin_by_windows",
     "support_of_det",
     "count_nonsingular_toeplitz",
-    "count_triangular_completions",
     "solve_linear_system",
     "solve_middle_block",
     "DEFAULT_SUPPORT_BUDGET",

@@ -15,7 +15,8 @@ Subcommands:
 
 Flags by subcommand (any other flag is a usage error, exit 2):
   all five      --q, --b, --budget, --out
-  check, dump   --k and a rule: --coeffs inline or --rule-file as JSON
+  check, dump   --k and a rule: --coeffs inline or --rule-file as JSON,
+                whose field and (b, k) a --q, --b or --k may only repeat
   count, synth  --k
   check, synth  --verify (line sweep on or off), --seed (1000 lines
                 drawn from random.Random(seed), in batches, when the
@@ -60,7 +61,7 @@ from .hypercube import (
     check_random_lines,
     is_latin,
 )
-from .rules import LinearRule, rule_from_json
+from .rules import LinearRule, block_structure, rule_from_json
 from .toeplitz import DEFAULT_SUPPORT_BUDGET, window_dets
 
 BUDGET_ENV = "LHCA_BUDGET"
@@ -80,7 +81,14 @@ def _load_rule(args: argparse.Namespace):
         if coeffs is not None:
             raise ValueError("give either --rule-file or --coeffs, not both")
         with open(args.rule_file) as fh:
-            return rule_from_json(json.load(fh))
+            rule = rule_from_json(json.load(fh))
+        b, k = block_structure(rule)
+        # a flag may repeat the file's reading, never contradict it
+        for name, value in (("q", rule.field.q), ("b", b), ("k", k)):
+            if getattr(args, name) not in (None, value):
+                raise ValueError(f"--{name} {getattr(args, name)} contradicts "
+                                 f"the rule file's {name} = {value}")
+        return rule
     if coeffs is None:
         raise ValueError("need --rule-file or --coeffs")
     if args.q is None or args.b is None or args.k is None:
@@ -177,7 +185,7 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
             f"{q - 1}^2 * {q}^{3 * b - 3} edges exceed the enumeration "
             f"budget {budget}")
     g = build_graph(fld, b, budget)
-    edges = sum(g.out_degrees())
+    edges = len(g.vertices) * g.degree
     if edges > budget:
         raise BudgetExceededError(
             f"{edges} edges exceed the enumeration budget {budget}")

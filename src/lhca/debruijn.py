@@ -13,14 +13,23 @@ The graph is regular, every out-degree D = (q-1) q^(b-1), and
 walks of L edges, and a walk is unranked from the base-D digits of its
 index, with no table of walk counts however long it is.
 
+The vertices come sorted from ``support_of_det``, so the windows that
+start with one (b-1)-prefix, its D nonsingular completions, are one
+contiguous run, found by bisection.  That run is the successor set of
+every vertex that ends in the prefix, held as one shared ``range``, and
+a vertex's own index is a bisection too.
+
 Everything here uses plain Python integers; the counts grow far beyond
 any fixed-width type.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError, CrossCheckError, power_exceeds
 from .field import GF
@@ -49,22 +58,21 @@ def fuse(u: Sequence[int], v: Sequence[int],
 class DetGraph:
     """The de Bruijn graph on nonsingular windows for one (q, b).
 
-    ``vertices`` is lexicographically sorted; ``succ`` holds, per vertex,
-    the sorted indices of its successors.  Every vertex has the same
-    out-degree ``degree``; ValueError otherwise.
+    ``vertices`` is strictly increasing in lexicographic order; ``succ``
+    holds, per vertex, the sorted indices of its successors.  Every vertex
+    has the same out-degree ``degree``.  ValueError otherwise.
     """
 
     field: GF
     b: int
     vertices: tuple[tuple[int, ...], ...]
-    succ: tuple[tuple[int, ...], ...]
-    _index: dict = dataclass_field(repr=False, hash=False, compare=False,
-                                   default_factory=dict)
+    succ: tuple[Sequence[int], ...]
 
     def __post_init__(self):
+        if not all(map(operator.lt, self.vertices, self.vertices[1:])):
+            raise ValueError("vertices are not strictly increasing")
         if len(set(map(len, self.succ))) > 1:
             raise ValueError("out-degrees differ; the window graph is regular")
-        self._index.update((v, i) for i, v in enumerate(self.vertices))
 
     @property
     def degree(self) -> int:
@@ -72,10 +80,11 @@ class DetGraph:
         return len(self.succ[0]) if self.succ else 0
 
     def index(self, vertex: Sequence[int]) -> int:
-        try:
-            return self._index[tuple(vertex)]
-        except KeyError:
-            raise ValueError(f"{tuple(vertex)} is not a vertex") from None
+        vertex = tuple(vertex)
+        i = bisect.bisect_left(self.vertices, vertex)
+        if i == len(self.vertices) or self.vertices[i] != vertex:
+            raise ValueError(f"{vertex} is not a vertex")
+        return i
 
     def successors(self, vertex: Sequence[int]) -> list[tuple[int, ...]]:
         return [self.vertices[j] for j in self.succ[self.index(vertex)]]
@@ -122,18 +131,18 @@ def build_graph(field: GF, b: int,
                 budget: int = DEFAULT_SUPPORT_BUDGET) -> DetGraph:
     """Graph over the nonsingular windows of length 2b-1.
 
-    The successors of a vertex depend only on its last b-1 coefficients,
-    so the vertices fall into successor classes, one per such suffix, and
-    every vertex of a class holds the same successor tuple object: one
-    tuple per class, not one copy per vertex.
+    The support is sorted, so the windows headed by each (b-1)-prefix are
+    one run, bounded by bisection.  A vertex's successors are the run
+    headed by its last b-1 coefficients, and every vertex ending in that
+    prefix holds the same ``range`` object: one per run, not one copy per
+    vertex.
     """
     supp = support_of_det(field, b, budget)
-    heads: dict[tuple[int, ...], list[int]] = {}
-    for j, v in enumerate(supp):
-        heads.setdefault(v[:b - 1], []).append(j)
-    shared = {head: tuple(js) for head, js in heads.items()}
+    heads = list(itertools.product(range(field.q), repeat=b - 1))
+    bounds = [bisect.bisect_left(supp, h) for h in heads] + [len(supp)]
+    runs = dict(zip(heads, map(range, bounds, bounds[1:])))
     # at b = 1 every head and suffix is (): the complete digraph, loops too
-    succ = tuple(shared.get(u[len(u) - (b - 1):], ()) for u in supp)
+    succ = tuple(runs[u[b:]] for u in supp)
     return DetGraph(field, b, tuple(supp), succ)
 
 

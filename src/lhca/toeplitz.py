@@ -12,8 +12,7 @@ declared (b, k); they are defined for linear rules only, and every
 function here that takes a rule raises TypeError for any other.
 
 Also here: exact determinants and linear solves over GF(q), which share
-one forward elimination, the support of the window determinant map, the
-count of nonsingular completions of a partially specified window, and
+one forward elimination, the support of the window determinant map, and
 the solver that recovers a middle block from a target output.
 
 Single matrices go through the scalar elimination ``_eliminate``, which
@@ -21,20 +20,20 @@ is also the reference the batch below is tested against.  Stacks of
 windows go through ``_batch_dets``, which runs the same elimination on
 all of them at once, with every field operation one of the field's array
 operations, in chunks of at most ``_BATCH_CELLS`` matrix entries, and
-returns their determinants.  The two exhaustive enumerations,
-``support_of_det`` and ``count_triangular_completions``, reduce all q^n
-windows this way, and ``window_dets`` reduces the k-2 windows of a rule
-this way once there are at least ``_BATCH_MIN_WINDOWS`` = 8 of them;
-shorter rules take ``det_of_window`` one window at a time.  Up to 16
-windows the batch's cost is nearly all fixed, about 25 us at b = 1, 75 us
-at b = 2, 130 us at b = 3 and 250 us at b = 6 on a 2-vCPU Xeon virtual
-machine, while the scalar path costs about 5, 10, 20 and 70 us per
-window, so the two cross between 4 and 8 windows.
+returns their determinants.  The exhaustive enumeration,
+``support_of_det``, reduces all q^(2b-1) windows this way, and
+``window_dets`` reduces the k-2 windows of a rule this way once there
+are at least ``_BATCH_MIN_WINDOWS`` = 8 of them; shorter rules take
+``det_of_window`` one window at a time.  Up to 16 windows the batch's
+cost is nearly all fixed, about 25 us at b = 1, 75 us at b = 2, 130 us
+at b = 3 and 250 us at b = 6 on a 2-vCPU Xeon virtual machine, while the
+scalar path costs about 5, 10, 20 and 70 us per window, so the two cross
+between 4 and 8 windows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 import functools
 import itertools
 
@@ -209,39 +208,30 @@ def _batch_dets(field: GF, wins: np.ndarray) -> np.ndarray:
     return field.mul_array(dets, field.inv_array(scale))
 
 
-def _det_chunks(field: GF, prefix: Sequence[int],
-                free: int) -> Iterator[np.ndarray]:
-    """For each window ``prefix + rest``, rest running over GF(q)^free in
-    lexicographic order, the determinant of its Toeplitz matrix, as
-    consecutive chunks of a bounded size, each reduced in one batch."""
-    q, prefix = field.q, tuple(prefix)
-    total = q ** free
-    width = len(prefix) + free
-    b = (width + 1) // 2
-    per_chunk = max(1, _BATCH_CELLS // (b * b))
-    for lo in range(0, total, per_chunk):
-        rest = np.arange(lo, min(lo + per_chunk, total))
-        wins = np.empty((len(rest), width), dtype=field.dtype)
-        wins[:, :len(prefix)] = prefix
-        for j in range(width - 1, len(prefix) - 1, -1):
-            rest, wins[:, j] = np.divmod(rest, q)
-        yield _batch_dets(field, wins)
-
-
 def support_of_det(field: GF, b: int,
                    budget: int = DEFAULT_SUPPORT_BUDGET) -> list[tuple[int, ...]]:
     """All windows in GF(q)^{2b-1} with nonsingular matrix, in
-    lexicographic order."""
+    lexicographic order.
+
+    The q^(2b-1) windows are reduced in consecutive chunks of lexicographic
+    ranks, each chunk in one batch of at most ``_BATCH_CELLS`` matrix
+    entries; BudgetExceededError when the windows pass ``budget``."""
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
-    q = field.q
-    if power_exceeds(q, 2 * b - 1, budget):
+    q, width = field.q, 2 * b - 1
+    if power_exceeds(q, width, budget):
         raise BudgetExceededError(
-            f"enumerating {q}^{2 * b - 1} windows exceeds budget {budget}")
-    chunks = _det_chunks(field, (), 2 * b - 1)
+            f"enumerating {q}^{width} windows exceeds budget {budget}")
+    total, per_chunk = q ** width, max(1, _BATCH_CELLS // (b * b))
+    nonsingular = bytearray()  # one 0/1 byte per window, in rank order
+    for lo in range(0, total, per_chunk):
+        rank = np.arange(lo, min(lo + per_chunk, total))
+        wins = np.empty((len(rank), width), dtype=field.dtype)
+        for j in range(width - 1, -1, -1):
+            rank, wins[:, j] = np.divmod(rank, q)
+        nonsingular += (_batch_dets(field, wins) != 0).tobytes()
     return list(itertools.compress(
-        itertools.product(range(q), repeat=2 * b - 1),
-        itertools.chain.from_iterable((c != 0).tolist() for c in chunks)))
+        itertools.product(range(q), repeat=width), nonsingular))
 
 
 def count_nonsingular_toeplitz(field: GF, b: int) -> int:
@@ -251,28 +241,6 @@ def count_nonsingular_toeplitz(field: GF, b: int) -> int:
         raise ValueError(f"need b >= 1, got {b}")
     q = field.q
     return (q - 1) * q ** (2 * (b - 1))
-
-
-def count_triangular_completions(field: GF, n: int,
-                                 lower: Sequence[int]) -> int:
-    """Completions of a window whose first n-1 coefficients are fixed.
-
-    ``lower`` fills the part of an n x n Toeplitz matrix strictly below
-    the diagonal; the remaining n coefficients are exhausted and the
-    nonsingular outcomes counted.  BudgetExceededError when the q^n
-    completions pass the support budget, as in :func:`support_of_det`.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if len(lower) != n - 1:
-        raise ValueError(f"expected {n - 1} fixed coefficients, got {len(lower)}")
-    for v in lower:
-        field._check(v)
-    if power_exceeds(field.q, n, DEFAULT_SUPPORT_BUDGET):
-        raise BudgetExceededError(f"enumerating {field.q}^{n} completions "
-                                  f"exceeds budget {DEFAULT_SUPPORT_BUDGET}")
-    return sum(int(np.count_nonzero(c))
-               for c in _det_chunks(field, lower, n))
 
 
 def solve_linear_system(field: GF, matrix: Sequence[Sequence[int]],

@@ -22,7 +22,7 @@ from lhca import (
     build_graph,
     count_latin_rules,
     count_paths,
-    count_triangular_completions,
+    det_of_window,
     determinant,
     entry,
     enumerate_bipermutive_rules,
@@ -203,8 +203,18 @@ def test_criterion_08_triangular_completions(capsys):
             fld = GF(q)
             for n in (2, 3, 4):
                 expected = (q - 1) * q ** (n - 1)
+                # the lower part is a window's first n-1 coefficients, and
+                # it heads the successor run of each vertex ending in it
+                g = build_graph(fld, n)
+                runs = {v[n:]: s for v, s in zip(g.vertices, g.succ)}
                 for lower in itertools.product(range(q), repeat=n - 1):
-                    assert count_triangular_completions(fld, n, lower) == expected
+                    scalar = sum(
+                        det_of_window(fld, lower + rest) != 0
+                        for rest in itertools.product(range(q), repeat=n))
+                    assert scalar == expected, f"{lower} at q={q} n={n}"
+                    run = runs[lower]
+                    assert len(run) == expected, f"{lower} at q={q} n={n}"
+                    assert all(g.vertices[j][:n - 1] == lower for j in run)
 
 
 def test_criterion_09_latin_square_corollary(capsys):

@@ -123,6 +123,42 @@ def test_check_rejects_rule_file_plus_coeffs(capsys, tmp_path):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("command", ["check", "dump"])
+@pytest.mark.parametrize("flags", [
+    ["--q", "3", "--b", "2", "--k", "5"],
+    ["--q", "3"],
+    ["--b", "2"],
+    ["--k", "5"],
+    ["--q", "2", "--b", "1", "--k", "4"],
+], ids=["all-three", "q", "b", "k", "only-k"])
+def test_rule_file_refuses_a_contradicting_flag(capsys, tmp_path, command,
+                                                flags):
+    # the file's GF(2), b=1, k=3 rule is never read another way
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"q": 2, "b": 1, "k": 3, "coeffs": [1]}))
+    code, out, err = run(capsys, command, *flags, "--rule-file", str(path))
+    assert code == 2
+    assert out == "" and "contradicts the rule file" in err
+
+
+@pytest.mark.parametrize("command", ["check", "dump"])
+def test_rule_file_accepts_flags_that_match(capsys, tmp_path, command):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"q": 2, "b": 1, "k": 3, "coeffs": [1]}))
+    alone = run(capsys, command, "--rule-file", str(path))
+    assert alone[0] == 0 and alone[1]
+    assert run(capsys, command, "--q", "2", "--b", "1", "--k", "3",
+               "--rule-file", str(path)) == alone
+    # a general rule of diameter 3 reads as a square: b = 2, k = 2
+    path.write_text(json.dumps({"q": 3, "d": 3, "g_table": [1, 0, 2]}))
+    alone = run(capsys, command, "--rule-file", str(path))
+    assert alone[0] == 0
+    assert run(capsys, command, "--q", "3", "--b", "2", "--k", "2",
+               "--rule-file", str(path)) == alone
+    code, out, _ = run(capsys, command, "--k", "3", "--rule-file", str(path))
+    assert code == 2 and out == ""
+
+
 def test_check_missing_rule_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "--q", "2")
     assert code == 2

@@ -70,6 +70,46 @@ def test_golden_graph():
         g.successors((0, 0, 0))
 
 
+# every pair (u, v) with fuse(u, v, b-1) is an edge: the definition, not
+# the runs build_graph bisects for
+EDGE_POINTS = [(2, 1), (3, 2), (2, 3), (4, 2), (2, 4), (5, 2), (4, 1), (8, 1),
+               (8, 2), (9, 1), (9, 2)]
+
+
+@pytest.mark.parametrize("q,b", EDGE_POINTS)
+def test_edges_are_the_overlapping_vertex_pairs(q, b):
+    for fld in every_modulus(q):
+        g = build_graph(fld, b)
+        assert g.edges() == [(u, v) for u in g.vertices for v in g.vertices
+                             if fuse(u, v, b - 1) is not None]
+
+
+@pytest.mark.parametrize("q,b", [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4)])
+def test_index_finds_every_vertex_and_refuses_the_rest(q, b):
+    g = build_graph(GF(q), b)
+    vs = g.vertices
+    assert [g.index(v) for v in vs] == list(range(len(vs)))
+    assert g.index(list(vs[-1])) == len(vs) - 1
+    # all zeros, all q-1 (rank 1 for b >= 2) and the least window headed
+    # by (1, 0, ..., 0), strictly lower triangular: singular all three
+    below, above = (0,) * (2 * b - 1), (q - 1,) * (2 * b - 1)
+    gap = (1,) + (0,) * (2 * b - 2)
+    assert below < vs[0] and vs[-1] < above
+    assert any(u < gap < v and u[:b - 1] != v[:b - 1]
+               for u, v in zip(vs, vs[1:]))
+    for window in (below, above, gap):
+        with pytest.raises(ValueError, match="is not a vertex"):
+            g.index(window)
+
+
+def test_unsorted_or_repeated_vertices_are_refused():
+    g = build_graph(F2, 2)
+    a, b, c, d = g.vertices
+    for vertices in [(b, a, c, d), (a, b, d, c), (a, a, c, d), (a, b, c, c)]:
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            DetGraph(F2, 2, vertices, g.succ)
+
+
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (2, 1), (3, 1)] + [
     (q, b) for q in (4, 8, 9, 16, 25, 27) for b in (1, 2)])
 def test_graph_is_regular(q, b):
@@ -280,7 +320,7 @@ def test_unranking_a_long_walk_stays_small():
 
 
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
-def test_build_graph_shares_one_successor_tuple_per_suffix(q, b):
+def test_build_graph_shares_one_successor_run_per_suffix(q, b):
     g = build_graph(GF(q), b)
     by_suffix = {}
     for v, s in zip(g.vertices, g.succ):
@@ -319,9 +359,9 @@ RECURRENCE_GRAPHS = [(3, 2), (2, 3), (2, 1), (3, 1), (4, 1), (2, 2), (4, 2)]
 @pytest.mark.parametrize("q,b", RECURRENCE_GRAPHS, ids=[
     f"q{q}b{b}-unshared" for q, b in RECURRENCE_GRAPHS])
 def test_walk_counts_match_an_edge_by_edge_recurrence(q, b):
-    # no successor tuple is shared, so nothing leans on build_graph's
-    # classes; every length with V * D^L <= 4096 walks (up to 12 edges
-    # on the single-loop graph of D = 1)
+    # each vertex gets its own successor tuple, so nothing leans on
+    # build_graph's shared runs; every length with V * D^L <= 4096 walks
+    # (up to 12 edges on the single-loop graph of D = 1)
     graph = _unshared(build_graph(GF(q), b))
     lengths = [n for n in range(13)
                if len(graph.vertices) * graph.degree ** n <= 4096]

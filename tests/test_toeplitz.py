@@ -18,7 +18,6 @@ from lhca.rules import (GeneralBipermutiveRule, LinearRule, apply_ca,
                         enumerate_linear_rules)
 from lhca.toeplitz import (
     count_nonsingular_toeplitz,
-    count_triangular_completions,
     det_of_window,
     determinant,
     is_latin_by_windows,
@@ -132,6 +131,22 @@ def _scalar_support(fld, b):
             if det_of_window(fld, w) != 0]
 
 
+def _completions(fld, lower):
+    """Nonsingular windows among the q^n completions of a lower part of
+    n-1 coefficients, one scalar determinant each."""
+    n = len(lower) + 1
+    return [lower + rest for rest in itertools.product(range(fld.q), repeat=n)
+            if det_of_window(fld, lower + rest) != 0]
+
+
+def _support_run(supp, lower):
+    """The windows of the sorted support headed by ``lower``, checked to
+    be one contiguous run."""
+    at = [i for i, w in enumerate(supp) if w[:len(lower)] == lower]
+    assert at == list(range(at[0], at[0] + len(at)))
+    return supp[at[0]:at[0] + len(at)]
+
+
 @pytest.mark.parametrize("fld,b", [
     *[(F2, b) for b in range(1, 6)],
     *[(F3, b) for b in range(1, 4)],
@@ -151,11 +166,10 @@ def test_support_matches_the_scalar_determinants(fld, b):
 def test_enumerations_span_many_chunks(fld, b, monkeypatch):
     # a cap of 7 entries puts one 2x2 matrix, or seven 1x1, in each chunk
     monkeypatch.setattr(toeplitz, "_BATCH_CELLS", 7)
-    assert support_of_det(fld, b) == _scalar_support(fld, b)
+    supp = support_of_det(fld, b)
+    assert supp == _scalar_support(fld, b)
     for lower in [(0,) * (b - 1), (1,) * (b - 1)]:
-        expect = sum(1 for rest in itertools.product(range(fld.q), repeat=b)
-                     if det_of_window(fld, lower + rest) != 0)
-        assert count_triangular_completions(fld, b, lower) == expect
+        assert _support_run(supp, lower) == _completions(fld, lower)
 
 
 # every window with q^(2b-1) <= 2^12, as criterion 11 caps its windows:
@@ -207,38 +221,26 @@ def test_support_refuses_a_huge_window_length_at_once():
     assert time.perf_counter() - start < 2
 
 
-def test_triangular_completions_budget():
-    # 256^5 = 2^40 completions are refused before any is enumerated
-    with pytest.raises(BudgetExceededError):
-        count_triangular_completions(GF(256), 5, [0] * 4)
-    with pytest.raises(BudgetExceededError):
-        count_triangular_completions(F2, 21, [0] * 20)
-    # 1024^2 = 2^20 completions are the most the support budget admits
-    assert count_triangular_completions(GF(1024), 2, [0]) == 1023 * 1024
-
-
 def test_triangular_completions_q2_n2():
-    assert count_triangular_completions(F2, 2, (0,)) == 2
-    assert count_triangular_completions(F2, 2, (1,)) == 2
-    # explicit survivors for the zero prefix: diagonal must be nonzero
-    ok = [rest for rest in itertools.product(range(2), repeat=2)
-          if det_of_window(F2, (0,) + rest) != 0]
-    assert ok == [(1, 0), (1, 1)]
+    # the zero lower part needs a nonzero diagonal
+    assert _completions(F2, (0,)) == [(0, 1, 0), (0, 1, 1)]
+    assert _completions(F2, (1,)) == [(1, 0, 1), (1, 1, 0)]
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_triangular_completions_closed_form(q, n):
     fld = GF(q)
     expect = (q - 1) * q ** (n - 1)
+    supp = support_of_det(fld, n)
     for lower in itertools.product(range(q), repeat=n - 1):
-        assert count_triangular_completions(fld, n, lower) == expect
+        assert len(_completions(fld, lower)) == expect
+        assert len(_support_run(supp, lower)) == expect
 
 
 def test_triangular_completions_agree_with_support():
     supp = support_of_det(F2, 2)
     for lower in [(0,), (1,)]:
-        from_support = sum(1 for w in supp if w[:1] == lower)
-        assert count_triangular_completions(F2, 2, lower) == from_support
+        assert _support_run(supp, lower) == _completions(F2, lower)
 
 
 def test_window_dets_and_criterion():
