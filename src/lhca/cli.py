@@ -14,9 +14,11 @@ Subcommands:
   dump   -- all cube entries (text or json).
 
 Flags by subcommand (any other flag is a usage error, exit 2):
-  all five      --q, --b, --budget, --out
+  all five      --q, --poly (the field's modulus, as GF(q, poly=...)
+                takes it), --b, --budget, --out
   check, dump   --k and a rule: --coeffs inline or --rule-file as JSON,
-                whose field and (b, k) a --q, --b or --k may only repeat
+                whose field and (b, k) a --q, --poly, --b or --k may
+                only repeat
   count, synth  --k
   check, synth  --verify (line sweep on or off), --seed (1000 lines
                 drawn from random.Random(seed), in batches, when the
@@ -88,12 +90,16 @@ def _load_rule(args: argparse.Namespace):
             if getattr(args, name) not in (None, value):
                 raise ValueError(f"--{name} {getattr(args, name)} contradicts "
                                  f"the rule file's {name} = {value}")
+        if (args.poly is not None
+                and GF(rule.field.q, poly=args.poly) != rule.field):
+            raise ValueError(f"--poly {args.poly} contradicts the rule "
+                             f"file's field {rule.field!r}")
         return rule
     if coeffs is None:
         raise ValueError("need --rule-file or --coeffs")
     if args.q is None or args.b is None or args.k is None:
         raise ValueError("inline rules need --q, --b and --k")
-    return LinearRule(GF(args.q), args.b, args.k, coeffs)
+    return LinearRule(GF(args.q, poly=args.poly), args.b, args.k, coeffs)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -150,7 +156,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     _require(args, "q", "b", "k")
-    fld = GF(args.q)
+    fld = GF(args.q, poly=args.poly)
     q, b, k = fld.q, args.b, args.k
     formula = latin_hypercube_count(fld, b, k)
     # by default, recount a space of at most AUTO_VERIFY_RULES rules:
@@ -175,7 +181,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     _require(args, "q", "b")
-    fld, b, budget = GF(args.q), args.b, args.enum_budget
+    fld, b, budget = GF(args.q, poly=args.poly), args.b, args.enum_budget
     q = fld.q
     # build_graph bounds the q^(2b-1) windows; edges are about q^b times
     # more.  Their closed form (q-1)^2 q^(3b-3) refuses a graph before it
@@ -201,7 +207,7 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
                          "walk-generated")
     if args.all == (args.index is not None):
         raise ValueError("give exactly one of --index or --all")
-    fld = GF(args.q)
+    fld = GF(args.q, poly=args.poly)
     g = build_graph(fld, args.b, args.enum_budget)
     walks = (enumerate_paths(g, args.k - 3, args.enum_budget) if args.all
              else [unrank_path(g, args.k - 3, args.index)])
@@ -267,6 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
 
     add("--q", every, type=int, help="field order (prime power)")
+    add("--poly", every, type=int,
+        help="integer encoding of the field's modulus (default: the "
+             "smallest irreducible one)")
     add("--b", every, type=int, help="block size")
     add("--k", (check, count, synth, dumps), type=int,
         help="hypercube dimension")

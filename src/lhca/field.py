@@ -12,14 +12,16 @@ Every field, up to ``ORDER_CAP``, computes in one log domain: ``exp`` and
 ``log`` of a primitive element g make a product a sum of logarithms, and
 Zech logarithms, Z(n) = log(1 + g^n), make a sum one too, since
 a + b = a (1 + b/a).  The scalar operations index these as Python lists.
-The vectorized operations (``add_array``, ``mul_array``, ...) gather from
-q x q lookup tables (``add_table``, ``mul_table``) for q <= 256, where
-those fit, and from the same exp/log/Zech vectors above.  A pair's index
-into a table, x*q + y, is at most q^2 - 1 = 65 535, so it is built as
-``uint16``.  In characteristic 2 array addition gathers nothing at any q:
-digits add modulo 2, so the sum of two encodings is their XOR.  Vector
-elements have the dtype ``dtype``: ``uint8`` up to q = 256, ``uint16``
-above.
+A scalar sum of products, ``dot``, stays in the log domain from term to
+term and checks no element: the scalar global map checks a configuration
+once and then sums each window of a linear rule with it.  The vectorized
+operations (``add_array``, ``mul_array``, ...) gather from q x q lookup
+tables (``add_table``, ``mul_table``) for q <= 256, where those fit, and
+from the same exp/log/Zech vectors above.  A pair's index into a table,
+x*q + y, is at most q^2 - 1 = 65 535, so it is built as ``uint16``.  In
+characteristic 2 array addition gathers nothing at any q: digits add
+modulo 2, so the sum of two encodings is their XOR.  Vector elements have
+the dtype ``dtype``: ``uint8`` up to q = 256, ``uint16`` above.
 
 A linear combination of element arrays with constant coefficients,
 ``combine_array``, is reduced once, in one of three ways:
@@ -35,7 +37,7 @@ A linear combination of element arrays with constant coefficients,
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -227,6 +229,12 @@ class GF:
         self._exp, self._log, self._zech = (exp.tolist(), log.tolist(),
                                             zech.tolist())
 
+    @cached_property
+    def _log_exp(self) -> list[int]:
+        """log exp[i] for every index i of ``exp``: i mod (q-1) below
+        2(q-1), the log 0 sentinel above; built at the first :meth:`dot`."""
+        return self._logs.take(self._exps).tolist()
+
     def _primitive_powers(self) -> np.ndarray:
         """g^0, g^1, ..., g^(q-2) as integers, for the smallest element g
         whose powers run through every nonzero element.
@@ -282,6 +290,19 @@ class GF:
         self._check(a)
         self._check(b)
         return self._exp[self._log[a] + self._log[b]]
+
+    def dot(self, coeffs, cells) -> int:
+        """The sum of a * x over paired elements of ``coeffs`` and
+        ``cells``, unchecked, as one fold in the log domain: each product
+        is a sum of logarithms and each partial sum a Zech step, both
+        brought back to a logarithm by ``_log_exp``."""
+        log, log_exp, zech, zero = (self._log, self._log_exp, self._zech,
+                                    self._zero_log)
+        acc = zero
+        for a, x in zip(coeffs, cells):
+            t = log_exp[log[a] + log[x]]
+            acc = log_exp[acc + zech[t - acc + zero]]
+        return self._exp[acc]
 
     def inv(self, a: int) -> int:
         self._check(a)

@@ -179,32 +179,42 @@ def rule_from_json(data: dict) -> LinearRule | GeneralBipermutiveRule:
 
 
 def _check_cells(field: GF, cells: Sequence[int]) -> None:
+    q = field.q
     for c in cells:
-        field._check(c)
+        if not 0 <= c < q:  # a call per cell costs more than the test
+            field._check(c)
 
 
-def apply_rule(rule: Rule, window: Sequence[int]) -> int:
-    """Evaluate the rule on one window of exactly d cells."""
+def _evaluate(rule: Rule, window: Sequence[int]) -> int:
+    """The rule on d cells already checked to be elements."""
     fld = rule.field
-    if len(window) != rule.d:
-        raise ValueError(f"window length {len(window)} != diameter {rule.d}")
-    _check_cells(fld, window)
     if isinstance(rule, LinearRule):
-        acc = 0
-        for a, x in zip(rule.full_coeffs, window):
-            acc = fld.add(acc, fld.mul(a, x))
-        return acc
+        return fld.dot(rule.full_coeffs, window)
     g = rule.g_table[rank_cells(window[1:-1], fld.q)]
     return fld.add(fld.add(window[0], g), window[-1])
 
 
+def apply_rule(rule: Rule, window: Sequence[int]) -> int:
+    """Evaluate the rule on one window of exactly d cells, each checked to
+    be an element; a linear rule is one :meth:`GF.dot` in the log domain."""
+    if len(window) != rule.d:
+        raise ValueError(f"window length {len(window)} != diameter {rule.d}")
+    _check_cells(rule.field, window)
+    return _evaluate(rule, window)
+
+
 def apply_ca(rule: Rule, cells: Sequence[int]) -> tuple[int, ...]:
-    """Global map: the rule applied to every window of d consecutive cells."""
+    """Global map: the rule applied to every window of d consecutive cells.
+
+    The configuration is checked once, cell by cell, so the first cell
+    that is not an element raises ValueError; each window of a linear rule
+    is then one unchecked :meth:`GF.dot` in the log domain."""
     d = rule.d
     if len(cells) < d:
         raise ValueError(f"input length {len(cells)} < diameter {d}")
     cells = tuple(cells)
-    return tuple(apply_rule(rule, cells[i:i + d])
+    _check_cells(rule.field, cells)
+    return tuple(_evaluate(rule, cells[i:i + d])
                  for i in range(len(cells) - d + 1))
 
 

@@ -32,8 +32,12 @@ def mat_vec(field: GF, matrix, vec) -> list[int]:
 
 
 def every_modulus(q: int):
-    """GF(q) under each monic irreducible modulus, in encoding order."""
+    """GF(q) under each monic irreducible modulus, in encoding order; a
+    prime field has no modulus and is yielded once."""
     base = GF(q)
+    if base.m == 1:
+        yield base
+        return
     for low in range(q):
         try:
             yield GF(p=base.p, m=base.m, poly=q + low)

@@ -14,6 +14,7 @@ import pytest
 import lhca.cli
 import lhca.hypercube
 from lhca.cli import main, _decimal, _parse_coeffs
+from lhca.debruijn import build_graph, enumerate_paths, rule_from_path
 from lhca.field import GF
 from lhca.hypercube import dump_json, dump_text
 from lhca.rules import GeneralBipermutiveRule, LinearRule
@@ -157,6 +158,87 @@ def test_rule_file_accepts_flags_that_match(capsys, tmp_path, command):
                "--rule-file", str(path)) == alone
     code, out, _ = run(capsys, command, "--k", "3", "--rule-file", str(path))
     assert code == 2 and out == ""
+
+
+# ---------------------------------------------------------------- --poly
+
+POLY17 = GF(9, poly=17)  # GF(9) under a modulus other than the default 10
+
+
+def test_check_reads_the_modulus(capsys):
+    args = ("check", "--q", "9", "--b", "2", "--k", "3", "--coeffs", "2,5,7")
+    code, report = run_json(capsys, *args, "--poly", "17")
+    assert code == 0
+    assert list(report.items())[:5] == list(
+        LinearRule(POLY17, 2, 3, (2, 5, 7)).to_json().items())
+    assert report["windows"] == [{"det": 3}] and report["oracle"] == "agree"
+    # the default modulus gives this window another determinant
+    assert run_json(capsys, *args)[1]["windows"] == [{"det": 1}]
+
+
+def test_count_reads_the_modulus(capsys):
+    code, report = run_json(capsys, "count", "--q", "9", "--b", "1",
+                            "--k", "3", "--poly", "17")
+    assert code == 0
+    assert report == {"q": 9, "poly": 17, "b": 1, "k": 3, "formula": "8",
+                      "paths": "8", "exhaustive": "8", "match": True}
+    # the default modulus is written as rule JSON writes it: not at all
+    _, report = run_json(capsys, "count", "--q", "9", "--b", "1", "--k", "3",
+                         "--poly", "10")
+    assert "poly" not in report
+    code, out, err = run(capsys, "count", "--q", "9", "--b", "1", "--k", "3",
+                         "--poly", "9")
+    assert code == 2 and out == "" and "reducible" in err
+
+
+def test_graph_reads_the_modulus(capsys):
+    code, report = run_json(capsys, "graph", "--q", "9", "--b", "2",
+                            "--poly", "17", "--format", "json")
+    assert code == 0
+    assert report == build_graph(POLY17, 2).to_json()
+    assert report["poly"] == 17
+    _, default = run_json(capsys, "graph", "--q", "9", "--b", "2",
+                          "--format", "json")
+    assert default["vertices"] != report["vertices"]
+
+
+def test_synth_reads_the_modulus(capsys):
+    code, rules = run_json(capsys, "synth", "--q", "9", "--b", "1",
+                           "--k", "4", "--all", "--poly", "17")
+    assert code == 0
+    g = build_graph(POLY17, 1)
+    assert rules == [rule_from_path(POLY17, w).to_json()
+                     for w in enumerate_paths(g, 1)]
+    assert all(r["poly"] == 17 for r in rules)
+
+
+def test_dump_reads_the_modulus(capsys):
+    args = ("dump", "--q", "9", "--b", "1", "--k", "3", "--coeffs", "3",
+            "--format", "json")
+    code, out, _ = run(capsys, *args, "--poly", "17")
+    assert code == 0
+    assert out == dump_json(LinearRule(POLY17, 1, 3, (3,)))
+    assert json.loads(out)["poly"] == 17
+    assert run(capsys, *args)[1] != out
+
+
+@pytest.mark.parametrize("command", ["check", "dump"])
+def test_rule_file_refuses_a_contradicting_modulus(capsys, tmp_path, command):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(LinearRule(POLY17, 1, 3, (3,)).to_json()))
+    alone = run(capsys, command, "--rule-file", str(path))
+    assert alone[0] == 0
+    assert run(capsys, command, "--poly", "17", "--q", "9",
+               "--rule-file", str(path)) == alone
+    for poly in ("10", "16"):  # the default modulus; a reducible one
+        code, out, err = run(capsys, command, "--poly", poly,
+                             "--rule-file", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+    # a file in the default field is not read under another modulus
+    path.write_text(json.dumps({"q": 9, "b": 1, "k": 3, "coeffs": [3]}))
+    code, out, err = run(capsys, command, "--poly", "17",
+                         "--rule-file", str(path))
+    assert code == 2 and out == "" and "contradicts the rule file" in err
 
 
 def test_check_missing_rule_is_usage_error(capsys):

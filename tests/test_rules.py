@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lhca.rules
-from helpers import every_modulus
+from helpers import every_modulus, mat_vec
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import dump
@@ -229,6 +229,37 @@ def test_apply_ca_coordinates_match_apply_rule():
             out = apply_ca(rule, x)
             for i, v in enumerate(out):
                 assert v == apply_rule(rule, x[i:i + d])
+
+
+# one field of each arithmetic kind: odd primes, characteristic 2 and odd
+# extensions, with and without tables, at every accumulator width
+@pytest.mark.parametrize("q", [3, 251, 65521, 2, 4, 256, 1024,
+                               9, 27, 243, 729])
+def test_scalar_map_is_the_per_term_fold(q):
+    # the definition: acc = add(acc, mul(a, x)) over each window, term by
+    # term, on d >= 600 with zero coefficients and runs of zero cells
+    fld, rng = GF(q), random.Random(q)
+
+    def element():
+        return rng.choice((0, 1, q - 1, rng.randrange(q)))
+
+    rule = LinearRule(fld, 3, 201, [element() for _ in range(599)])
+    d, n = rule.d, rule.d + 5
+    cells = [element() for _ in range(n)]
+    cells[:3] = cells[n // 2:n // 2 + 3] = [0] * 3
+    band = [[0] * i + list(rule.full_coeffs) + [0] * (n - d - i)
+            for i in range(n - d + 1)]
+    want = mat_vec(fld, band, cells)
+    assert apply_ca(rule, cells) == tuple(want)
+    for i, v in enumerate(want):
+        assert apply_rule(rule, cells[i:i + d]) == v
+    assert apply_ca(rule, [0] * n) == (0,) * (n - d + 1)
+    # a cell outside the field still raises, wherever it sits
+    for evaluate, m in ((apply_ca, n), (apply_rule, d)):
+        for at, bad in itertools.product((0, m // 2, m - 1), (q, -1)):
+            x = cells[:at] + [bad] + cells[at + 1:m]
+            with pytest.raises(ValueError, match=f"^{bad} is not an element"):
+                evaluate(rule, x)
 
 
 def test_count_bipermutive_rules_small():

@@ -374,8 +374,22 @@ def test_solve_middle_block_errors():
 
 
 def test_solve_middle_block_rechecks_its_block(monkeypatch):
-    # a solver that returns a wrong block is caught by the re-applied map
-    monkeypatch.setattr(toeplitz, "solve_linear_system",
-                        lambda fld, mat, rhs: [fld.add(rhs[0], 1), *rhs[1:]])
-    with pytest.raises(CrossCheckError, match="does not map to"):
-        solve_middle_block(XOR5, 1, [(0, 0), (1, 0)], (1, 1))
+    # a solver that returns a wrong block is caught by the re-applied map,
+    # in every kind of field arithmetic
+    solve = toeplitz.solve_linear_system
+
+    def wrong(fld, mat, rhs):
+        x = solve(fld, mat, rhs)
+        return [fld.add(x[0], 1), *x[1:]]
+
+    monkeypatch.setattr(toeplitz, "solve_linear_system", wrong)
+    for rule in (XOR5,
+                 LinearRule(GF(251), 2, 4, (7, 250, 0, 3, 1)),  # odd prime
+                 LinearRule(GF(256), 2, 4, (9, 0, 200, 17, 1)),  # char 2
+                 LinearRule(GF(243), 1, 5, (5, 0, 242))):  # odd extension
+        b, k, q = rule.b, rule.k, rule.field.q
+        rng = random.Random(q)
+        blocks = [tuple(rng.randrange(q) for _ in range(b)) for _ in range(k)]
+        y = apply_ca(rule, [c for blk in blocks for c in blk])
+        with pytest.raises(CrossCheckError, match="does not map to"):
+            solve_middle_block(rule, 1, blocks[:1] + blocks[2:], y)
