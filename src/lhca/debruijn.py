@@ -8,28 +8,24 @@ is Latin precisely when its k-2 windows trace a walk in this graph, so
 Latin rules are in bijection with walks on k-2 vertices (vertices may
 repeat) and counting them is an exact integer walk count.
 
-The graph is regular, every out-degree D = (q-1) q^(b-1), and
-:class:`DetGraph` refuses one that is not.  So each vertex starts D^L
-walks of L edges, and a walk is unranked from the base-D digits of its
-index, with no table of walk counts however long it is.
-
-The vertices come sorted from ``support_of_det``, so the windows that
-start with one (b-1)-prefix, its D nonsingular completions, are one
-contiguous run, found by bisection.  That run is the successor set of
-every vertex that ends in the prefix, held as one shared ``range``, and
-a vertex's own index is a bisection too.
-
-Everything here uses plain Python integers; the counts grow far beyond
-any fixed-width type.
+A graph is two arrays: the sorted vertices, the rows ``support_of_det``
+returns, and the tail rank of each, the base-q rank of its last b-1
+coefficients.  The graph is regular, every out-degree D = (q-1) q^(b-1),
+and :class:`DetGraph` refuses one that is not: the D completions of each
+(b-1)-prefix are one run, so u's successors are the indices tail[u]*D to
+tail[u]*D + D-1.  Each vertex starts D^L walks of L edges, and a walk is
+unranked from the base-D digits of its index, stepping by rank, with no
+table of walk counts and no vertex tuple built until it is returned.
+Counts are Python integers; they grow far beyond any fixed-width type.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceededError, CrossCheckError, power_exceeds
 from .field import GF
@@ -54,34 +50,62 @@ def fuse(u: Sequence[int], v: Sequence[int],
     return tuple(u) + tuple(v[s:])
 
 
-@dataclass(frozen=True)
+class _View(Sequence):
+    """A read-only sequence of ``n`` items, item i built as it is read,
+    by ``item(i)``; a slice is a list of them."""
+
+    def __init__(self, n: int, item):
+        self._n, self._item = n, item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(self._n)[i]]
+        return self._item(i)
+
+
 class DetGraph:
     """The de Bruijn graph on nonsingular windows for one (q, b).
 
-    ``vertices`` is strictly increasing in lexicographic order; ``succ``
-    holds, per vertex, the sorted indices of its successors.  Every vertex
-    has the same out-degree ``degree``.  ValueError otherwise.
+    ``support`` holds the V vertices, strictly increasing, as the rows of
+    a read-only (V, 2b-1) array of the field's dtype, and ``tail`` the
+    base-q rank of each one's last b-1 coefficients.  Each (b-1)-prefix
+    heads ``degree`` = D vertices, so u's successors are ``succ[u]`` =
+    ``range(tail[u]*D, tail[u]*D + D)``.  ``vertices`` and ``succ`` are
+    read-only sequences of vertex tuples and of these ranges.  ``succ``,
+    when given, must be exactly these runs.  ValueError otherwise.
     """
 
-    field: GF
-    b: int
-    vertices: tuple[tuple[int, ...], ...]
-    succ: tuple[Sequence[int], ...]
-
-    def __post_init__(self):
-        if not all(map(operator.lt, self.vertices, self.vertices[1:])):
-            raise ValueError("vertices are not strictly increasing")
-        if len(set(map(len, self.succ))) > 1:
+    def __init__(self, field: GF, b: int, vertices,
+                 succ: Sequence[Sequence[int]] | None = None):
+        q, classes = field.q, field.q ** (b - 1)
+        rows = np.array(vertices, dtype=field.dtype).reshape(-1, 2 * b - 1)
+        if len(rows) != len(vertices) or (rows.size and rows.max() >= q):
+            raise ValueError(f"vertices are not windows over {field!r}")
+        degree, uneven = divmod(len(rows), classes)
+        rank = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:
+            rank = rank * q + column
+        # bincount only once the classes are known to be at most V
+        if uneven or len(rows) and (np.bincount(
+                rank // q ** b, minlength=classes) != degree).any():
             raise ValueError("out-degrees differ; the window graph is regular")
-
-    @property
-    def degree(self) -> int:
-        """The out-degree shared by every vertex (0 with no vertices)."""
-        return len(self.succ[0]) if self.succ else 0
+        if (np.diff(rank) <= 0).any():
+            raise ValueError("vertices are not strictly increasing")
+        self.field, self.b, self.degree = field, b, degree
+        self.support, self.tail = rows, rank % classes
+        rows.flags.writeable = self.tail.flags.writeable = False
+        self.vertices = _View(len(rows), lambda i: tuple(rows[i].tolist()))
+        self.succ = _View(len(rows), lambda u, tail=self.tail.item: range(
+            tail(u) * degree, (tail(u) + 1) * degree))
+        if succ is not None and (len(succ) != len(rows) or any(
+                map(operator.ne, map(tuple, succ), map(tuple, self.succ)))):
+            raise ValueError("successors are not the overlap runs")
 
     def index(self, vertex: Sequence[int]) -> int:
-        vertex = tuple(vertex)
-        i = bisect.bisect_left(self.vertices, vertex)
+        i = bisect.bisect_left(self.vertices, vertex := tuple(vertex))
         if i == len(self.vertices) or self.vertices[i] != vertex:
             raise ValueError(f"{vertex} is not a vertex")
         return i
@@ -89,61 +113,47 @@ class DetGraph:
     def successors(self, vertex: Sequence[int]) -> list[tuple[int, ...]]:
         return [self.vertices[j] for j in self.succ[self.index(vertex)]]
 
+    def _edge_array(self) -> np.ndarray:
+        """Every edge as a row (u, v) of vertex indices, in order."""
+        heads = self.tail[:, None] * self.degree + np.arange(self.degree)
+        return np.stack((np.repeat(np.arange(len(heads)), self.degree),
+                         heads.ravel()), axis=1)
+
     def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return [(self.vertices[i], self.vertices[j])
-                for i in range(len(self.vertices)) for j in self.succ[i]]
+        vs = list(map(tuple, self.support.tolist()))
+        return [(vs[i], vs[j]) for i, j in self._edge_array().tolist()]
 
     def out_degrees(self) -> list[int]:
-        return [len(s) for s in self.succ]
+        return [self.degree] * len(self.vertices)
 
     def in_degrees(self) -> list[int]:
-        deg = [0] * len(self.vertices)
-        for s in self.succ:
-            for j in s:
-                deg[j] += 1
-        return deg
+        # the predecessors of v are the vertices whose tail heads v's run
+        classes = len(self.tail) // max(self.degree, 1)
+        return np.repeat(np.bincount(self.tail, minlength=classes),
+                         self.degree).tolist()
 
     def to_json(self) -> dict:
         """Vertices as cell lists, edges as index pairs into ``vertices``;
         the field is written as rule JSON writes it."""
-        return {
-            **self.field.short_json(),
-            "b": self.b,
-            "vertices": [list(v) for v in self.vertices],
-            "edges": [[i, j] for i in range(len(self.vertices))
-                      for j in self.succ[i]],
-        }
+        return {**self.field.short_json(), "b": self.b,
+                "vertices": self.support.tolist(),
+                "edges": self._edge_array().tolist()}
 
     def to_dot(self) -> str:
-        def label(v):
-            return "".join(str(c) for c in v)
-
-        lines = ["digraph det_support {"]
-        for v in self.vertices:
-            lines.append(f'  "{label(v)}";')
-        for u, v in self.edges():
-            lines.append(f'  "{label(u)}" -> "{label(v)}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        labels = ["".join(map(str, v)) for v in self.support.tolist()]
+        return "\n".join(["digraph det_support {",
+                          *(f'  "{v}";' for v in labels),
+                          *(f'  "{labels[i]}" -> "{labels[j]}";'
+                            for i, j in self._edge_array().tolist()),
+                          "}", ""])
 
 
 def build_graph(field: GF, b: int,
                 budget: int = DEFAULT_SUPPORT_BUDGET) -> DetGraph:
-    """Graph over the nonsingular windows of length 2b-1.
-
-    The support is sorted, so the windows headed by each (b-1)-prefix are
-    one run, bounded by bisection.  A vertex's successors are the run
-    headed by its last b-1 coefficients, and every vertex ending in that
-    prefix holds the same ``range`` object: one per run, not one copy per
-    vertex.
-    """
-    supp = support_of_det(field, b, budget)
-    heads = list(itertools.product(range(field.q), repeat=b - 1))
-    bounds = [bisect.bisect_left(supp, h) for h in heads] + [len(supp)]
-    runs = dict(zip(heads, map(range, bounds, bounds[1:])))
-    # at b = 1 every head and suffix is (): the complete digraph, loops too
-    succ = tuple(runs[u[b:]] for u in supp)
-    return DetGraph(field, b, tuple(supp), succ)
+    """Graph over the nonsingular windows of length 2b-1, the sorted rows
+    of ``support_of_det``; at b = 1 every tail is empty, so the graph is
+    complete, loops included."""
+    return DetGraph(field, b, support_of_det(field, b, budget))
 
 
 def count_paths(graph: DetGraph, length: int,
@@ -174,8 +184,9 @@ def unrank_path(graph: DetGraph, length: int, index: int,
     Each vertex starts D^length walks, D the out-degree, so the walk
     starts at vertex ``index // D**length`` and the base-D digits of the
     rest, most significant first, pick the successors; ``divmod`` takes
-    them in word-sized chunks, least significant first.  The total and its
-    refusal are :func:`count_paths`'s.
+    them in word-sized chunks, least significant first.  Digit t steps
+    from vertex v to tail[v]*D + t.  The total and its refusal are
+    :func:`count_paths`'s.
     """
     degree, total = graph.degree, count_paths(graph, length, max_bits)
     if not 0 <= index < total:
@@ -190,10 +201,17 @@ def unrank_path(graph: DetGraph, length: int, index: int,
         for _ in range(min(n, c)):
             chunk, digit = divmod(chunk, degree)
             digits.append(digit)
+    # a walk as long as the graph reads it as lists once, vertices shared
+    # between visits; a shorter one reads only the vertices it visits
+    if len(graph.tail) <= length:
+        tail = graph.tail.tolist().__getitem__
+        vertex = list(map(tuple, graph.support.tolist())).__getitem__
+    else:
+        tail, vertex = graph.tail.item, graph.vertices.__getitem__
     walk = [index]
     for digit in reversed(digits):
-        walk.append(graph.succ[walk[-1]][digit])
-    return tuple(map(graph.vertices.__getitem__, walk))
+        walk.append(tail(walk[-1]) * degree + digit)
+    return tuple(map(vertex, walk))
 
 
 def enumerate_paths(graph: DetGraph, length: int,
@@ -213,18 +231,23 @@ def enumerate_paths(graph: DetGraph, length: int,
             f"{vertices} * {graph.degree}^{length} walks exceed "
             f"the enumeration budget {budget}")
 
-    vs, succ, last = graph.vertices, graph.succ, graph.degree - 1
-    if length and last < 0:
-        return
-    for start in range(len(vs)):
+    degree, last = graph.degree, graph.degree - 1
+    # a vertex tuple is built when a walk first reaches it, then shared
+    vs, tail = [None] * vertices, graph.tail.tolist()
+
+    def vertex(j, vs=vs, item=graph.vertices.__getitem__):
+        vs[j] = item(j)  # vs is bound here, not closed over, to stay local
+        return vs[j]
+
+    for start in range(vertices):
         # an odometer over the L base-D digits, the last one fastest: each
         # increment rewrites only the steps from the digit that changed
         digits, at = [0] * length, [start] * (length + 1)
-        walk, t = [vs[start]] * (length + 1), 0
+        walk, t = [vs[start] or vertex(start)] * (length + 1), 0
         while True:
             for s in range(t, length):
-                at[s + 1] = j = succ[at[s]][digits[s]]
-                walk[s + 1] = vs[j]
+                at[s + 1] = j = tail[at[s]] * degree + digits[s]
+                walk[s + 1] = vs[j] or vertex(j)
             yield tuple(walk)
             t = length - 1
             while t >= 0 and digits[t] == last:
@@ -246,9 +269,9 @@ def rule_from_path(field: GF, path: Sequence[Sequence[int]]) -> LinearRule:
     if not path:
         raise ValueError("need at least one window")
     prev = tuple(path[0])
-    if len(prev) % 2 == 0:
+    b, even = divmod(len(prev) + 1, 2)
+    if even:
         raise ValueError(f"window length {len(prev)} is not 2b-1")
-    b = (len(prev) + 1) // 2
     coeffs = list(prev)
     for w in path[1:]:
         if len(w) != 2 * b - 1:
@@ -258,8 +281,7 @@ def rule_from_path(field: GF, path: Sequence[Sequence[int]]) -> LinearRule:
                 f"consecutive windows do not overlap in {b - 1} entries")
         coeffs.extend(w[b - 1:])
         prev = w
-    k = len(path) + 2
-    return LinearRule(field, b, k, tuple(coeffs))
+    return LinearRule(field, b, len(path) + 2, tuple(coeffs))
 
 
 def latin_hypercube_count(field: GF, b: int, k: int,

@@ -37,6 +37,7 @@ A linear combination of element arrays with constant coefficients,
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -49,49 +50,28 @@ _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, or raise if q is not a prime power."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    p = 2
-    while q % p != 0:
-        p += 1
-    m = 0
-    n = q
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    m, n = 0, q
     while n % p == 0:
-        n //= p
-        m += 1
+        n, m = n // p, m + 1
     if n != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, m
 
 
 def _digits(n: int, p: int, width: int) -> list[int]:
-    out = [0] * width
-    for i in range(width):
-        n, out[i] = divmod(n, p)
-    return out
+    return [n // p**i % p for i in range(width)]
 
 
 def _undigits(digits: list[int], p: int) -> int:
-    n = 0
-    for d in reversed(digits):
-        n = n * p + d
-    return n
+    return sum(d * p**i for i, d in enumerate(digits))
 
 
 def _poly_mul_mod(a: int, b: int, reducer: list[int], p: int, m: int) -> int:
@@ -152,7 +132,9 @@ class GF:
 
     Construct from the order (``GF(9)``) or explicitly as
     ``GF(p=3, m=2, poly=10)``.  ``poly`` is the integer encoding of a monic
-    irreducible degree-m polynomial over GF(p) and is ignored for m = 1.
+    irreducible degree-m polynomial over GF(p), p^m <= poly < 2 p^m;
+    ValueError for any other.  For m = 1 every x + c gives the same field,
+    so ``poly`` is checked and then kept as None.
     """
 
     def __init__(self, q: int | None = None, *, p: int | None = None,
@@ -169,25 +151,21 @@ class GF:
             raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        self.p = p
-        self.m = m
-        self.q = p**m
+        self.p, self.m, self.q = p, m, p**m
 
-        if m == 1:
-            self.poly = None
-            self._reducer = None
-        else:
-            if poly is None:
-                poly = default_irreducible_poly(p, m)
-            digits = _digits(poly, p, m + 1)
-            if poly >= p ** (m + 1) or digits[m] != 1:
-                raise ValueError(
-                    f"poly {poly} is not monic of degree {m} over GF({p})")
-            if not _is_irreducible(digits, p):
-                raise ValueError(f"poly {poly} is reducible over GF({p})")
-            self.poly = poly
-            # x^m = -(low part), precomputed for reduction
-            self._reducer = [(-c) % p for c in digits[:m]]
+        if poly is None:
+            poly = default_irreducible_poly(p, m)
+        # monic of degree m: p^m <= poly < 2 p^m, any x + c when m = 1
+        if not self.q <= poly < 2 * self.q:
+            raise ValueError(
+                f"poly {poly} is not monic of degree {m} over GF({p})")
+        digits = _digits(poly, p, m + 1)
+        if not _is_irreducible(digits, p):
+            raise ValueError(f"poly {poly} is reducible over GF({p})")
+        # a prime field has one representation, so no modulus is kept
+        self.poly = poly if m > 1 else None
+        # x^m = -(low part), precomputed for reduction
+        self._reducer = [(-c) % p for c in digits[:m]]
 
         # an element fits one byte up to q = 256, two bytes up to ORDER_CAP
         self.dtype = np.uint8 if self.q <= 256 else np.uint16

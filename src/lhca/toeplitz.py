@@ -17,18 +17,18 @@ the solver that recovers a middle block from a target output.
 
 Single matrices go through the scalar elimination ``_eliminate``, which
 is also the reference the batch below is tested against.  Stacks of
-windows go through ``_batch_dets``, which runs the same elimination on
+windows go through ``_batch_pivots``, which runs the same elimination on
 all of them at once, with every field operation one of the field's array
 operations, in chunks of at most ``_BATCH_CELLS`` matrix entries, and
-returns their determinants.  The exhaustive enumeration,
-``support_of_det``, reduces all q^(2b-1) windows this way, and
-``window_dets`` reduces the k-2 windows of a rule this way once there
-are at least ``_BATCH_MIN_WINDOWS`` = 8 of them; shorter rules take
-``det_of_window`` one window at a time.  Up to 16 windows the batch's
-cost is nearly all fixed, about 25 us at b = 1, 75 us at b = 2, 130 us
-at b = 3 and 250 us at b = 6 on a 2-vCPU Xeon virtual machine, while the
-scalar path costs about 5, 10, 20 and 70 us per window, so the two cross
-between 4 and 8 windows.
+returns their pivots.  ``support_of_det`` reduces all q^(2b-1) windows
+this way and keeps those with no zero pivot; ``window_dets`` reduces
+the k-2 windows of a rule this way, finishing their determinants in
+``_batch_dets``, once there are ``_BATCH_MIN_WINDOWS`` = 8 or more;
+shorter rules take ``det_of_window`` one window at a time.  Up to 16
+windows the batch's cost is nearly all fixed, about 25 us at b = 1,
+75 us at b = 2, 130 us at b = 3 and 250 us at b = 6 on a 2-vCPU Xeon
+virtual machine, while the scalar path costs about 5, 10, 20 and 70 us
+per window, so the two cross between 4 and 8 windows.
 """
 
 from __future__ import annotations
@@ -158,29 +158,20 @@ def is_latin_by_windows(rule: LinearRule) -> bool:
     return all(d != 0 for d in window_dets(rule))
 
 
-def _batch_dets(field: GF, wins: np.ndarray) -> np.ndarray:
-    """The determinant of the Toeplitz matrix of each window of an
-    (N, 2b-1) stack, as an array of the field's ``dtype``.
-
-    The forward elimination of ``_eliminate`` on all N matrices at once,
-    with every field operation one of the field's array operations.  A
-    row swap negates one of the two rows, which keeps the determinant.
-    No pivot is divided by while eliminating: row r becomes -pivot times
-    itself plus m[r, col] times the pivot row, which clears m[r, col] and
-    multiplies the determinant by -pivot.  Column c does this to the b-1-c
-    rows below it, so the product of the pivots is the determinant times
-    prod (-p_c)^(b-1-c) over c < b-1, which is the product of the running
-    products (-p_0)(-p_1)...(-p_c); one inversion per matrix divides it
-    out.  A matrix with a zero pivot is singular: its pivot product is 0,
-    whatever the later steps do to it.
-    """
+def _batch_pivots(field: GF, wins: np.ndarray) -> np.ndarray:
+    """The (N, b) pivots, in the field's ``dtype``, of ``_eliminate``'s
+    forward elimination on the Toeplitz matrices of an (N, 2b-1) stack of
+    windows at once; a matrix is nonsingular exactly when all its pivots
+    are.  A row swap negates one of the two rows.  No pivot is divided
+    by: row r becomes -pivot times itself plus m[r, col] times the pivot
+    row, which multiplies the determinant by -pivot.  A zero pivot leaves
+    the rows below it zero, so every later pivot is 0."""
     b = (wins.shape[1] + 1) // 2
     # entry (r, s) of a window's matrix is its coefficient b-1+s-r (0-based)
     span = np.arange(b)
     m = wins[:, b - 1 + span[None, :] - span[:, None]]
     # -1 is encoded as p - 1
     minus_one = field.p - 1
-    minus_pivots = []
     # the last column has no rows below its pivot, so no step
     for col in range(b - 1):
         piv = col + (m[:, col:, col] != 0).argmax(axis=1)
@@ -190,7 +181,6 @@ def _batch_dets(field: GF, wins: np.ndarray) -> np.ndarray:
             m[swap, col] = field.scale_array(minus_one, m[swap, piv[swap]])
             m[swap, piv[swap]] = top
         minus_pivot = field.scale_array(minus_one, m[:, col, col])
-        minus_pivots.append(minus_pivot)
         # row col and column col are final; only the block right of and
         # below the pivot changes
         m[:, col + 1:, col + 1:] = field.add_array(
@@ -198,24 +188,35 @@ def _batch_dets(field: GF, wins: np.ndarray) -> np.ndarray:
                             minus_pivot[:, None, None]),
             field.mul_array(m[:, col + 1:, col, None],
                             m[:, None, col, col + 1:]))
-    dets = functools.reduce(field.mul_array, m[:, span, span].T)
-    if b == 1:
+    return m[:, span, span]
+
+
+def _batch_dets(field: GF, wins: np.ndarray) -> np.ndarray:
+    """The determinants of :func:`_batch_pivots`'s matrices from their
+    pivots p_c.  Column c scales the determinant by -p_c for each of the
+    b-1-c rows below it, so the product of the pivots is the determinant
+    times the product of the running products (-p_0)(-p_1)...(-p_c) over
+    c < b-1; one inversion per matrix divides it out."""
+    pivots = _batch_pivots(field, wins)
+    dets = functools.reduce(field.mul_array, pivots.T)
+    if pivots.shape[1] == 1:
         return dets
+    minus_pivots = field.scale_array(field.p - 1, pivots[:, :-1])
     scale = functools.reduce(
-        field.mul_array, itertools.accumulate(minus_pivots, field.mul_array))
+        field.mul_array, itertools.accumulate(minus_pivots.T, field.mul_array))
     # a singular matrix may have a zero scaling, which has no inverse
     scale[dets == 0] = 1
     return field.mul_array(dets, field.inv_array(scale))
 
 
 def support_of_det(field: GF, b: int,
-                   budget: int = DEFAULT_SUPPORT_BUDGET) -> list[tuple[int, ...]]:
+                   budget: int = DEFAULT_SUPPORT_BUDGET) -> np.ndarray:
     """All windows in GF(q)^{2b-1} with nonsingular matrix, in
-    lexicographic order.
-
-    The q^(2b-1) windows are reduced in consecutive chunks of lexicographic
-    ranks, each chunk in one batch of at most ``_BATCH_CELLS`` matrix
-    entries; BudgetExceededError when the windows pass ``budget``."""
+    lexicographic order, as the rows of a (V, 2b-1) array of the field's
+    ``dtype``.  The q^(2b-1) windows are built in chunks of consecutive
+    ranks of at most ``_BATCH_CELLS`` matrix entries, and a window is kept
+    when no pivot of its elimination is zero; no determinant is finished.
+    BudgetExceededError when the windows pass ``budget``."""
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
     q, width = field.q, 2 * b - 1
@@ -223,15 +224,14 @@ def support_of_det(field: GF, b: int,
         raise BudgetExceededError(
             f"enumerating {q}^{width} windows exceeds budget {budget}")
     total, per_chunk = q ** width, max(1, _BATCH_CELLS // (b * b))
-    nonsingular = bytearray()  # one 0/1 byte per window, in rank order
+    kept = []
     for lo in range(0, total, per_chunk):
         rank = np.arange(lo, min(lo + per_chunk, total))
         wins = np.empty((len(rank), width), dtype=field.dtype)
         for j in range(width - 1, -1, -1):
             rank, wins[:, j] = np.divmod(rank, q)
-        nonsingular += (_batch_dets(field, wins) != 0).tobytes()
-    return list(itertools.compress(
-        itertools.product(range(q), repeat=width), nonsingular))
+        kept.append(wins[_batch_pivots(field, wins).all(axis=1)])
+    return np.concatenate(kept)
 
 
 def count_nonsingular_toeplitz(field: GF, b: int) -> int:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, driven through main()."""
 
 import decimal
+import hashlib
 import json
 import os
 import random
@@ -174,6 +175,16 @@ def test_check_reads_the_modulus(capsys):
     assert report["windows"] == [{"det": 3}] and report["oracle"] == "agree"
     # the default modulus gives this window another determinant
     assert run_json(capsys, *args)[1]["windows"] == [{"det": 1}]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--k", "3"), ("graph",), ("synth", "--k", "3", "--index", "0"),
+    ("check", "--k", "3", "--coeffs", "1")], ids=lambda argv: argv[0])
+def test_a_prime_field_refuses_a_meaningless_modulus(capsys, argv):
+    code, out, err = run(capsys, *argv, "--q", "5", "--b", "1",
+                         "--poly", "999")
+    assert code == 2 and out == ""
+    assert err == "error: poly 999 is not monic of degree 1 over GF(5)\n"
 
 
 def test_count_reads_the_modulus(capsys):
@@ -518,6 +529,30 @@ def test_graph_json(capsys):
     assert report["q"] == 2 and report["b"] == 2
     assert len(report["vertices"]) == 4
     assert len(report["edges"]) == 8
+
+
+# the first 16 hex digits of the sha256 of the dot and json output, as
+# written when the graph was held as a tuple of vertex tuples
+GRAPH_DIGESTS = [
+    (2, 1, "c1132346fbddb6ca", "b7e2fd0a560078ce"),
+    (2, 2, "5fec40082356c515", "30c477c02fb93dc6"),
+    (3, 2, "53322be74d8f050b", "94f8e488b2da79d0"),
+    (2, 3, "48b31a4e29460607", "30c2cdabee802162"),
+    (4, 2, "1dee49ae85212a99", "c308311fbb2c26da"),
+    (2, 4, "df61020cfe5ab539", "ab7821a41cfc9293"),
+    (9, 1, "259c36d3ce190f50", "f64f22feb14e9318"),
+    (8, 2, "4e79bcab5b322db0", "22d8cf135d01d3fe"),
+]
+
+
+@pytest.mark.parametrize("q,b,dot,as_json", GRAPH_DIGESTS,
+                         ids=[f"{q}-{b}" for q, b, *_ in GRAPH_DIGESTS])
+def test_graph_output_is_pinned(capsys, q, b, dot, as_json):
+    for fmt, digest in (("dot", dot), ("json", as_json)):
+        code, out, _ = run(capsys, "graph", "--q", str(q), "--b", str(b),
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, fmt
 
 
 def test_graph_out_file(tmp_path, capsys):

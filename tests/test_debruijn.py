@@ -62,7 +62,7 @@ def test_fuse():
 
 def test_golden_graph():
     g = build_graph(F2, 2)
-    assert g.vertices == ((0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+    assert tuple(g.vertices) == ((0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
     assert g.edges() == GOLDEN_EDGES
     assert g.successors((0, 1, 0)) == [(0, 1, 0), (0, 1, 1)]
     assert g.successors((1, 0, 1)) == [(1, 0, 1), (1, 1, 0)]
@@ -71,7 +71,7 @@ def test_golden_graph():
 
 
 # every pair (u, v) with fuse(u, v, b-1) is an edge: the definition, not
-# the runs build_graph bisects for
+# the runs build_graph steps by
 EDGE_POINTS = [(2, 1), (3, 2), (2, 3), (4, 2), (2, 4), (5, 2), (4, 1), (8, 1),
                (8, 2), (9, 1), (9, 2)]
 
@@ -131,19 +131,42 @@ def test_graph_is_regular(q, b):
 @pytest.mark.parametrize("succ", [
     ((0,), (2, 3), (2, 3), (0, 1)),   # 010 lost its loop
     ((), (2, 3), (2, 3), (0, 1)),     # 010 has no successor
-], ids=["one-edge-short", "a-sink"])
+    ((1,), (2,), (3,), (0,)),         # the four-cycle 010 -> 011 -> 101 -> 110
+    ((0, 1), (2, 3), (2, 3)),         # 110 has no successor list
+    ((0, 1), (2, 3), (2, 3), (1, 0)),  # the run of 110, out of order
+], ids=["one-edge-short", "a-sink", "four-cycle", "one-short", "reordered"])
 def test_an_irregular_graph_is_refused(succ):
+    # a window graph's successors follow from its vertices: any other
+    # successor lists are refused, regular or not
     g = build_graph(F2, 2)
-    with pytest.raises(ValueError, match="regular"):
+    with pytest.raises(ValueError, match="not the overlap runs"):
         DetGraph(F2, 2, g.vertices, succ)
+    assert DetGraph(F2, 2, g.vertices, tuple(map(list, g.succ))).degree == 2
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0, 1, 0), (0, 1, 1), (1, 0, 1)),              # 3 over 2 prefixes
+    ((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)),   # prefix 0 heads three
+], ids=["indivisible", "unequal"])
+def test_unequal_prefix_classes_are_refused(vertices):
+    with pytest.raises(ValueError, match="regular"):
+        DetGraph(F2, 2, vertices)
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0, 1), (1, 1)), ((0, 1, 0, 1),), ((0, 1, 2), (1, 0, 1)), [(0, 1, 0)] * 2,
+], ids=["short", "long", "not-an-element", "repeated"])
+def test_vertices_that_are_not_windows_are_refused(vertices):
+    with pytest.raises(ValueError):
+        DetGraph(F2, 2, vertices)
 
 
 def test_b1_graph_is_complete_with_loops():
     g = build_graph(F3, 1)
-    assert g.vertices == ((1,), (2,))
+    assert tuple(g.vertices) == ((1,), (2,))
     assert len(g.edges()) == 4
     assert g.successors((1,)) == [(1,), (2,)]
-    assert all(s is g.succ[0] for s in g.succ)
+    assert all(s == g.succ[0] == range(2) for s in g.succ)
 
 
 def test_count_paths_golden():
@@ -191,12 +214,15 @@ def test_walks_on_the_single_loop_are_counted_without_stepping():
     assert count_paths(build_graph(F2, 1), 10**9) == 1
 
 
-def test_a_graph_without_edges_has_only_walks_of_no_edges():
-    g = DetGraph(F2, 1, ((1,),), ((),))
-    assert g.degree == 0
-    assert count_paths(g, 0) == 1 and count_paths(g, 3) == 0
-    assert list(enumerate_paths(g, 0)) == [((1,),)]
-    assert list(enumerate_paths(g, 3)) == []
+def test_a_graph_without_edges_is_refused():
+    # at b = 1 every vertex succeeds every vertex: a sink is no window graph
+    with pytest.raises(ValueError, match="not the overlap runs"):
+        DetGraph(F2, 1, ((1,),), ((),))
+    # with no vertices at all there is no walk of any length
+    g = DetGraph(F2, 1, ())
+    assert g.degree == 0 and g.edges() == [] and g.in_degrees() == []
+    assert count_paths(g, 0) == 0 and count_paths(g, 3) == 0
+    assert list(enumerate_paths(g, 0)) == list(enumerate_paths(g, 3)) == []
 
 
 def test_enumerate_paths_lex_and_complete():
@@ -208,6 +234,8 @@ def test_enumerate_paths_lex_and_complete():
     assert walks[0] == ((0, 1, 0), (0, 1, 0))
     assert walks[-1] == ((1, 1, 0), (0, 1, 1))
     assert [w[0] for w in enumerate_paths(g, 0)] == list(g.vertices)
+    assert g.vertices[1:3] == [(0, 1, 1), (1, 0, 1)]
+    assert g.succ[::2] == [range(0, 2), range(2, 4)]
     two_step = list(enumerate_paths(g, 2))
     assert len(two_step) == 16
     assert ((0, 1, 0), (0, 1, 1), (1, 0, 1)) in two_step
@@ -282,20 +310,19 @@ def test_unrank_path_matches_the_suffix_count_oracle(q, b):
                     == unrank_by_suffix_counts(g, length, index))
 
 
-# the four-cycle 010 -> 011 -> 101 -> 110 -> 010 of the q=2, b=2 graph
-FOUR_CYCLE = DetGraph(F2, 2, ((0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)),
-                      ((1,), (2,), (3,), (0,)))
+# (q, b), with the out-degree D and vertex count n in the id; the graphs
+# are built inside the test, so a refused one fails one case
+DIVMOD_GRAPHS = [(2, 1), (3, 1), (2, 2), (4, 1), (16, 1), (2, 6), (256, 1)]
 
 
-@pytest.mark.parametrize("graph", [
-    build_graph(F2, 1), FOUR_CYCLE, build_graph(F3, 1), build_graph(F2, 2),
-    build_graph(GF(4), 1), build_graph(GF(16), 1), build_graph(F2, 6),
-    build_graph(GF(256), 1),
-], ids=lambda g: f"D{g.degree}-n{len(g.vertices)}")
-def test_unrank_path_matches_one_divmod_per_edge(graph):
+@pytest.mark.parametrize("q,b", DIVMOD_GRAPHS, ids=[
+    f"D{(q - 1) * q ** (b - 1)}-n{(q - 1) * q ** (2 * b - 2)}"
+    for q, b in DIVMOD_GRAPHS])
+def test_unrank_path_matches_one_divmod_per_edge(q, b):
     # chunks of 30 // D.bit_length() digits: D = 1, 2, 3, 15, 32 and 255
     # give chunks of 30, 15, 15, 7, 5 and 3 digits, so these lengths cross
     # chunk edges with and without a remainder
+    graph = build_graph(GF(q), b)
     rng = random.Random(graph.degree)
     lengths = [0, 1, 2, 3, 5, 6, 7, 14, 15, 16, 29, 30, 31, 200]
     for length in lengths + [rng.randrange(201) for _ in range(6)]:
@@ -324,8 +351,23 @@ def test_build_graph_shares_one_successor_run_per_suffix(q, b):
     g = build_graph(GF(q), b)
     by_suffix = {}
     for v, s in zip(g.vertices, g.succ):
-        assert by_suffix.setdefault(v[-(b - 1):], s) is s
+        assert by_suffix.setdefault(v[-(b - 1):], s) == s
+        assert all(g.vertices[j][:b - 1] == v[-(b - 1):] for j in s)
     assert len(by_suffix) == q ** (b - 1)
+    assert sorted(by_suffix.values(), key=min) == [
+        range(i, i + g.degree) for i in range(0, len(g.vertices), g.degree)]
+
+
+def test_building_the_largest_count_verify_graph_stays_small():
+    # 983 040 vertices of 5 cells: the support and its ranks, in arrays
+    tracemalloc.start()
+    try:
+        g = build_graph(GF(16), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == 983_040 and g.degree == 3840
+    assert peak < 40 * 2**20
 
 
 def _walks_edge_by_edge(graph, length):
@@ -349,7 +391,9 @@ def _count_edge_by_edge(graph, length):
 
 
 def _unshared(graph):
-    return DetGraph(graph.field, graph.b, graph.vertices,
+    """The graph rebuilt from vertex tuples and per-vertex successor
+    tuples, as a caller outside the library builds one."""
+    return DetGraph(graph.field, graph.b, tuple(graph.vertices),
                     tuple(tuple(list(s)) for s in graph.succ))
 
 
@@ -359,8 +403,8 @@ RECURRENCE_GRAPHS = [(3, 2), (2, 3), (2, 1), (3, 1), (4, 1), (2, 2), (4, 2)]
 @pytest.mark.parametrize("q,b", RECURRENCE_GRAPHS, ids=[
     f"q{q}b{b}-unshared" for q, b in RECURRENCE_GRAPHS])
 def test_walk_counts_match_an_edge_by_edge_recurrence(q, b):
-    # each vertex gets its own successor tuple, so nothing leans on
-    # build_graph's shared runs; every length with V * D^L <= 4096 walks
+    # the graph is rebuilt from per-vertex successor tuples, and walks
+    # are extended one edge at a time; every length with V * D^L <= 4096 walks
     # (up to 12 edges on the single-loop graph of D = 1)
     graph = _unshared(build_graph(GF(q), b))
     lengths = [n for n in range(13)

@@ -143,6 +143,23 @@ def test_reducible_polynomial_rejected():
         GF(9, poly=16)
 
 
+@pytest.mark.parametrize("q,poly", [(5, 12345), (5, -3), (5, 4), (5, 10),
+                                    (2, 0), (9, -17), (9, 27), (9, 8)])
+def test_a_modulus_that_is_not_monic_of_degree_m_is_refused(q, poly):
+    # -17 has base-3 digits 1, 0, 1 by floor division, x^2 + 1 read
+    # naively; p^m <= poly < 2 p^m is the whole monic test
+    with pytest.raises(ValueError, match="is not monic of degree"):
+        GF(q, poly=poly)
+
+
+def test_a_prime_field_checks_its_modulus_and_keeps_none():
+    # every x + c, 5 <= poly < 10, gives the one field GF(5)
+    for poly in (None, *range(5, 10)):
+        f = GF(5, poly=poly)
+        assert f.poly is None and f == GF(5)
+        assert f.to_json() == {"p": 5, "m": 1, "poly": None}
+
+
 def test_non_prime_power_order_rejected():
     for q in (1, 6, 10, 12):
         with pytest.raises(ValueError):

@@ -328,6 +328,12 @@ def test_rule_json_round_trip():
 
     with pytest.raises(ValueError):
         rule_from_json({"q": 2, "b": 2, "k": 3})
+    # a prime field reads its modulus too: 999 is no monic x + c
+    with pytest.raises(ValueError, match="not monic"):
+        rule_from_json({"q": 5, "poly": 999, "b": 1, "k": 3, "coeffs": [1]})
+    assert rule_from_json({"q": 5, "poly": 7, "b": 1, "k": 3,
+                           "coeffs": [1]}).to_json() == {
+        "q": 5, "b": 1, "k": 3, "coeffs": [1]}
 
 
 # q and its number of monic irreducible moduli

@@ -100,8 +100,15 @@ def test_determinant_validation():
         determinant(F2, [[0, 2], [1, 0]])
 
 
+def _support(fld, b):
+    """The rows of ``support_of_det`` as tuples."""
+    return list(map(tuple, support_of_det(fld, b).tolist()))
+
+
 def test_support_of_det_b2_q2():
-    assert support_of_det(F2, 2) == [(0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    supp = support_of_det(F2, 2)
+    assert supp.dtype == F2.dtype
+    assert supp.tolist() == [[0, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (4, 2)])
@@ -117,7 +124,7 @@ def test_support_is_balanced_on_both_sides(q, b):
     # fixing either overlap margin of the window leaves the same number
     # of nonsingular completions
     fld = GF(q)
-    supp = support_of_det(fld, b)
+    supp = _support(fld, b)
     expect = (q - 1) * q ** (b - 1)
     heads = Counter(w[:b - 1] for w in supp)
     tails = Counter(w[-(b - 1):] for w in supp)
@@ -157,8 +164,21 @@ def _support_run(supp, lower):
 ], ids=repr)
 def test_support_matches_the_scalar_determinants(fld, b):
     supp = support_of_det(fld, b)
-    assert supp == _scalar_support(fld, b)
-    assert all(type(c) is int for w in supp for c in w)
+    assert supp.dtype == fld.dtype
+    assert supp.shape == (count_nonsingular_toeplitz(fld, b), 2 * b - 1)
+    assert list(map(tuple, supp.tolist())) == _scalar_support(fld, b)
+
+
+def test_support_reads_the_pivots_and_finishes_no_determinant(monkeypatch):
+    # det != 0 is every pivot nonzero: no scaling is built or inverted
+    fld = GF(9)
+
+    def refuse(*args):
+        raise AssertionError("the support finished a determinant")
+
+    monkeypatch.setattr(toeplitz, "_batch_dets", refuse)
+    monkeypatch.setattr(fld, "inv_array", refuse)
+    assert _support(fld, 2) == _scalar_support(fld, 2)
 
 
 @pytest.mark.parametrize("fld,b", [(F3, 2), (GF(16), 2), (GF(257), 1)],
@@ -166,7 +186,7 @@ def test_support_matches_the_scalar_determinants(fld, b):
 def test_enumerations_span_many_chunks(fld, b, monkeypatch):
     # a cap of 7 entries puts one 2x2 matrix, or seven 1x1, in each chunk
     monkeypatch.setattr(toeplitz, "_BATCH_CELLS", 7)
-    supp = support_of_det(fld, b)
+    supp = _support(fld, b)
     assert supp == _scalar_support(fld, b)
     for lower in [(0,) * (b - 1), (1,) * (b - 1)]:
         assert _support_run(supp, lower) == _completions(fld, lower)
@@ -231,14 +251,14 @@ def test_triangular_completions_q2_n2():
 def test_triangular_completions_closed_form(q, n):
     fld = GF(q)
     expect = (q - 1) * q ** (n - 1)
-    supp = support_of_det(fld, n)
+    supp = _support(fld, n)
     for lower in itertools.product(range(q), repeat=n - 1):
         assert len(_completions(fld, lower)) == expect
         assert len(_support_run(supp, lower)) == expect
 
 
 def test_triangular_completions_agree_with_support():
-    supp = support_of_det(F2, 2)
+    supp = _support(F2, 2)
     for lower in [(0,), (1,)]:
         assert _support_run(supp, lower) == _completions(F2, lower)
 
