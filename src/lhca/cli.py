@@ -29,10 +29,11 @@ Flags by subcommand (any other flag is a usage error, exit 2):
 
 Exit codes: 0 success, 1 a checked property is false (non-Latin rule),
 2 usage or value error, 3 budget exceeded, 4 two independent routes
-disagree (a bug in lhca; nothing is written).  All counts are emitted as
-decimal strings.  LHCA_BUDGET overrides the default enumeration and
-entry budgets; --budget overrides both per run.  Sampling exits 3 when
-one line has more than 2^30 bytes of inputs, whatever the budget.
+disagree (a bug in lhca; nothing is written).  JSON output is exactly
+json.dumps(indent=2), written at join speed; counts are decimal strings.
+LHCA_BUDGET overrides the default enumeration and entry budgets;
+--budget overrides both per run.  Sampling exits 3 when one line has
+more than 2^30 bytes of inputs, whatever the budget.
 Every budget bounds a power of q or of the out-degree, and each refusal
 is decided before any work, with no huge power built, by one exact test,
 errors.power_exceeds, the k >= 3 count and its walk recount included.
@@ -46,6 +47,9 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .debruijn import (
     build_graph,
@@ -196,7 +200,7 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
         raise BudgetExceededError(
             f"{edges} edges exceed the enumeration budget {budget}")
     if args.format == "json":
-        return _json(g.to_json()), 0
+        return _json(g.json_arrays()), 0
     return g.to_dot(), 0
 
 
@@ -248,7 +252,51 @@ def _decimal(n: int) -> str:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Exactly ``json.dumps(payload, indent=2)`` and a newline, each list
+    of ints, or of equally long int rows, written by one ``join``."""
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(x, nl: str) -> str:
+    """x as json.dumps(indent=2) writes it on a line that ``nl`` opens."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, (int, float)):
+        r = (int if isinstance(x, int) else float).__repr__(x)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(r, r)
+    inner, rows = nl + "  ", 0
+    if isinstance(x, dict):  # a key that is not a str is a TypeError
+        strs = [encode_basestring_ascii(k) + ": " + _encode(v, inner)
+                for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(strs) + nl + "}" if x else "{}"
+    if isinstance(x, np.ndarray):
+        # entries below the size share a string each; other arrays are lists
+        if (x.dtype.kind not in "iu" or x.ndim not in (1, 2) or not x.size
+                or x.min() < 0 or x.max() >= x.size):
+            return _encode(x.tolist(), nl)
+        strs = np.array(list(map(str, range(int(x.max()) + 1))),
+                        dtype=object)[x.ravel()].tolist()
+        rows = len(x) if x.ndim == 2 else 0
+    elif not isinstance(x, (list, tuple)):
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+    elif (set(map(type, x)) <= {list, tuple} and len(set(map(len, x))) == 1
+          and set(map(type, flat := [v for row in x for v in row])) == {int}):
+        strs, rows = list(map(int.__repr__, flat)), len(x)
+    else:
+        strs = (list(map(int.__repr__, x)) if set(map(type, x)) == {int}
+                else [_encode(v, inner) for v in x])
+    if not rows:
+        return ("[" + inner + ("," + inner).join(strs) + nl + "]" if strs
+                else "[]")
+    # a row's entries sit at cell, its brackets at inner: one join for all
+    cell, width = inner + "  ", len(strs) // rows
+    pieces = ["," + cell] * (2 * len(strs) + 1)
+    pieces[1::2] = strs
+    pieces[2 * width::2 * width] = [inner + "]," + inner + "[" + cell] * rows
+    pieces[0], pieces[-1] = "[" + inner + "[" + cell, inner + "]" + nl + "]"
+    return "".join(pieces)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,19 +51,22 @@ def fuse(u: Sequence[int], v: Sequence[int],
 
 
 class _View(Sequence):
-    """A read-only sequence of ``n`` items, item i built as it is read,
-    by ``item(i)``; a slice is a list of them."""
+    """A read-only sequence, item i ``make(rows[i].tolist())`` built as it
+    is read; a slice is a list, and iterating reads ``rows`` once."""
 
-    def __init__(self, n: int, item):
-        self._n, self._item = n, item
+    def __init__(self, rows: np.ndarray, make):
+        self._rows, self._make = rows, make
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._rows)
+
+    def __iter__(self):
+        return map(self._make, self._rows.tolist())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._item(j) for j in range(self._n)[i]]
-        return self._item(i)
+            return list(map(self._make, self._rows[i].tolist()))
+        return self._make(self._rows[i].tolist())
 
 
 class DetGraph:
@@ -75,14 +78,18 @@ class DetGraph:
     heads ``degree`` = D vertices, so u's successors are ``succ[u]`` =
     ``range(tail[u]*D, tail[u]*D + D)``.  ``vertices`` and ``succ`` are
     read-only sequences of vertex tuples and of these ranges.  ``succ``,
-    when given, must be exactly these runs.  ValueError otherwise.
+    when given, must be exactly these runs.  ValueError otherwise.  Given
+    vertices already in the field's dtype are held as a view, not copied.
     """
 
     def __init__(self, field: GF, b: int, vertices,
                  succ: Sequence[Sequence[int]] | None = None):
         q, classes = field.q, field.q ** (b - 1)
-        rows = np.array(vertices, dtype=field.dtype).reshape(-1, 2 * b - 1)
-        if len(rows) != len(vertices) or (rows.size and rows.max() >= q):
+        rows = np.asarray(vertices)  # checked before the cast; uint skips min
+        if rows.size and (rows.dtype.kind not in "iu" or rows.max() >= q
+                          or rows.dtype.kind == "i" and rows.min() < 0) or len(
+                rows := rows.astype(field.dtype, copy=False).reshape(
+                    -1, 2 * b - 1)) != len(vertices):
             raise ValueError(f"vertices are not windows over {field!r}")
         degree, uneven = divmod(len(rows), classes)
         rank = np.zeros(len(rows), dtype=np.int64)
@@ -97,9 +104,9 @@ class DetGraph:
         self.field, self.b, self.degree = field, b, degree
         self.support, self.tail = rows, rank % classes
         rows.flags.writeable = self.tail.flags.writeable = False
-        self.vertices = _View(len(rows), lambda i: tuple(rows[i].tolist()))
-        self.succ = _View(len(rows), lambda u, tail=self.tail.item: range(
-            tail(u) * degree, (tail(u) + 1) * degree))
+        self.vertices = _View(rows, tuple)
+        self.succ = _View(self.tail,
+                          lambda t: range(t * degree, (t + 1) * degree))
         if succ is not None and (len(succ) != len(rows) or any(
                 map(operator.ne, map(tuple, succ), map(tuple, self.succ)))):
             raise ValueError("successors are not the overlap runs")
@@ -132,12 +139,16 @@ class DetGraph:
         return np.repeat(np.bincount(self.tail, minlength=classes),
                          self.degree).tolist()
 
+    def json_arrays(self) -> dict:
+        """:meth:`to_json` with its two lists still the integer arrays."""
+        return {**self.field.short_json(), "b": self.b,
+                "vertices": self.support, "edges": self._edge_array()}
+
     def to_json(self) -> dict:
         """Vertices as cell lists, edges as index pairs into ``vertices``;
         the field is written as rule JSON writes it."""
-        return {**self.field.short_json(), "b": self.b,
-                "vertices": self.support.tolist(),
-                "edges": self._edge_array().tolist()}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in self.json_arrays().items()}
 
     def to_dot(self) -> str:
         labels = ["".join(map(str, v)) for v in self.support.tolist()]

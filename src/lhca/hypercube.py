@@ -359,8 +359,9 @@ def dump_json(rule: Rule, budget: int = DEFAULT_ENTRY_BUDGET) -> str:
 
 
 def _count_latin_range(args: tuple) -> int:
-    field_json, b, k, lo, hi, budget = args
-    rules = enumerate_linear_rules(GF.from_json(field_json), b, k)
+    field, b, k, lo, hi, budget = args  # a worker receives the field's JSON
+    rules = enumerate_linear_rules(
+        field if isinstance(field, GF) else GF.from_json(field), b, k)
     return sum(bool(is_latin(rule, budget=budget))
                for rule in itertools.islice(rules, lo, hi))
 
@@ -401,4 +402,4 @@ def count_latin_rules(field: GF, b: int, k: int,
                 for i in range(chunks)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(_count_latin_range, jobs))
-    return _count_latin_range((field.to_json(), b, k, 0, total, budget))
+    return _count_latin_range((field, b, k, 0, total, budget))

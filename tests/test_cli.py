@@ -344,6 +344,19 @@ def test_count_small_case_verified(capsys):
                       "paths": "4", "exhaustive": "4", "match": True}
 
 
+@pytest.mark.parametrize("q", [2, 16])
+def test_count_verify_builds_its_field_once(capsys, monkeypatch, q):
+    # the serial exhaustive recount takes the command's field, not a copy
+    # rebuilt from its JSON
+    built, init = [], GF.__init__
+    monkeypatch.setattr(GF, "__init__", lambda self, *args, **kwargs: (
+        built.append(args), init(self, *args, **kwargs))[1])
+    code, report = run_json(capsys, "count", "--q", str(q), "--b", "1",
+                            "--k", "4", "--verify")
+    assert code == 0 and "exhaustive" in report
+    assert built == [(q,)]
+
+
 def test_count_counts_are_decimal_strings(capsys):
     _, report = run_json(capsys, "count", "--q", "3", "--b", "2", "--k", "4")
     assert report["formula"] == "108"
@@ -553,6 +566,51 @@ def test_graph_output_is_pinned(capsys, q, b, dot, as_json):
                            "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, fmt
+
+
+# the same digests of the other JSON commands, as json.dumps(indent=2) wrote
+# them before the join-speed writer; RULE_FILE is a general rule over GF(3)
+SAMPLED_COEFFS = ",".join(["0", "1", "0"] + ["1", "0"] * 11)
+JSON_DIGESTS = [
+    ("check-latin", 0, "c28de202a611d936",
+     ["check", "--q", "3", "--b", "2", "--k", "4", "--coeffs", "1,2,0,1,2"]),
+    ("check-non-latin", 1, "1c24cafc39b07051",
+     ["check", "--q", "2", "--b", "2", "--k", "6",
+      "--coeffs", "0,1,1,0,0,1,1,0,1"]),
+    ("check-sampled", 0, "57df1b085703277e",
+     ["check", "--q", "2", "--b", "2", "--k", "14",
+      "--coeffs", SAMPLED_COEFFS, "--seed", "7"]),
+    ("check-general", 0, "79aae861d2452cf7", ["check", "--rule-file",
+                                              "RULE_FILE"]),
+    ("count-2-2-4", 0, "5ec1a91128c7293d",
+     ["count", "--q", "2", "--b", "2", "--k", "4", "--verify"]),
+    ("count-3-1-5", 0, "569f550fd0fe129d",
+     ["count", "--q", "3", "--b", "1", "--k", "5", "--verify"]),
+    ("count-2-1-8", 0, "b29cfba1c1ec3c6f",
+     ["count", "--q", "2", "--b", "1", "--k", "8", "--verify"]),
+    ("count-3-2-6", 0, "09eee23399fe1e12",
+     ["count", "--q", "3", "--b", "2", "--k", "6", "--verify"]),
+    ("synth-2-2-6", 0, "eaab1f73ea44c8ac",
+     ["synth", "--q", "2", "--b", "2", "--k", "6", "--index", "29"]),
+    ("synth-3-2-4", 0, "053bdd108b5e2ce7",
+     ["synth", "--q", "3", "--b", "2", "--k", "4", "--index", "77"]),
+    ("synth-4-1-9", 0, "5cad730b50d59b61",
+     ["synth", "--q", "4", "--b", "1", "--k", "9", "--index", "1234"]),
+    ("synth-all-2-2-8", 0, "7ddc3214e8a2e404",
+     ["synth", "--all", "--q", "2", "--b", "2", "--k", "8"]),
+]
+
+
+@pytest.mark.parametrize("code,digest,argv", [d[1:] for d in JSON_DIGESTS],
+                         ids=[d[0] for d in JSON_DIGESTS])
+def test_json_output_is_pinned(capsys, tmp_path, code, digest, argv):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(
+        GeneralBipermutiveRule(GF(3), 3, (1, 0, 2)).to_json()))
+    got, out, err = run(capsys, *[str(path) if a == "RULE_FILE" else a
+                                  for a in argv])
+    assert got == code, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_graph_out_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from helpers import (MODULUS_ORDERS, central_points, every_modulus,
@@ -30,7 +31,7 @@ from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import count_latin_rules, is_latin
 from lhca.rules import LinearRule, enumerate_linear_rules
-from lhca.toeplitz import is_latin_by_windows, windows
+from lhca.toeplitz import is_latin_by_windows, support_of_det, windows
 
 F2 = GF(2)
 F3 = GF(3)
@@ -153,12 +154,44 @@ def test_unequal_prefix_classes_are_refused(vertices):
         DetGraph(F2, 2, vertices)
 
 
+GOLDEN_SUPPORT = ((0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
 @pytest.mark.parametrize("vertices", [
     ((0, 1), (1, 1)), ((0, 1, 0, 1),), ((0, 1, 2), (1, 0, 1)), [(0, 1, 0)] * 2,
-], ids=["short", "long", "not-an-element", "repeated"])
+    # checked before the cast: a float is not truncated, and -1 or a huge
+    # cell is a ValueError, not numpy's OverflowError
+    GOLDEN_SUPPORT[:3] + ((1.5, 1, 0),), ((-1, 1, 0),) + GOLDEN_SUPPORT[1:],
+    np.array(GOLDEN_SUPPORT, dtype=float), np.array(GOLDEN_SUPPORT, dtype=bool),
+    np.array(GOLDEN_SUPPORT, dtype=object) * 2**70,
+], ids=["short", "long", "not-an-element", "repeated", "float-cell",
+        "negative-cell", "float-array", "bool-array", "object-array"])
 def test_vertices_that_are_not_windows_are_refused(vertices):
     with pytest.raises(ValueError):
         DetGraph(F2, 2, vertices)
+
+
+def test_a_support_in_the_fields_dtype_is_not_copied():
+    support = support_of_det(F3, 2)
+    g = DetGraph(F3, 2, support)
+    assert np.shares_memory(g.support, support)
+    assert g.support.dtype == F3.dtype and not g.support.flags.writeable
+    wide = DetGraph(F3, 2, support.astype(np.int64))
+    assert wide.support.dtype == F3.dtype and wide.vertices[:] == g.vertices[:]
+    assert DetGraph(F2, 2, GOLDEN_SUPPORT).vertices[:] == list(GOLDEN_SUPPORT)
+
+
+@pytest.mark.parametrize("q,b", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2),
+                                 (2, 3)])
+def test_views_iterate_as_they_index(q, b):
+    # iteration reads the arrays once; it must yield what indexing builds
+    g = build_graph(GF(q), b)
+    for view in (g.vertices, g.succ):
+        items = [view[i] for i in range(len(view))]
+        assert list(view) == items == view[:]
+        assert list(map(type, view)) == list(map(type, items))
+    assert {type(c) for v in g.vertices for c in v} == {int}
+    assert {type(r.start) for r in g.succ} == {int}
 
 
 def test_b1_graph_is_complete_with_loops():
