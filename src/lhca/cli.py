@@ -47,9 +47,8 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from .debruijn import (
     build_graph,
@@ -200,7 +199,7 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
         raise BudgetExceededError(
             f"{edges} edges exceed the enumeration budget {budget}")
     if args.format == "json":
-        return _json(g.json_arrays()), 0
+        return _json(g.to_json()), 0
     return g.to_dot(), 0
 
 
@@ -253,7 +252,7 @@ def _decimal(n: int) -> str:
 
 def _json(payload) -> str:
     """Exactly ``json.dumps(payload, indent=2)`` and a newline, each list
-    of ints, or of equally long int rows, written by one ``join``."""
+    of ints, or of equally long int rows, written by one ``%``."""
     return _encode(payload, "\n") + "\n"
 
 
@@ -261,42 +260,30 @@ def _encode(x, nl: str) -> str:
     """x as json.dumps(indent=2) writes it on a line that ``nl`` opens."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, (int, float)):
-        r = (int if isinstance(x, int) else float).__repr__(x)
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(r, r)
-    inner, rows = nl + "  ", 0
+    if x is None or isinstance(x, (bool, float)):
+        return json.dumps(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = nl + "  "
     if isinstance(x, dict):  # a key that is not a str is a TypeError
         strs = [encode_basestring_ascii(k) + ": " + _encode(v, inner)
                 for k, v in x.items()]
         return "{" + inner + ("," + inner).join(strs) + nl + "}" if x else "{}"
-    if isinstance(x, np.ndarray):
-        # entries below the size share a string each; other arrays are lists
-        if (x.dtype.kind not in "iu" or x.ndim not in (1, 2) or not x.size
-                or x.min() < 0 or x.max() >= x.size):
-            return _encode(x.tolist(), nl)
-        strs = np.array(list(map(str, range(int(x.max()) + 1))),
-                        dtype=object)[x.ravel()].tolist()
-        rows = len(x) if x.ndim == 2 else 0
-    elif not isinstance(x, (list, tuple)):
+    if not isinstance(x, (list, tuple)):
         raise TypeError(f"{type(x).__name__} is not JSON serializable")
+    # ints, or equally long rows of ints, fill one template of json's
+    # separators with a single %-format
+    if set(map(type, x)) == {int}:
+        flat, body = x, ("," + inner).join(["%d"] * len(x))
     elif (set(map(type, x)) <= {list, tuple} and len(set(map(len, x))) == 1
-          and set(map(type, flat := [v for row in x for v in row])) == {int}):
-        strs, rows = list(map(int.__repr__, flat)), len(x)
+          and set(map(type, flat := [*chain.from_iterable(x)])) == {int}):
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["%d"] * len(x[0])) + inner + "]"
+        body = ("," + inner).join([row] * len(x))
     else:
-        strs = (list(map(int.__repr__, x)) if set(map(type, x)) == {int}
-                else [_encode(v, inner) for v in x])
-    if not rows:
-        return ("[" + inner + ("," + inner).join(strs) + nl + "]" if strs
-                else "[]")
-    # a row's entries sit at cell, its brackets at inner: one join for all
-    cell, width = inner + "  ", len(strs) // rows
-    pieces = ["," + cell] * (2 * len(strs) + 1)
-    pieces[1::2] = strs
-    pieces[2 * width::2 * width] = [inner + "]," + inner + "[" + cell] * rows
-    pieces[0], pieces[-1] = "[" + inner + "[" + cell, inner + "]" + nl + "]"
-    return "".join(pieces)
+        body = ("," + inner).join([_encode(v, inner) for v in x])
+        return "[" + inner + body + nl + "]" if x else "[]"
+    return ("[" + inner + body + nl + "]") % tuple(flat)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -78,17 +78,17 @@ class DetGraph:
     heads ``degree`` = D vertices, so u's successors are ``succ[u]`` =
     ``range(tail[u]*D, tail[u]*D + D)``.  ``vertices`` and ``succ`` are
     read-only sequences of vertex tuples and of these ranges.  ``succ``,
-    when given, must be exactly these runs.  ValueError otherwise.  Given
-    vertices already in the field's dtype are held as a view, not copied.
+    when given, must be exactly these runs.  ValueError otherwise.  A
+    read-only array already in the field's dtype is held, not copied.
     """
 
     def __init__(self, field: GF, b: int, vertices,
                  succ: Sequence[Sequence[int]] | None = None):
         q, classes = field.q, field.q ** (b - 1)
-        rows = np.asarray(vertices)  # checked before the cast; uint skips min
-        if rows.size and (rows.dtype.kind not in "iu" or rows.max() >= q
-                          or rows.dtype.kind == "i" and rows.min() < 0) or len(
-                rows := rows.astype(field.dtype, copy=False).reshape(
+        rows = np.asarray(vertices)  # every cell checked before the cast
+        if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
+                          or rows.max() >= q) or len(rows := rows.astype(
+                field.dtype, copy=rows.flags.writeable).reshape(
                     -1, 2 * b - 1)) != len(vertices):
             raise ValueError(f"vertices are not windows over {field!r}")
         degree, uneven = divmod(len(rows), classes)
@@ -139,16 +139,12 @@ class DetGraph:
         return np.repeat(np.bincount(self.tail, minlength=classes),
                          self.degree).tolist()
 
-    def json_arrays(self) -> dict:
-        """:meth:`to_json` with its two lists still the integer arrays."""
-        return {**self.field.short_json(), "b": self.b,
-                "vertices": self.support, "edges": self._edge_array()}
-
     def to_json(self) -> dict:
         """Vertices as cell lists, edges as index pairs into ``vertices``;
         the field is written as rule JSON writes it."""
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v
-                for k, v in self.json_arrays().items()}
+        return {**self.field.short_json(), "b": self.b,
+                "vertices": self.support.tolist(),
+                "edges": self._edge_array().tolist()}
 
     def to_dot(self) -> str:
         labels = ["".join(map(str, v)) for v in self.support.tolist()]
@@ -164,7 +160,9 @@ def build_graph(field: GF, b: int,
     """Graph over the nonsingular windows of length 2b-1, the sorted rows
     of ``support_of_det``; at b = 1 every tail is empty, so the graph is
     complete, loops included."""
-    return DetGraph(field, b, support_of_det(field, b, budget))
+    support = support_of_det(field, b, budget)
+    support.flags.writeable = False  # the graph's own: held, not copied
+    return DetGraph(field, b, support)
 
 
 def count_paths(graph: DetGraph, length: int,

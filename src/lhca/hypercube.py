@@ -358,12 +358,15 @@ def dump_json(rule: Rule, budget: int = DEFAULT_ENTRY_BUDGET) -> str:
     return "".join(_dump_parts(rule, "json", budget))
 
 
-def _count_latin_range(args: tuple) -> int:
-    field, b, k, lo, hi, budget = args  # a worker receives the field's JSON
-    rules = enumerate_linear_rules(
-        field if isinstance(field, GF) else GF.from_json(field), b, k)
+def _count_latin_range(field: GF, b: int, k: int, lo: int, hi: int,
+                       budget: int) -> int:
+    rules = enumerate_linear_rules(field, b, k)
     return sum(bool(is_latin(rule, budget=budget))
                for rule in itertools.islice(rules, lo, hi))
+
+
+def _count_latin_job(args: tuple) -> int:  # a worker: the field as JSON
+    return _count_latin_range(GF.from_json(args[0]), *args[1:])
 
 
 def count_latin_rules(field: GF, b: int, k: int,
@@ -401,5 +404,5 @@ def count_latin_rules(field: GF, b: int, k: int,
         jobs = [(field.to_json(), b, k, bounds[i], bounds[i + 1], budget)
                 for i in range(chunks)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_count_latin_range, jobs))
-    return _count_latin_range((field, b, k, 0, total, budget))
+            return sum(pool.map(_count_latin_job, jobs))
+    return _count_latin_range(field, b, k, 0, total, budget)

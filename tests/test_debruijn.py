@@ -162,7 +162,8 @@ GOLDEN_SUPPORT = ((0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
     # checked before the cast: a float is not truncated, and -1 or a huge
     # cell is a ValueError, not numpy's OverflowError
     GOLDEN_SUPPORT[:3] + ((1.5, 1, 0),), ((-1, 1, 0),) + GOLDEN_SUPPORT[1:],
-    np.array(GOLDEN_SUPPORT, dtype=float), np.array(GOLDEN_SUPPORT, dtype=bool),
+    np.array(GOLDEN_SUPPORT, dtype=float),
+    np.array(GOLDEN_SUPPORT, dtype=bool),
     np.array(GOLDEN_SUPPORT, dtype=object) * 2**70,
 ], ids=["short", "long", "not-an-element", "repeated", "float-cell",
         "negative-cell", "float-array", "bool-array", "object-array"])
@@ -171,13 +172,22 @@ def test_vertices_that_are_not_windows_are_refused(vertices):
         DetGraph(F2, 2, vertices)
 
 
-def test_a_support_in_the_fields_dtype_is_not_copied():
-    support = support_of_det(F3, 2)
+def test_only_a_read_only_support_is_held_without_a_copy():
+    # a writable array stays the caller's: writing to it later cannot
+    # change the graph
+    support, golden = support_of_det(F3, 2), build_graph(F3, 2)
     g = DetGraph(F3, 2, support)
-    assert np.shares_memory(g.support, support)
+    support[:] = 0
+    assert not np.shares_memory(g.support, support)
+    assert g.vertices[:] == golden.vertices[:] and list(g.vertices) == list(
+        golden.vertices)
     assert g.support.dtype == F3.dtype and not g.support.flags.writeable
-    wide = DetGraph(F3, 2, support.astype(np.int64))
-    assert wide.support.dtype == F3.dtype and wide.vertices[:] == g.vertices[:]
+    frozen = support_of_det(F3, 2)
+    frozen.flags.writeable = False
+    assert np.shares_memory(DetGraph(F3, 2, frozen).support, frozen)
+    wide = DetGraph(F3, 2, golden.support.astype(np.int64))
+    assert wide.support.dtype == F3.dtype
+    assert wide.vertices[:] == golden.vertices[:]
     assert DetGraph(F2, 2, GOLDEN_SUPPORT).vertices[:] == list(GOLDEN_SUPPORT)
 
 
