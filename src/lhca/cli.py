@@ -33,7 +33,8 @@ disagree (a bug in lhca; nothing is written).  JSON output is exactly
 json.dumps(indent=2), written at join speed; counts are decimal strings.
 LHCA_BUDGET overrides the default enumeration and entry budgets;
 --budget overrides both per run.  Sampling exits 3 when one line has
-more than 2^30 bytes of inputs, whatever the budget.
+more than 2^30 bytes of inputs, whatever the budget.  synth --all sweeps
+and samples only when its whole set of rules fits the entry budget.
 Every budget bounds a power of q or of the out-degree, and each refusal
 is decided before any work, with no huge power built, by one exact test,
 errors.power_exceeds, the k >= 3 count and its walk recount included.
@@ -51,6 +52,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .debruijn import (
+    _walk_total,
     build_graph,
     cross_check_count,
     enumerate_paths,
@@ -211,9 +213,20 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     if args.all == (args.index is not None):
         raise ValueError("give exactly one of --index or --all")
     fld = GF(args.q, poly=args.poly)
-    g = build_graph(fld, args.b, args.enum_budget)
-    walks = (enumerate_paths(g, args.k - 3, args.enum_budget) if args.all
-             else [unrank_path(g, args.k - 3, args.index)])
+    g, length = build_graph(fld, args.b, args.enum_budget), args.k - 3
+    if args.all:
+        # one oracle for the whole set, bounded before any walk is found
+        count = _walk_total(g, length, args.enum_budget)
+        budget = args.entry_budget // count
+        fits = not power_exceeds(fld.q, args.b * args.k, budget)
+        args.verify = fits if args.verify is None else args.verify
+        if (not fits if args.verify else args.seed is not None
+                and power_exceeds(fld.q, args.b, budget // 1000)):
+            raise BudgetExceededError(
+                f"{'sweeping' if args.verify else 'sampling'} {count} rules "
+                f"exceeds the entry budget {args.entry_budget}")
+    walks = (enumerate_paths(g, length, args.enum_budget) if args.all
+             else [unrank_path(g, length, args.index)])
     rules = [rule_from_path(fld, w) for w in walks]
     for rule in rules:
         if not _check_report(rule, args)["latin"]:

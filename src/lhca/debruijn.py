@@ -13,9 +13,9 @@ returns, and the tail rank of each, the base-q rank of its last b-1
 coefficients.  The graph is regular, every out-degree D = (q-1) q^(b-1),
 and :class:`DetGraph` refuses one that is not: the D completions of each
 (b-1)-prefix are one run, so u's successors are the indices tail[u]*D to
-tail[u]*D + D-1.  Each vertex starts D^L walks of L edges, and a walk is
-unranked from the base-D digits of its index, stepping by rank, with no
-table of walk counts and no vertex tuple built until it is returned.
+tail[u]*D + D-1.  Each vertex starts D^L walks of L edges; walk i starts
+at vertex i // D^L and steps by the base-D digits of the rest, which
+``unrank_path`` reads off one index and ``enumerate_paths`` off an array.
 Counts are Python integers; they grow far beyond any fixed-width type.
 """
 
@@ -33,6 +33,8 @@ from .hypercube import DEFAULT_ENTRY_BUDGET, count_latin_rules, is_latin
 from .rules import (DEFAULT_INT_BITS, LinearRule, count_bipermutive_rules,
                     enumerate_bipermutive_rules)
 from .toeplitz import DEFAULT_SUPPORT_BUDGET, support_of_det
+
+_CHUNK_CELLS = 1 << 16  # walk cells per chunk of enumerate_paths
 
 
 def fuse(u: Sequence[int], v: Sequence[int],
@@ -165,28 +167,26 @@ def build_graph(field: GF, b: int,
     return DetGraph(field, b, support)
 
 
-def count_paths(graph: DetGraph, length: int,
-                max_bits: int = DEFAULT_INT_BITS) -> int:
+def count_paths(graph: DetGraph, length: int) -> int:
     """Number of walks with ``length`` edges; vertices may repeat.
 
     Every vertex starts D^length walks, so there are V * D^length, V and
     D read off the built graph: a graph with wrong windows or edges still
     disagrees with the closed form.  BudgetExceededError when D^length
-    passes ``max_bits`` bits, refused before it is built.
+    passes ``DEFAULT_INT_BITS`` bits, refused before it is built.
     """
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
-    # D^L >= 2^max_bits needs D^L > max_bits, a test with no big cap to build
-    if (power_exceeds(graph.degree, length, max_bits)
-            and power_exceeds(graph.degree, length, (1 << max_bits) - 1)):
+    # D^L >= 2^bits needs D^L > bits, a test with no big cap to build
+    if (power_exceeds(graph.degree, length, DEFAULT_INT_BITS) and
+            power_exceeds(graph.degree, length, (1 << DEFAULT_INT_BITS) - 1)):
         raise BudgetExceededError(
-            f"walk count exceeds the {max_bits}-bit budget")
+            f"walk count exceeds the {DEFAULT_INT_BITS}-bit budget")
     return len(graph.vertices) * graph.degree ** length
 
 
-def unrank_path(graph: DetGraph, length: int, index: int,
-                max_bits: int = DEFAULT_INT_BITS
-                ) -> tuple[tuple[int, ...], ...]:
+def unrank_path(graph: DetGraph, length: int,
+                index: int) -> tuple[tuple[int, ...], ...]:
     """Walk number ``index`` (0-based) of :func:`enumerate_paths`, found
     without enumerating.
 
@@ -197,7 +197,7 @@ def unrank_path(graph: DetGraph, length: int, index: int,
     from vertex v to tail[v]*D + t.  The total and its refusal are
     :func:`count_paths`'s.
     """
-    degree, total = graph.degree, count_paths(graph, length, max_bits)
+    degree, total = graph.degree, count_paths(graph, length)
     if not 0 <= index < total:
         raise ValueError(f"walk index {index} out of range for "
                          f"{len(graph.vertices)} * {degree}^{length} walks")
@@ -223,48 +223,37 @@ def unrank_path(graph: DetGraph, length: int, index: int,
     return tuple(map(vertex, walk))
 
 
-def enumerate_paths(graph: DetGraph, length: int,
-                    budget: int = 1 << 20) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All walks with ``length`` edges (length+1 vertices), lexicographic
-    by vertex encoding.
-
-    Raises BudgetExceededError up front when the V * D^length walks (V
-    vertices of out-degree D) are more than ``budget``.
-    """
-    if length < 0:
-        raise ValueError(f"walk length must be >= 0, got {length}")
+def _walk_total(graph: DetGraph, length: int, budget: int) -> int:
+    """The V * D^length walks :func:`enumerate_paths` yields, refused
+    before the count is built when they are more than ``budget``."""
     # V * D^L > budget exactly when D^L > budget // V
     vertices = len(graph.vertices)
     if vertices and power_exceeds(graph.degree, length, budget // vertices):
         raise BudgetExceededError(
             f"{vertices} * {graph.degree}^{length} walks exceed "
             f"the enumeration budget {budget}")
+    return count_paths(graph, length)
 
-    degree, last = graph.degree, graph.degree - 1
-    # a vertex tuple is built when a walk first reaches it, then shared
-    vs, tail = [None] * vertices, graph.tail.tolist()
 
-    def vertex(j, vs=vs, item=graph.vertices.__getitem__):
-        vs[j] = item(j)  # vs is bound here, not closed over, to stay local
-        return vs[j]
-
-    for start in range(vertices):
-        # an odometer over the L base-D digits, the last one fastest: each
-        # increment rewrites only the steps from the digit that changed
-        digits, at = [0] * length, [start] * (length + 1)
-        walk, t = [vs[start] or vertex(start)] * (length + 1), 0
-        while True:
-            for s in range(t, length):
-                at[s + 1] = j = tail[at[s]] * degree + digits[s]
-                walk[s + 1] = vs[j] or vertex(j)
-            yield tuple(walk)
-            t = length - 1
-            while t >= 0 and digits[t] == last:
-                digits[t] = 0
-                t -= 1
-            if t < 0:
-                break
-            digits[t] += 1
+def enumerate_paths(graph: DetGraph, length: int,
+                    budget: int = 1 << 20) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All walks with ``length`` edges (length+1 vertices), lexicographic
+    by vertex encoding: walk i is :func:`unrank_path`'s, found for about
+    ``_CHUNK_CELLS`` walk cells at a time.  BudgetExceededError up front
+    when the walks are more than ``budget``."""
+    total, degree = _walk_total(graph, length, budget), graph.degree
+    vs = np.fromiter(map(tuple, graph.support.tolist()), dtype=object,
+                     count=len(graph.tail))
+    rows = max(1, _CHUNK_CELLS // (length + 1))
+    for lo in range(0, total, rows):
+        at = np.empty((min(rows, total - lo), length + 1), dtype=np.int64)
+        rest = np.arange(lo, lo + len(at))
+        for s in range(length, 0, -1):  # the last digit first
+            rest, at[:, s] = np.divmod(rest, degree)
+        at[:, 0] = rest  # the start vertex, i // D^length
+        for s in range(length):
+            at[:, s + 1] += graph.tail[at[:, s]] * degree
+        yield from zip(*vs[at.T].tolist())
 
 
 def rule_from_path(field: GF, path: Sequence[Sequence[int]]) -> LinearRule:
@@ -293,33 +282,32 @@ def rule_from_path(field: GF, path: Sequence[Sequence[int]]) -> LinearRule:
     return LinearRule(field, b, len(path) + 2, tuple(coeffs))
 
 
-def latin_hypercube_count(field: GF, b: int, k: int,
-                          max_bits: int = DEFAULT_INT_BITS) -> int:
+def latin_hypercube_count(field: GF, b: int, k: int) -> int:
     """Number of rules with a Latin (b, k) cube.
 
     Closed form (q-1)^{k-2} q^{(k-1)(b-1)} over linear rules for k >= 3;
     for k = 2 every bipermutive rule qualifies, giving q^{q^{b-1}} counted
     over all bipermutive rules.  :func:`cross_check_count` checks it.  A
-    count over ``max_bits`` bits is refused before it is built.
+    count over ``DEFAULT_INT_BITS`` bits is refused before it is built.
     """
     if b < 1 or k < 2:
         raise ValueError(f"need b >= 1 and k >= 2, got b={b}, k={k}")
     q = field.q
     if k == 2:
-        return count_bipermutive_rules(field, b, max_bits)
-    cap, e = (1 << max_bits) - 1, (k - 1) * (b - 1)
+        return count_bipermutive_rules(field, b)
+    cap, e = (1 << DEFAULT_INT_BITS) - 1, (k - 1) * (b - 1)
     qe = 0 if power_exceeds(q, e, cap) else q**e
-    # (q-1)^(k-2) q^e > cap exactly when (q-1)^(k-2) > cap // q^e
-    if not qe or power_exceeds(q - 1, k - 2, cap // qe):
+    if (not qe or power_exceeds(q - 1, k - 2, cap)
+            or (count := (q - 1) ** (k - 2) * qe) > cap):
         raise BudgetExceededError(
-            f"count for q={q}, b={b}, k={k} exceeds the {max_bits}-bit budget")
-    return (q - 1) ** (k - 2) * qe
+            f"count for q={q}, b={b}, k={k} exceeds the "
+            f"{DEFAULT_INT_BITS}-bit budget")
+    return count
 
 
 def cross_check_count(field: GF, b: int, k: int,
                       budget: int = DEFAULT_SUPPORT_BUDGET,
                       entry_budget: int = DEFAULT_ENTRY_BUDGET,
-                      max_bits: int = DEFAULT_INT_BITS,
                       workers: int | None = None) -> dict[str, int]:
     """The single count cross-check: the closed form ``formula``, the walk
     count ``paths`` (k >= 3) of the graph built over ``support_of_det``
@@ -328,12 +316,11 @@ def cross_check_count(field: GF, b: int, k: int,
     rule.  A mismatch raises CrossCheckError; a graph or k = 2 sweep over
     budget raises BudgetExceededError before any work.
     """
-    formula = latin_hypercube_count(field, b, k, max_bits=max_bits)
+    formula = latin_hypercube_count(field, b, k)
     counts = {"formula": formula}
     q = field.q
     if k >= 3:
-        counts["paths"] = count_paths(build_graph(field, b, budget), k - 3,
-                                      max_bits)
+        counts["paths"] = count_paths(build_graph(field, b, budget), k - 3)
         if not power_exceeds(q, b * (k - 1) - 1 + b * k, entry_budget):
             counts["exhaustive"] = count_latin_rules(field, b, k, entry_budget,
                                                      workers)
@@ -343,7 +330,7 @@ def cross_check_count(field: GF, b: int, k: int,
     else:
         counts["exhaustive"] = sum(
             bool(is_latin(r, budget=entry_budget))
-            for r in enumerate_bipermutive_rules(field, b, max_bits))
+            for r in enumerate_bipermutive_rules(field, b))
     if any(n != formula for n in counts.values()):
         raise CrossCheckError(
             f"counts {counts} disagree for q={q}, b={b}, k={k}")

@@ -300,16 +300,16 @@ def restriction_is_permutation(rule: Rule, side: str,
     return len(seen) == q**b
 
 
-def count_bipermutive_rules(field: GF, b: int,
-                            max_bits: int = DEFAULT_INT_BITS) -> int:
+def count_bipermutive_rules(field: GF, b: int) -> int:
     """Number of bipermutive rules of diameter b+1: q^(q^(b-1))."""
     if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
     q = field.q
-    if (power_exceeds(q, b - 1, max_bits)  # q^(q^(b-1)) >= 2^(max_bits+1)
-            or power_exceeds(q, q ** (b - 1), (1 << max_bits) - 1)):
+    bits = DEFAULT_INT_BITS
+    if (power_exceeds(q, b - 1, bits)  # q^(q^(b-1)) >= 2^(bits+1)
+            or power_exceeds(q, q ** (b - 1), (1 << bits) - 1)):
         raise BudgetExceededError(
-            f"q^(q^(b-1)) for q={q}, b={b} exceeds the {max_bits}-bit budget")
+            f"q^(q^(b-1)) for q={q}, b={b} exceeds the {bits}-bit budget")
     return q ** (q ** (b - 1))
 
 
@@ -323,11 +323,10 @@ def enumerate_linear_rules(field: GF, b: int, k: int) -> Iterator[LinearRule]:
         yield LinearRule(field, b, k, coeffs)
 
 
-def enumerate_bipermutive_rules(field: GF, b: int,
-                                max_bits: int = DEFAULT_INT_BITS
-                                ) -> Iterator[GeneralBipermutiveRule]:
+def enumerate_bipermutive_rules(field: GF,
+                                b: int) -> Iterator[GeneralBipermutiveRule]:
     """All q^(q^(b-1)) bipermutive rules of diameter b+1, g tables in
     lexicographic order."""
-    count_bipermutive_rules(field, b, max_bits)  # budget guard
+    count_bipermutive_rules(field, b)  # budget guard
     for g in itertools.product(range(field.q), repeat=field.q ** (b - 1)):
         yield GeneralBipermutiveRule(field, b + 1, g)

@@ -598,6 +598,9 @@ JSON_DIGESTS = [
      ["synth", "--q", "4", "--b", "1", "--k", "9", "--index", "1234"]),
     ("synth-all-2-2-8", 0, "7ddc3214e8a2e404",
      ["synth", "--all", "--q", "2", "--b", "2", "--k", "8"]),
+    # 16 384 walks of 12 edges: four chunks of enumerate_paths
+    ("synth-all-2-2-15", 0, "94fb62684e92da83",
+     ["synth", "--all", "--q", "2", "--b", "2", "--k", "15"]),
 ]
 
 
@@ -743,6 +746,55 @@ def test_synth_all_refuses_a_long_walk_at_once(capsys, k):
     assert code == 3 and out == ""
     assert err == (f"error: 4 * 2^{k - 3} walks exceed the enumeration "
                    "budget 1048576\n")
+
+
+def test_synth_all_bounds_its_oracle_by_the_whole_set(capsys, monkeypatch):
+    # 256 rules x 4^9 entries are 2^26, past the 2^24 entry budget, so the
+    # oracle is skipped; sweeping one rule at a time took about 94 s
+    synth = ("synth", "--q", "2", "--b", "2", "--k", "9", "--all")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *synth)
+    assert time.perf_counter() - start < 5
+    # the rules that --no-verify wrote before the bound
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "d5d3048d44ee5398"
+    # 256 rules x 1000 lines x 4^1 entries fit: --seed samples every rule
+    sampled = []
+    monkeypatch.setattr(lhca.cli, "check_random_lines", lambda rule, **kw: (
+        sampled.append(rule) or lhca.hypercube.check_random_lines(rule, **kw)))
+    code, again, _ = run(capsys, *synth, "--seed", "1")
+    assert (code, again) == (0, out) and len(sampled) == 256
+
+
+def test_synth_all_refuses_a_forced_oracle_over_the_set(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a walk was enumerated or a cube swept")
+
+    monkeypatch.setattr(lhca.cli, "enumerate_paths", unreachable)
+    monkeypatch.setattr(lhca.cli, "is_latin", unreachable)
+    synth = ("synth", "--q", "2", "--b", "2", "--k", "9", "--all")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *synth, "--verify")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == ("error: sweeping 256 rules exceeds the entry budget "
+                   "16777216\n")
+    # 256 rules x 1000 lines x 4^1 entries pass a budget of 10^5
+    code, out, err = run(capsys, *synth, "--seed", "1", "--budget", "100000")
+    assert (code, out) == (3, "")
+    assert err == ("error: sampling 256 rules exceeds the entry budget "
+                   "100000\n")
+
+
+def test_synth_all_sweeps_every_rule_of_a_set_within_budget(capsys,
+                                                            monkeypatch):
+    # 128 rules x 4^8 entries are 2^23, within the 2^24 entry budget
+    swept = []
+    monkeypatch.setattr(lhca.cli, "is_latin", lambda rule, **kw: (
+        swept.append(rule) or lhca.hypercube.is_latin(rule, **kw)))
+    code, rules = run_json(capsys, "synth", "--q", "2", "--b", "2",
+                           "--k", "8", "--all")
+    assert code == 0 and len(rules) == len(swept) == 128
 
 
 def test_synth_k2_is_usage_error(capsys):

@@ -8,6 +8,7 @@ in- and out-degree 2.
 
 import collections
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -16,6 +17,7 @@ import pytest
 
 from helpers import (MODULUS_ORDERS, central_points, every_modulus,
                      unrank_by_divmod, unrank_by_suffix_counts)
+from lhca import debruijn
 from lhca.debruijn import (
     DetGraph,
     build_graph,
@@ -30,7 +32,7 @@ from lhca.debruijn import (
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import count_latin_rules, is_latin
-from lhca.rules import LinearRule, enumerate_linear_rules
+from lhca.rules import DEFAULT_INT_BITS, LinearRule, enumerate_linear_rules
 from lhca.toeplitz import is_latin_by_windows, support_of_det, windows
 
 F2 = GF(2)
@@ -235,21 +237,25 @@ def test_walks_of_negative_length_are_a_value_error():
 def test_count_paths_bit_budget():
     g = build_graph(F2, 2)
     with pytest.raises(BudgetExceededError):
-        count_paths(g, 30, max_bits=10)
+        count_paths(g, 10**7)
 
 
-@pytest.mark.parametrize("max_bits", [1, 8, 64, 1000])
-def test_walk_count_and_unranking_refuse_at_one_boundary(max_bits):
-    # D = 2: 2^(max_bits-1) walks per vertex fit max_bits bits, 2^max_bits
-    # do not; both refusals give the same message
-    g = build_graph(F2, 2)
-    message = f"^walk count exceeds the {max_bits}-bit budget$"
+@pytest.mark.parametrize("q,b", [(2, 2), (4, 1), (2, 3), (16, 1)])
+def test_walk_count_and_unranking_refuse_at_one_boundary(q, b):
+    # D = 2, 3, 4 and 15: the longest walks whose D^L fits 2^20 bits are
+    # counted and unranked, one edge more is refused with one message
+    g = build_graph(GF(q), b)
+    degree, cap = g.degree, 1 << DEFAULT_INT_BITS
+    length = int(DEFAULT_INT_BITS / math.log2(degree))
+    length -= degree ** length >= cap  # the float log may round up
+    assert degree ** length < cap <= degree ** (length + 1)
+    message = f"^walk count exceeds the {DEFAULT_INT_BITS}-bit budget$"
     with pytest.raises(BudgetExceededError, match=message):
-        count_paths(g, max_bits, max_bits)
+        count_paths(g, length + 1)
     with pytest.raises(BudgetExceededError, match=message):
-        unrank_path(g, max_bits, 0, max_bits)
-    assert count_paths(g, max_bits - 1, max_bits) == 4 * 2 ** (max_bits - 1)
-    assert unrank_path(g, max_bits - 1, 0, max_bits) == ((0, 1, 0),) * max_bits
+        unrank_path(g, length + 1, 0)
+    assert count_paths(g, length) == len(g.vertices) * degree ** length
+    assert unrank_path(g, length, 0) == (g.vertices[0],) * (length + 1)
 
 
 def test_walks_on_the_single_loop_are_counted_without_stepping():
@@ -322,6 +328,36 @@ def test_unrank_path_is_the_enumeration_order(q, b, length):
             unrank_path(g, length, bad)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_enumeration_is_the_unranking_across_chunks(q, monkeypatch):
+    # 13 cells hold 13, 6, 4, 3 and 2 walks of 0 to 4 edges, so most
+    # chunks end inside a vertex's walks and the last one is short; every
+    # graph with V * D^L <= 4096 under every modulus, the one-vertex GF(2),
+    # b = 1 graph included
+    monkeypatch.setattr(debruijn, "_CHUNK_CELLS", 13)
+    rng = random.Random(q)
+    for fld in every_modulus(q):
+        for b in itertools.count(1):
+            if (q - 1) * q ** (2 * b - 2) > 4096:
+                break
+            g = build_graph(fld, b)
+            for length in range(5):
+                total = count_paths(g, length)
+                if total > 4096:
+                    break
+                walks = list(enumerate_paths(g, length, budget=total))
+                assert walks == [unrank_path(g, length, i)
+                                 for i in range(total)]
+                rows = 13 // (length + 1)  # the first chunk's edge
+                for i in {0, rows - 1, rows, total - 1,
+                          *rng.sample(range(total), min(total, 8))}:
+                    if i < total:
+                        assert walks[i] == unrank_by_suffix_counts(
+                            g, length, i)
+                with pytest.raises(BudgetExceededError):
+                    next(enumerate_paths(g, length, budget=total - 1))
+
+
 def test_unrank_path_past_the_enumeration_budget():
     g = build_graph(F2, 2)
     n = count_paths(g, 27)
@@ -331,12 +367,6 @@ def test_unrank_path_past_the_enumeration_budget():
     # two-cycle 110 <-> 011
     assert unrank_path(g, 27, 0) == ((0, 1, 0),) * 28
     assert unrank_path(g, 27, n - 1) == ((1, 1, 0), (0, 1, 1)) * 14
-    with pytest.raises(BudgetExceededError):
-        unrank_path(g, 27, 0, max_bits=8)
-    # 2^27 walks per vertex has 28 bits
-    assert unrank_path(g, 27, 0, max_bits=28) == ((0, 1, 0),) * 28
-    with pytest.raises(BudgetExceededError):
-        unrank_path(g, 27, 0, max_bits=27)
     # refused by its logarithm: 2^(10^15) is never built
     with pytest.raises(BudgetExceededError):
         unrank_path(g, 10**15, 0)
@@ -549,29 +579,38 @@ def test_square_count_is_bipermutive_rule_count():
 
 def test_count_bit_budget():
     with pytest.raises(BudgetExceededError):
-        latin_hypercube_count(F2, 2, 10**7, max_bits=1000)
+        latin_hypercube_count(F2, 2, 10**7)
     with pytest.raises(BudgetExceededError):
-        latin_hypercube_count(F2, 30, 2, max_bits=1000)
+        latin_hypercube_count(F2, 30, 2)
 
 
 def test_count_bit_budget_admits_exactly_its_bits():
-    # GF(2), b = 2: 2^(k-1) rules, so 1000 bits hold k = 1000, not 1001
-    assert latin_hypercube_count(F2, 2, 1000, max_bits=1000) == 2**999
+    # GF(2), b = 2: 2^(k-1) rules, so 2^20 bits hold k = 2^20, not 2^20 + 1
+    k = DEFAULT_INT_BITS
+    assert latin_hypercube_count(F2, 2, k) == 2 ** (k - 1)
     with pytest.raises(BudgetExceededError, match=(
-            "^count for q=2, b=2, k=1001 exceeds the 1000-bit budget$")):
-        latin_hypercube_count(F2, 2, 1001, max_bits=1000)
-    # 3^598 has 948 bits; two bits per factor of 3 would make it 1196
-    assert latin_hypercube_count(GF(4), 1, 600, max_bits=1000) == 3**598
+            f"^count for q=2, b=2, k={k + 1} exceeds the {k}-bit budget$")):
+        latin_hypercube_count(F2, 2, k + 1)
+    # 3^600000 has 950 978 bits; two bits per factor of 3 would make it
+    # 1 200 000, past the cap
+    assert latin_hypercube_count(GF(4), 1, 600_002) == 3**600_000
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_count_refusal_is_the_exact_bit_length(q):
-    fld = GF(q)
-    for b, k in itertools.product((1, 2, 3), range(3, 40)):
+    # (q-1)^(k-2) q^((k-1)(b-1)) has fewer than 2^20 + 1 bits exactly when
+    # k < (2^20 + 2x + y) / (x + y), x and y the logs of the two factors:
+    # that k is counted exactly, k + 1 is refused
+    fld, bits = GF(q), DEFAULT_INT_BITS
+    for b in (1, 2) if q > 2 else (2, 3):  # GF(2), b = 1 has one rule
+        x, y = math.log2(q - 1), (b - 1) * math.log2(q)
+        k = math.ceil((bits + 2 * x + y) / (x + y)) - 1
         n = (q - 1) ** (k - 2) * q ** ((k - 1) * (b - 1))
-        assert latin_hypercube_count(fld, b, k, n.bit_length()) == n
+        step = (q - 1) * q ** (b - 1)  # the count grows by this per k
+        assert n.bit_length() <= bits < (n * step).bit_length()
+        assert latin_hypercube_count(fld, b, k) == n
         with pytest.raises(BudgetExceededError):
-            latin_hypercube_count(fld, b, k, n.bit_length() - 1)
+            latin_hypercube_count(fld, b, k + 1)
 
 
 def test_graph_json_and_dot():
