@@ -34,7 +34,8 @@ json.dumps(indent=2), written at join speed; counts are decimal strings.
 LHCA_BUDGET overrides the default enumeration and entry budgets;
 --budget overrides both per run.  Sampling exits 3 when one line has
 more than 2^30 bytes of inputs, whatever the budget.  synth --all sweeps
-and samples only when its whole set of rules fits the entry budget.
+and samples only when its whole set of rules fits the entry budget; a set
+of one rule samples as check and synth --index do, past the budget.
 Every budget bounds a power of q or of the out-degree, and each refusal
 is decided before any work, with no huge power built, by one exact test,
 errors.power_exceeds, the k >= 3 count and its walk recount included.
@@ -220,7 +221,8 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
         budget = args.entry_budget // count
         fits = not power_exceeds(fld.q, args.b * args.k, budget)
         args.verify = fits if args.verify is None else args.verify
-        if (not fits if args.verify else args.seed is not None
+        # one rule samples past the budget, as check and --index do
+        if (not fits if args.verify else args.seed is not None and count > 1
                 and power_exceeds(fld.q, args.b, budget // 1000)):
             raise BudgetExceededError(
                 f"{'sweeping' if args.verify else 'sampling'} {count} rules "

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import BudgetExceededError, CrossCheckError, power_exceeds
 from .field import GF
 from .hypercube import DEFAULT_ENTRY_BUDGET, count_latin_rules, is_latin
-from .rules import (DEFAULT_INT_BITS, LinearRule, count_bipermutive_rules,
-                    enumerate_bipermutive_rules)
+from .rules import (_INT_CAP, DEFAULT_INT_BITS, LinearRule,
+                    count_bipermutive_rules, enumerate_bipermutive_rules)
 from .toeplitz import DEFAULT_SUPPORT_BUDGET, support_of_det
 
 _CHUNK_CELLS = 1 << 16  # walk cells per chunk of enumerate_paths
@@ -177,9 +177,7 @@ def count_paths(graph: DetGraph, length: int) -> int:
     """
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
-    # D^L >= 2^bits needs D^L > bits, a test with no big cap to build
-    if (power_exceeds(graph.degree, length, DEFAULT_INT_BITS) and
-            power_exceeds(graph.degree, length, (1 << DEFAULT_INT_BITS) - 1)):
+    if power_exceeds(graph.degree, length, _INT_CAP):
         raise BudgetExceededError(
             f"walk count exceeds the {DEFAULT_INT_BITS}-bit budget")
     return len(graph.vertices) * graph.degree ** length
@@ -236,7 +234,8 @@ def _walk_total(graph: DetGraph, length: int, budget: int) -> int:
 
 
 def enumerate_paths(graph: DetGraph, length: int,
-                    budget: int = 1 << 20) -> Iterator[tuple[tuple[int, ...], ...]]:
+                    budget: int = DEFAULT_SUPPORT_BUDGET
+                    ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All walks with ``length`` edges (length+1 vertices), lexicographic
     by vertex encoding: walk i is :func:`unrank_path`'s, found for about
     ``_CHUNK_CELLS`` walk cells at a time.  BudgetExceededError up front
@@ -295,10 +294,10 @@ def latin_hypercube_count(field: GF, b: int, k: int) -> int:
     q = field.q
     if k == 2:
         return count_bipermutive_rules(field, b)
-    cap, e = (1 << DEFAULT_INT_BITS) - 1, (k - 1) * (b - 1)
-    qe = 0 if power_exceeds(q, e, cap) else q**e
-    if (not qe or power_exceeds(q - 1, k - 2, cap)
-            or (count := (q - 1) ** (k - 2) * qe) > cap):
+    e = (k - 1) * (b - 1)
+    qe = 0 if power_exceeds(q, e, _INT_CAP) else q**e
+    if (not qe or power_exceeds(q - 1, k - 2, _INT_CAP)
+            or (count := (q - 1) ** (k - 2) * qe) > _INT_CAP):
         raise BudgetExceededError(
             f"count for q={q}, b={b}, k={k} exceeds the "
             f"{DEFAULT_INT_BITS}-bit budget")

@@ -246,9 +246,24 @@ class GF:
                          "some element has no unique inverse; "
                          "field construction is inconsistent")
 
-    def _check(self, a: int) -> None:
-        if not 0 <= a < self.q:
+    def _check(self, a) -> int:
+        """The package's one test of an element: an integer 0 .. q-1,
+        returned as an int (a bool or numpy integer reads as its int);
+        ValueError for anything else, a float included."""
+        if type(a) is not int and isinstance(a, (int, np.integer)):
+            a = int(a)
+        if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a} is not an element of {self!r}")
+        return a
+
+    def _as_elements(self, values) -> tuple[int, ...]:
+        """``values`` as a tuple of ints, each read by :meth:`_check`; a
+        tuple of ints in range passes on one inline compare per value."""
+        values, q = tuple(values), self.q
+        for a in values:
+            if type(a) is not int or not 0 <= a < q:
+                return tuple(map(self._check, values))
+        return values
 
     def add(self, a: int, b: int) -> int:
         self._check(a)
@@ -338,8 +353,8 @@ class GF:
     def combine_array(self, coeffs, terms) -> np.ndarray:
         """The sum of a * x over the constant coefficients ``coeffs`` and
         the element arrays ``terms``, which have one shape; the result has
-        the field's ``dtype``.  The coefficients are checked, the terms
-        are not.
+        the field's ``dtype``.  The coefficients are read as elements,
+        the terms are not checked.
 
         In characteristic 2 the scaled terms fold by XOR, in place.  Over
         an odd prime the products a*x add up as machine integers, in the
@@ -348,11 +363,9 @@ class GF:
         modulo p once, by one floor division.  In odd extension fields
         base-p digits carry into each other, so the scaled terms fold with
         :meth:`add_array`."""
+        coeffs = self._as_elements(coeffs)
         if len(coeffs) != len(terms) or not terms:
             raise ValueError("need one coefficient per term, and a term")
-        if min(coeffs) < 0 or max(coeffs) >= self.q:
-            raise ValueError(f"coefficients {coeffs} are not all elements "
-                             f"of {self!r}")
         acc = None
         if self.p == 2 or self.m > 1:
             for a, x in zip(coeffs, terms):

@@ -1,9 +1,10 @@
 """Local rules and the no-boundary cellular automaton global map.
 
-A configuration ("cell vector") is a plain tuple of field elements.  The
-global map of a rule of diameter d sends a configuration of length n >= d
-to the length n-d+1 configuration obtained by evaluating the rule on every
-window of d consecutive cells.
+A configuration ("cell vector") is a plain tuple of field elements; rules
+and cells are read once through ``GF._as_elements`` and keep its ints.
+The global map of a rule of diameter d sends a configuration of length
+n >= d to the length n-d+1 configuration obtained by evaluating the rule
+on every window of d consecutive cells.
 
 Two rule representations are supported, both bipermutive by construction:
 
@@ -33,6 +34,7 @@ from .errors import BudgetExceededError, power_exceeds
 from .field import GF
 
 DEFAULT_INT_BITS = 1 << 20
+_INT_CAP = (1 << DEFAULT_INT_BITS) - 1  # the largest count within the bits
 
 
 def rank_cells(cells: Sequence[int], q: int) -> int:
@@ -71,13 +73,11 @@ class LinearRule:
             raise ValueError(f"block size must be >= 1, got {self.b}")
         if self.k < 2:
             raise ValueError(f"dimension must be >= 2, got {self.k}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", self.field._as_elements(self.coeffs))
         if len(self.coeffs) != self.d - 2:
             raise ValueError(
                 f"expected {self.d - 2} interior coefficients for "
                 f"b={self.b}, k={self.k}, got {len(self.coeffs)}")
-        for c in self.coeffs:
-            self.field._check(c)
 
     @property
     def d(self) -> int:
@@ -108,12 +108,11 @@ class GeneralBipermutiveRule:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"diameter must be >= 2, got {self.d}")
-        object.__setattr__(self, "g_table", tuple(self.g_table))
+        object.__setattr__(self, "g_table",
+                           self.field._as_elements(self.g_table))
         q, n, e = self.field.q, len(self.g_table), self.d - 2
         if power_exceeds(q, e, n) or q**e != n:
             raise ValueError(f"g table needs {q}^{e} entries, got {n}")
-        for v in self.g_table:
-            self.field._check(v)
 
     def to_json(self) -> dict:
         return {**self.field.short_json(), "d": self.d,
@@ -178,13 +177,6 @@ def rule_from_json(data: dict) -> LinearRule | GeneralBipermutiveRule:
     raise ValueError("rule JSON needs either 'coeffs' or 'g_table'")
 
 
-def _check_cells(field: GF, cells: Sequence[int]) -> None:
-    q = field.q
-    for c in cells:
-        if not 0 <= c < q:  # a call per cell costs more than the test
-            field._check(c)
-
-
 def _evaluate(rule: Rule, window: Sequence[int]) -> int:
     """The rule on d cells already checked to be elements."""
     fld = rule.field
@@ -195,25 +187,23 @@ def _evaluate(rule: Rule, window: Sequence[int]) -> int:
 
 
 def apply_rule(rule: Rule, window: Sequence[int]) -> int:
-    """Evaluate the rule on one window of exactly d cells, each checked to
-    be an element; a linear rule is one :meth:`GF.dot` in the log domain."""
+    """Evaluate the rule on one window of exactly d cells, each read as an
+    element; a linear rule is one :meth:`GF.dot` in the log domain."""
     if len(window) != rule.d:
         raise ValueError(f"window length {len(window)} != diameter {rule.d}")
-    _check_cells(rule.field, window)
-    return _evaluate(rule, window)
+    return _evaluate(rule, rule.field._as_elements(window))
 
 
 def apply_ca(rule: Rule, cells: Sequence[int]) -> tuple[int, ...]:
     """Global map: the rule applied to every window of d consecutive cells.
 
-    The configuration is checked once, cell by cell, so the first cell
-    that is not an element raises ValueError; each window of a linear rule
-    is then one unchecked :meth:`GF.dot` in the log domain."""
+    The configuration is read once through :meth:`GF._as_elements`, so the
+    first cell that is not an element raises ValueError; each window of a
+    linear rule is then one unchecked :meth:`GF.dot` in the log domain."""
     d = rule.d
     if len(cells) < d:
         raise ValueError(f"input length {len(cells)} < diameter {d}")
-    cells = tuple(cells)
-    _check_cells(rule.field, cells)
+    cells = rule.field._as_elements(cells)
     return tuple(_evaluate(rule, cells[i:i + d])
                  for i in range(len(cells) - d + 1))
 
@@ -290,9 +280,8 @@ def restriction_is_permutation(rule: Rule, side: str,
     if len(fixed) != rule.d - 1:
         raise ValueError(
             f"fixed part must have d-1 = {rule.d - 1} cells, got {len(fixed)}")
-    fixed = tuple(fixed)
-    _check_cells(fld, fixed)
-    q = fld.q
+    # apply_ca reads the fixed cells as elements
+    fixed, q = tuple(fixed), fld.q
     seen = set()
     for free in itertools.product(range(q), repeat=b):
         cells = free + fixed if side == "left" else fixed + free
@@ -307,7 +296,7 @@ def count_bipermutive_rules(field: GF, b: int) -> int:
     q = field.q
     bits = DEFAULT_INT_BITS
     if (power_exceeds(q, b - 1, bits)  # q^(q^(b-1)) >= 2^(bits+1)
-            or power_exceeds(q, q ** (b - 1), (1 << bits) - 1)):
+            or power_exceeds(q, q ** (b - 1), _INT_CAP)):
         raise BudgetExceededError(
             f"q^(q^(b-1)) for q={q}, b={b} exceeds the {bits}-bit budget")
     return q ** (q ** (b - 1))

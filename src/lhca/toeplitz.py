@@ -13,7 +13,9 @@ function here that takes a rule raises TypeError for any other.
 
 Also here: exact determinants and linear solves over GF(q), which share
 one forward elimination, the support of the window determinant map, and
-the solver that recovers a middle block from a target output.
+the solver that recovers a middle block from a target output.  Matrices
+and targets are read through ``GF._as_elements``; a rule's coefficients
+were read when it was built, so no window is checked again.
 
 Single matrices go through the scalar elimination ``_eliminate``, which
 is also the reference the batch below is tested against.  Stacks of
@@ -88,11 +90,8 @@ def _eliminate(field: GF, m: list[list[int]], width: int) -> int:
     soon as a column has no pivot, where elimination stops.
     """
     n = len(m)
-    for row in m:
-        if len(row) != width:
-            raise ValueError("matrix must be square")
-        for v in row:
-            field._check(v)
+    if any(len(row) != width for row in m):
+        raise ValueError("matrix must be square")
     det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -115,7 +114,8 @@ def _eliminate(field: GF, m: list[list[int]], width: int) -> int:
 
 def determinant(field: GF, matrix: Sequence[Sequence[int]]) -> int:
     """Determinant over GF(q) by Gaussian elimination with row swaps."""
-    return _eliminate(field, [list(row) for row in matrix], len(matrix))
+    rows = [list(field._as_elements(row)) for row in matrix]
+    return _eliminate(field, rows, len(rows))
 
 
 def det_of_window(field: GF, window: Sequence[int]) -> int:
@@ -138,12 +138,9 @@ def window_dets(rule: LinearRule) -> list[int]:
     b, k, fld = rule.b, rule.k, rule.field
     if k - 2 < _BATCH_MIN_WINDOWS:
         return [det_of_window(fld, _window(rule, i)) for i in range(1, k - 1)]
+    # a rule holds elements, read when it was built; window i starts at
+    # coefficient b(i-1): a read-only view, which the batch copies
     coeffs = fld.array(rule.coeffs)
-    if coeffs.max() >= fld.q:
-        raise ValueError(f"coefficients {rule.coeffs} are not all elements "
-                         f"of {fld!r}")
-    # window i starts at coefficient b(i-1); a read-only view, which the
-    # batch copies into its matrices
     step = coeffs.strides[0]
     wins = as_strided(coeffs, (k - 2, 2 * b - 1), (b * step, step),
                       writeable=False)
@@ -250,7 +247,8 @@ def solve_linear_system(field: GF, matrix: Sequence[Sequence[int]],
     n = len(matrix)
     if len(rhs) != n:
         raise ValueError(f"rhs length {len(rhs)} != {n}")
-    m = [list(row) + [v] for row, v in zip(matrix, rhs)]
+    m = [[*field._as_elements(row), v]
+         for row, v in zip(matrix, field._as_elements(rhs))]
     if _eliminate(field, m, n + 1) == 0:
         raise ValueError("matrix is singular")
     x = [0] * n
@@ -285,16 +283,13 @@ def solve_middle_block(rule: LinearRule, i: int,
         raise ValueError(
             f"expected {k - 1} fixed blocks, got {len(fixed_blocks)}")
     fld = rule.field
+    y = fld._as_elements(y)
     if len(y) != b:
         raise ValueError(f"target must have {b} cells, got {len(y)}")
-    for c in y:
-        fld._check(c)
+    # apply_ca reads the fixed cells as elements
     blocks = [tuple(blk) for blk in fixed_blocks]
-    for blk in blocks:
-        if len(blk) != b:
-            raise ValueError(f"fixed blocks must have {b} cells each")
-        for c in blk:
-            fld._check(c)
+    if any(len(blk) != b for blk in blocks):
+        raise ValueError(f"fixed blocks must have {b} cells each")
     blocks.insert(i, (0,) * b)
     cells = [c for blk in blocks for c in blk]
     base = apply_ca(rule, cells)
@@ -302,7 +297,7 @@ def solve_middle_block(rule: LinearRule, i: int,
     mat = toeplitz_matrix(_window(rule, i))
     block = tuple(solve_linear_system(fld, mat, rhs))
     blocks[i] = block
-    if apply_ca(rule, [c for blk in blocks for c in blk]) != tuple(y):
+    if apply_ca(rule, [c for blk in blocks for c in blk]) != y:
         raise CrossCheckError(f"solved block {block} of {rule} does not "
-                              f"map to {tuple(y)}")
+                              f"map to {y}")
     return block

@@ -786,6 +786,20 @@ def test_synth_all_refuses_a_forced_oracle_over_the_set(capsys, monkeypatch):
                    "100000\n")
 
 
+def test_synth_all_of_one_rule_samples_as_synth_index(capsys, monkeypatch):
+    # (2,1,5) has one Latin rule; 1000 lines x 2 entries pass a budget of
+    # 16, but one rule samples past the budget, as check and --index do
+    sampled = []
+    monkeypatch.setattr(lhca.cli, "check_random_lines", lambda rule, **kw: (
+        sampled.append(rule) or lhca.hypercube.check_random_lines(rule, **kw)))
+    synth = ("synth", "--q", "2", "--b", "1", "--k", "5", "--seed", "1",
+             "--budget", "16")
+    code, rules = run_json(capsys, *synth, "--all")
+    assert code == 0 and len(rules) == 1
+    code, rule = run_json(capsys, *synth, "--index", "0")
+    assert code == 0 and rules == [rule] and sampled == [sampled[0]] * 2
+
+
 def test_synth_all_sweeps_every_rule_of_a_set_within_budget(capsys,
                                                             monkeypatch):
     # 128 rules x 4^8 entries are 2^23, within the 2^24 entry budget

@@ -506,6 +506,17 @@ def test_only_the_field_reads_its_tables():
             assert not private & names, (path.name, node.lineno)
 
 
+def test_only_the_field_decides_what_an_element_is():
+    # GF._check is the one test of an element; every other module reads
+    # elements through GF._as_elements or a function that calls it
+    for path in Path(lhca.hypercube.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, a, None) for a in ("attr", "id", "name")}
+            assert "_check_cells" not in names, (path.name, node.lineno)
+            assert path.name == "field.py" or "_check" not in names, (
+                path.name, node.lineno)
+
+
 def test_no_cross_check_is_an_assert_statement():
     # python -O strips assert statements; a cross-check raises CrossCheckError
     for path in Path(lhca.hypercube.__file__).parent.glob("*.py"):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import time
 
 import numpy as np
@@ -12,7 +13,7 @@ import lhca.rules
 from helpers import every_modulus, mat_vec
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
-from lhca.hypercube import dump
+from lhca.hypercube import dump, dump_json
 from lhca.rules import (
     GeneralBipermutiveRule,
     LinearRule,
@@ -27,7 +28,8 @@ from lhca.rules import (
     rule_from_json,
     unrank_cells,
 )
-from lhca.toeplitz import window_dets
+from lhca.toeplitz import (determinant, solve_linear_system,
+                           solve_middle_block, window_dets)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -254,12 +256,32 @@ def test_scalar_map_is_the_per_term_fold(q):
     for i, v in enumerate(want):
         assert apply_rule(rule, cells[i:i + d]) == v
     assert apply_ca(rule, [0] * n) == (0,) * (n - d + 1)
-    # a cell outside the field still raises, wherever it sits
-    for evaluate, m in ((apply_ca, n), (apply_rule, d)):
-        for at, bad in itertools.product((0, m // 2, m - 1), (q, -1)):
-            x = cells[:at] + [bad] + cells[at + 1:m]
-            with pytest.raises(ValueError, match=f"^{bad} is not an element"):
-                evaluate(rule, x)
+    # a value that is not an element raises on every route it enters by,
+    # wherever it sits: an int out of range, or any float
+    zero = np.zeros(2, fld.dtype)
+    blocks = [cells[j:j + 3] for j in range(0, 600, 3)]
+    table = (cells * (q // n + 1))[:q]
+    routes = (
+        (cells, lambda x: apply_ca(rule, x)),
+        (cells[:d], lambda x: apply_rule(rule, x)),
+        (list(rule.coeffs), lambda x: LinearRule(fld, 3, 201, x)),
+        (table, lambda x: GeneralBipermutiveRule(fld, 3, x)),
+        (cells[:d], lambda x: fld.combine_array(x, [zero] * len(x))),
+        (cells[:9], lambda x: determinant(fld, [x[:3], x[3:6], x[6:]])),
+        (cells[:6], lambda x: solve_linear_system(fld, [x[:2], x[2:4]],
+                                                  x[4:])),
+        (cells[:3], lambda y: solve_middle_block(rule, 1, blocks, y)),
+        (cells[:d - 1], lambda x: restriction_is_permutation(rule, "left",
+                                                             x, 1)),
+    )
+    for base, evaluate in routes:
+        m = len(base)
+        for at, bad in itertools.product((0, m // 2, m - 1),
+                                         (q, -1, 2.0, 2.5)):
+            x = base[:at] + [bad] + base[at + 1:]
+            with pytest.raises(ValueError, match=(
+                    f"^{re.escape(str(bad))} is not an element")):
+                evaluate(x)
 
 
 def test_count_bipermutive_rules_small():
@@ -334,6 +356,18 @@ def test_rule_json_round_trip():
     assert rule_from_json({"q": 5, "poly": 7, "b": 1, "k": 3,
                            "coeffs": [1]}).to_json() == {
         "q": 5, "b": 1, "k": 3, "coeffs": [1]}
+
+
+@pytest.mark.parametrize("convert", [bool, np.int64, np.uint8],
+                         ids=lambda convert: convert.__name__)
+def test_bool_and_numpy_elements_are_stored_as_ints(convert):
+    # each reads as its int, so every writer takes the rule it builds
+    linear = LinearRule(F3, 1, 4, [convert(1), convert(0)])
+    general = GeneralBipermutiveRule(F3, 3, list(map(convert, (0, 1, 1))))
+    for rule, values in ((linear, linear.coeffs), (general, general.g_table)):
+        assert set(map(type, values)) == {int}
+        assert rule_from_json(json.loads(json.dumps(rule.to_json()))) == rule
+        assert json.loads(dump_json(rule)) == dump(rule)
 
 
 # q and its number of monic irreducible moduli
