@@ -23,7 +23,7 @@ Flags by subcommand (any other flag is a usage error, exit 2):
   check, synth  --verify (line sweep on or off), --seed (1000 lines
                 drawn from random.Random(seed), in batches, when the
                 sweep is skipped)
-  count         --verify (walk and sweep recounts on or off), --workers
+  count         --verify (walk and sweep recounts on or off)
   synth         --index or --all
   graph, dump   --format
 
@@ -38,13 +38,14 @@ and samples only when its whole set of rules fits the entry budget; a set
 of one rule samples as check and synth --index do, past the budget.
 Every budget bounds a power of q or of the out-degree, and each refusal
 is decided before any work, with no huge power built, by one exact test,
-errors.power_exceeds, the k >= 3 count and its walk recount included.
+errors.bounded_power, the k >= 3 count and its walk recount included.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -61,7 +62,7 @@ from .debruijn import (
     rule_from_path,
     unrank_path,
 )
-from .errors import BudgetExceededError, CrossCheckError, power_exceeds
+from .errors import BudgetExceededError, CrossCheckError, bounded_power
 from .field import GF
 from .hypercube import (
     DEFAULT_ENTRY_BUDGET,
@@ -127,8 +128,8 @@ def _check_report(rule, args: argparse.Namespace) -> dict:
         report["latin"] = latin
         verify = args.verify
         if verify is None:
-            verify = not power_exceeds(rule.field.q, rule.b * rule.k,
-                                       args.entry_budget)
+            verify = bounded_power(rule.field.q, rule.b * rule.k,
+                                   args.entry_budget) is not None
         if verify:
             # a forced --verify above budget raises rather than running
             # unbounded; raise --budget to allow it
@@ -167,13 +168,13 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
     formula = latin_hypercube_count(fld, b, k)
     # by default, recount a space of at most AUTO_VERIFY_RULES rules:
     # q^(b(k-1)-1) linear ones, or the formula's bipermutive ones at k = 2
-    small = (not power_exceeds(q, b * (k - 1) - 1, AUTO_VERIFY_RULES)
+    small = (bounded_power(q, b * (k - 1) - 1, AUTO_VERIFY_RULES) is not None
              if k >= 3 else formula <= AUTO_VERIFY_RULES)
     counts = {"formula": formula}
     if args.verify or args.verify is None and small:
         try:
             counts = cross_check_count(fld, b, k, args.enum_budget,
-                                       args.entry_budget, workers=args.workers)
+                                       args.entry_budget)
         except BudgetExceededError:
             # decided before any work: only a forced --verify exits 3
             if args.verify:
@@ -192,7 +193,7 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     # build_graph bounds the q^(2b-1) windows; edges are about q^b times
     # more.  Their closed form (q-1)^2 q^(3b-3) refuses a graph before it
     # is built.  The out-degrees of a built graph stay the authority.
-    if power_exceeds(q, 3 * b - 3, budget // (q - 1) ** 2):
+    if bounded_power(q, 3 * b - 3, budget // (q - 1) ** 2) is None:
         raise BudgetExceededError(
             f"{q - 1}^2 * {q}^{3 * b - 3} edges exceed the enumeration "
             f"budget {budget}")
@@ -219,11 +220,11 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
         # one oracle for the whole set, bounded before any walk is found
         count = _walk_total(g, length, args.enum_budget)
         budget = args.entry_budget // count
-        fits = not power_exceeds(fld.q, args.b * args.k, budget)
+        fits = bounded_power(fld.q, args.b * args.k, budget) is not None
         args.verify = fits if args.verify is None else args.verify
         # one rule samples past the budget, as check and --index do
         if (not fits if args.verify else args.seed is not None and count > 1
-                and power_exceeds(fld.q, args.b, budget // 1000)):
+                and bounded_power(fld.q, args.b, budget // 1000) is None):
             raise BudgetExceededError(
                 f"{'sweeping' if args.verify else 'sampling'} {count} rules "
                 f"exceeds the entry budget {args.entry_budget}")
@@ -249,11 +250,10 @@ def _decimal(n: int) -> str:
     if n.bit_length() <= 1024:
         return str(n)
     import decimal
-    from functools import cache
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        power = cache(decimal.Decimal(2).__pow__)  # each 2^w built once
+        power = functools.cache(decimal.Decimal(2).__pow__)  # 2^w built once
 
         def split(m, w):  # m < 2^w
             if w <= 1024:
@@ -263,6 +263,24 @@ def _decimal(n: int) -> str:
                     + split(hi, w - half) * power(half))
 
         return str(split(n, n.bit_length()))
+
+
+def _index(text: str) -> int:
+    """``int(text)``, and past 4000 ASCII digits, where int() may pass
+    ``sys.get_int_max_str_digits()``, the inverse of :func:`_decimal`:
+    the halves of the digits joined by powers of ten."""
+    if len(text) <= 4000 or not (text.isascii() and text.isdigit()):
+        return int(text)
+    power = functools.cache((10).__pow__)  # each 10^w built once
+
+    def join(s):
+        half = len(s) >> 1
+        return (int(s) if len(s) <= 4000
+                else join(s[:-half]) * power(half) + join(s[-half:]))
+    return join(text)
+
+
+_index.__name__ = "int"  # argparse names the type in its errors
 
 
 def _json(payload) -> str:
@@ -334,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--rule-file", (check, dumps), help="rule as JSON")
     graph.add_argument("--format", choices=("dot", "json"), default="dot")
     dumps.add_argument("--format", choices=("text", "json"), default="text")
-    count.add_argument("--workers", type=int)
-    synth.add_argument("--index", type=int, help="emit the nth rule (0-based)")
+    synth.add_argument("--index", type=_index,
+                       help="emit the nth rule (0-based), of any length")
     synth.add_argument("--all", action="store_true", help="emit every rule")
     add("--budget", every, type=int,
         help=f"enumeration and entry cap (default ${BUDGET_ENV} or built-in)")

@@ -27,7 +27,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, CrossCheckError, power_exceeds
+from .errors import BudgetExceededError, CrossCheckError, bounded_power
 from .field import GF
 from .hypercube import DEFAULT_ENTRY_BUDGET, count_latin_rules, is_latin
 from .rules import (_INT_CAP, DEFAULT_INT_BITS, LinearRule,
@@ -172,15 +172,16 @@ def count_paths(graph: DetGraph, length: int) -> int:
 
     Every vertex starts D^length walks, so there are V * D^length, V and
     D read off the built graph: a graph with wrong windows or edges still
-    disagrees with the closed form.  BudgetExceededError when D^length
-    passes ``DEFAULT_INT_BITS`` bits, refused before it is built.
+    disagrees with the closed form.  BudgetExceededError when the count
+    passes ``DEFAULT_INT_BITS`` bits, D^length built once at most.
     """
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
-    if power_exceeds(graph.degree, length, _INT_CAP):
+    walks = bounded_power(graph.degree, length, _INT_CAP)
+    if walks is None or (total := len(graph.vertices) * walks) > _INT_CAP:
         raise BudgetExceededError(
             f"walk count exceeds the {DEFAULT_INT_BITS}-bit budget")
-    return len(graph.vertices) * graph.degree ** length
+    return total
 
 
 def unrank_path(graph: DetGraph, length: int,
@@ -223,14 +224,19 @@ def unrank_path(graph: DetGraph, length: int,
 
 def _walk_total(graph: DetGraph, length: int, budget: int) -> int:
     """The V * D^length walks :func:`enumerate_paths` yields, refused
-    before the count is built when they are more than ``budget``."""
-    # V * D^L > budget exactly when D^L > budget // V
+    before the count is built when they are more than ``budget``, or
+    than :func:`count_paths` admits, which also reads an empty graph."""
     vertices = len(graph.vertices)
-    if vertices and power_exceeds(graph.degree, length, budget // vertices):
+    if not vertices or length < 0:
+        return count_paths(graph, length)
+    # V * D^L > budget exactly when D^L > budget // V
+    walks = bounded_power(graph.degree, length,
+                          min(budget, _INT_CAP) // vertices)
+    if walks is None:
         raise BudgetExceededError(
             f"{vertices} * {graph.degree}^{length} walks exceed "
             f"the enumeration budget {budget}")
-    return count_paths(graph, length)
+    return vertices * walks
 
 
 def enumerate_paths(graph: DetGraph, length: int,
@@ -294,10 +300,9 @@ def latin_hypercube_count(field: GF, b: int, k: int) -> int:
     q = field.q
     if k == 2:
         return count_bipermutive_rules(field, b)
-    e = (k - 1) * (b - 1)
-    qe = 0 if power_exceeds(q, e, _INT_CAP) else q**e
-    if (not qe or power_exceeds(q - 1, k - 2, _INT_CAP)
-            or (count := (q - 1) ** (k - 2) * qe) > _INT_CAP):
+    qe = bounded_power(q, (k - 1) * (b - 1), _INT_CAP)
+    units = None if qe is None else bounded_power(q - 1, k - 2, _INT_CAP)
+    if units is None or (count := units * qe) > _INT_CAP:
         raise BudgetExceededError(
             f"count for q={q}, b={b}, k={k} exceeds the "
             f"{DEFAULT_INT_BITS}-bit budget")
@@ -306,8 +311,8 @@ def latin_hypercube_count(field: GF, b: int, k: int) -> int:
 
 def cross_check_count(field: GF, b: int, k: int,
                       budget: int = DEFAULT_SUPPORT_BUDGET,
-                      entry_budget: int = DEFAULT_ENTRY_BUDGET,
-                      workers: int | None = None) -> dict[str, int]:
+                      entry_budget: int = DEFAULT_ENTRY_BUDGET
+                      ) -> dict[str, int]:
     """The single count cross-check: the closed form ``formula``, the walk
     count ``paths`` (k >= 3) of the graph built over ``support_of_det``
     and, when rules times cube entries fit ``entry_budget``, the
@@ -320,10 +325,9 @@ def cross_check_count(field: GF, b: int, k: int,
     q = field.q
     if k >= 3:
         counts["paths"] = count_paths(build_graph(field, b, budget), k - 3)
-        if not power_exceeds(q, b * (k - 1) - 1 + b * k, entry_budget):
-            counts["exhaustive"] = count_latin_rules(field, b, k, entry_budget,
-                                                     workers)
-    elif power_exceeds(q, 2 * b, entry_budget // formula):
+        if bounded_power(q, b * (k - 1) - 1 + b * k, entry_budget) is not None:
+            counts["exhaustive"] = count_latin_rules(field, b, k, entry_budget)
+    elif bounded_power(q, 2 * b, entry_budget // formula) is None:
         raise BudgetExceededError(f"{q}^{q ** (b - 1)} rules x {q}^{2 * b} "
                                   f"entries exceeds budget {entry_budget}")
     else:

@@ -11,8 +11,11 @@ class CrossCheckError(RuntimeError):
     the library, not a problem with the input."""
 
 
-def power_exceeds(base: int, exp: int, cap: int) -> bool:
-    """Exactly ``base**exp > cap`` (base, exp >= 0), never building a power
-    of over twice ``cap``'s bits: base**exp >= 2**((bits(base) - 1) * exp)."""
-    return ((base.bit_length() - 1) * exp >= cap.bit_length()
-            or base**exp > cap)
+def bounded_power(base: int, exp: int, cap: int) -> int | None:
+    """``base**exp`` (base, exp >= 0) when it is at most ``cap``, else None,
+    never building a power of over twice ``cap``'s bits:
+    base**exp >= 2**((bits(base) - 1) * exp)."""
+    if (base.bit_length() - 1) * exp >= cap.bit_length():
+        return None
+    power = base**exp
+    return power if power <= cap else None

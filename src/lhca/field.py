@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import power_exceeds
+from .errors import bounded_power
 
 ORDER_CAP = 1 << 16
 TABLE_CAP = 256
@@ -145,7 +145,7 @@ class GF:
             p, m = _factor_prime_power(q)
         elif p is None or m is None:
             raise ValueError("give either q or both p and m")
-        elif m >= 1 and power_exceeds(p, m, ORDER_CAP):
+        elif m >= 1 and bounded_power(p, m, ORDER_CAP) is None:
             raise ValueError(f"field order {p}^{m} exceeds cap {ORDER_CAP}")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")

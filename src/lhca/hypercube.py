@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import threading
 from collections import OrderedDict
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, power_exceeds
+from .errors import BudgetExceededError, bounded_power
 from .field import GF
 from .rules import (
     Rule,
@@ -108,7 +107,7 @@ def _cube_shape(rule: Rule, b: int | None, k: int | None,
     """(b, k, N) of the cube; BudgetExceededError above ``budget`` entries."""
     b, k = block_structure(rule, b, k)
     N = rule.field.q**b
-    if power_exceeds(N, k, budget):
+    if bounded_power(N, k, budget) is None:
         raise BudgetExceededError(
             f"cube with {N}^{k} entries exceeds budget {budget}")
     return b, k, N
@@ -358,51 +357,16 @@ def dump_json(rule: Rule, budget: int = DEFAULT_ENTRY_BUDGET) -> str:
     return "".join(_dump_parts(rule, "json", budget))
 
 
-def _count_latin_range(field: GF, b: int, k: int, lo: int, hi: int,
-                       budget: int) -> int:
-    rules = enumerate_linear_rules(field, b, k)
-    return sum(bool(is_latin(rule, budget=budget))
-               for rule in itertools.islice(rules, lo, hi))
-
-
-def _count_latin_job(args: tuple) -> int:  # a worker: the field as JSON
-    return _count_latin_range(GF.from_json(args[0]), *args[1:])
-
-
 def count_latin_rules(field: GF, b: int, k: int,
-                      budget: int = DEFAULT_ENTRY_BUDGET,
-                      workers: int | None = None) -> int:
-    """Count, by exhaustive verification, the linear rules whose (b, k)
-    cube is Latin.
-
-    ``budget`` bounds rules times cube entries; ``workers`` greater than 1
-    spreads the rule range over that many processes, at most one per CPU
-    this process may run on.
-    """
+                      budget: int = DEFAULT_ENTRY_BUDGET) -> int:
+    """Count the linear rules whose (b, k) cube is Latin by sweeping each in
+    turn with :func:`is_latin`; ``budget`` bounds rules times entries."""
     if b < 1 or k < 2:
         raise ValueError(f"need b >= 1 and k >= 2, got b={b}, k={k}")
     q = field.q
     n = b * (k - 1) - 1
-    if power_exceeds(q, n + b * k, budget):
+    if bounded_power(q, n + b * k, budget) is None:
         raise BudgetExceededError(
             f"{q}^{n} rules x {q}^{b * k} entries exceeds budget {budget}")
-    total = q**n
-    if workers:
-        # more processes than CPUs only add start-up cost, and an
-        # unbounded flag would let one command start thousands of them
-        # (sched_getaffinity is Linux only)
-        workers = min(workers, len(os.sched_getaffinity(0))
-                      if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
-    if workers and workers > 1 and total > 1:
-        # imported on use: multiprocessing adds about 2 MB and 20 ms to
-        # every import of lhca
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = min(total, workers * 4)
-        bounds = [total * i // chunks for i in range(chunks + 1)]
-        jobs = [(field.to_json(), b, k, bounds[i], bounds[i + 1], budget)
-                for i in range(chunks)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_count_latin_job, jobs))
-    return _count_latin_range(field, b, k, 0, total, budget)
+    return sum(bool(is_latin(rule, budget=budget))
+               for rule in enumerate_linear_rules(field, b, k))

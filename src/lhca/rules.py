@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, power_exceeds
+from .errors import BudgetExceededError, bounded_power
 from .field import GF
 
 DEFAULT_INT_BITS = 1 << 20
@@ -111,7 +111,7 @@ class GeneralBipermutiveRule:
         object.__setattr__(self, "g_table",
                            self.field._as_elements(self.g_table))
         q, n, e = self.field.q, len(self.g_table), self.d - 2
-        if power_exceeds(q, e, n) or q**e != n:
+        if bounded_power(q, e, n) != n:
             raise ValueError(f"g table needs {q}^{e} entries, got {n}")
 
     def to_json(self) -> dict:
@@ -295,11 +295,11 @@ def count_bipermutive_rules(field: GF, b: int) -> int:
         raise ValueError(f"block size must be >= 1, got {b}")
     q = field.q
     bits = DEFAULT_INT_BITS
-    if (power_exceeds(q, b - 1, bits)  # q^(q^(b-1)) >= 2^(bits+1)
-            or power_exceeds(q, q ** (b - 1), _INT_CAP)):
+    width = bounded_power(q, b - 1, bits)  # past it q^width >= 2^(bits+1)
+    if width is None or (count := bounded_power(q, width, _INT_CAP)) is None:
         raise BudgetExceededError(
             f"q^(q^(b-1)) for q={q}, b={b} exceeds the {bits}-bit budget")
-    return q ** (q ** (b - 1))
+    return count
 
 
 def enumerate_linear_rules(field: GF, b: int, k: int) -> Iterator[LinearRule]:

@@ -42,7 +42,7 @@ import itertools
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import BudgetExceededError, CrossCheckError, power_exceeds
+from .errors import BudgetExceededError, CrossCheckError, bounded_power
 from .field import GF
 from .rules import LinearRule, apply_ca
 
@@ -217,10 +217,11 @@ def support_of_det(field: GF, b: int,
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
     q, width = field.q, 2 * b - 1
-    if power_exceeds(q, width, budget):
+    total = bounded_power(q, width, budget)
+    if total is None:
         raise BudgetExceededError(
             f"enumerating {q}^{width} windows exceeds budget {budget}")
-    total, per_chunk = q ** width, max(1, _BATCH_CELLS // (b * b))
+    per_chunk = max(1, _BATCH_CELLS // (b * b))
     kept = []
     for lo in range(0, total, per_chunk):
         rank = np.arange(lo, min(lo + per_chunk, total))

@@ -1,10 +1,12 @@
 """End-to-end tests of the command line, driven through main()."""
 
+import argparse
 import decimal
 import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +17,8 @@ import pytest
 import lhca.cli
 import lhca.hypercube
 from lhca.cli import main, _decimal, _parse_coeffs
-from lhca.debruijn import build_graph, enumerate_paths, rule_from_path
+from lhca.debruijn import (build_graph, enumerate_paths, rule_from_path,
+                           unrank_path)
 from lhca.field import GF
 from lhca.hypercube import dump_json, dump_text
 from lhca.rules import GeneralBipermutiveRule, LinearRule
@@ -508,11 +511,13 @@ def test_count_refusal_gives_the_count_as_a_power(capsys):
                    "16777216\n")
 
 
-def test_count_with_workers(capsys):
-    code, report = run_json(capsys, "count", "--q", "2", "--b", "2",
-                            "--k", "4", "--workers", "2")
-    assert code == 0
-    assert report["exhaustive"] == "8"
+def test_count_has_no_workers_flag(capsys):
+    # every rule is counted in one serial sweep; the flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--q", "2", "--b", "2", "--k", "4", "--workers", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--workers" in err
 
 
 def test_count_missing_k(capsys):
@@ -735,6 +740,26 @@ def test_synth_index_of_a_long_walk(capsys):
                           "--k", "32000", "--index", "123456789")
     assert code == 0
     assert rule["k"] == 32000 and len(rule["coeffs"]) == 31998
+
+
+def test_synth_index_reads_more_digits_than_int_does(capsys):
+    # 4 * 2^19997 walks: the last index has 6021 digits, past the 4300
+    # that int() reads; --index reads it as _decimal writes it
+    digits = sys.get_int_max_str_digits()
+    g = build_graph(GF(2), 2)
+    last = 4 * 2**19997 - 1
+    synth = ("synth", "--q", "2", "--b", "2", "--k", "20000", "--index")
+    code, rule = run_json(capsys, *synth, _decimal(last))
+    assert code == 0
+    assert rule["coeffs"] == list(
+        rule_from_path(GF(2), unrank_path(g, 19997, last)).coeffs)
+    # longer text must be digits; nothing is written for it
+    for text in ("9" * 4400 + "x", " " + "9" * 4400, "-" + "9" * 4400):
+        with pytest.raises(SystemExit) as exc:
+            main([*synth, text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    assert sys.get_int_max_str_digits() == digits
 
 
 @pytest.mark.parametrize("k", [14_000, 20_000, 1_100_000])
@@ -1004,6 +1029,42 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def _documented_flags(entries, commands):
+    """{command: flags} from (commands text, flags text) pairs, where
+    "all five" names every command; --verify stands for --no-verify too."""
+    flags = {c: set() for c in commands}
+    for names, text in entries:
+        for c in commands if names == "all five" else re.findall(
+                r"\b(" + "|".join(commands) + r")\b", names):
+            flags[c] |= set(re.findall(r"--[a-z-]+", text)) - {"--no-verify"}
+    return flags
+
+
+def test_documented_flags_are_the_parsers():
+    # the README's "flag | taken by" table, with the flags of every
+    # subcommand before it, and the docstring's "Flags by subcommand"
+    [sub] = [a for a in lhca.cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    parsed = {c: {a.option_strings[0] for a in p._actions} - {"-h"}
+              for c, p in sub.choices.items()}
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    every, table = re.search(r"Every subcommand takes (.*?)\.\n(.*?)\n\n"
+                             r"\| flag \| taken by \|\n\|---\|---\|\n"
+                             r"((?:\|.*\|\n)+)", readme, re.S).group(1, 3)
+    rows = [("all five", every)] + [
+        (taken, flag) for flag, taken in
+        re.findall(r"^\| (.*?) \| (.*?) \|$", table, re.M)]
+    assert _documented_flags(rows, list(parsed)) == parsed
+    doc = lhca.cli.__doc__.split("Flags by subcommand", 1)[1]
+    entries = []
+    for line in doc.split("\n\n", 1)[0].splitlines()[1:]:
+        if head := re.match(r"  ([a-z][a-z, ]*?)  +(.*)", line):
+            entries.append(list(head.groups()))
+        else:
+            entries[-1][1] += line
+    assert _documented_flags(entries, list(parsed)) == parsed
 
 
 def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):

@@ -242,19 +242,29 @@ def test_count_paths_bit_budget():
 
 @pytest.mark.parametrize("q,b", [(2, 2), (4, 1), (2, 3), (16, 1)])
 def test_walk_count_and_unranking_refuse_at_one_boundary(q, b):
-    # D = 2, 3, 4 and 15: the longest walks whose D^L fits 2^20 bits are
-    # counted and unranked, one edge more is refused with one message
-    g = build_graph(GF(q), b)
-    degree, cap = g.degree, 1 << DEFAULT_INT_BITS
-    length = int(DEFAULT_INT_BITS / math.log2(degree))
-    length -= degree ** length >= cap  # the float log may round up
-    assert degree ** length < cap <= degree ** (length + 1)
+    # D = 2, 3, 4 and 15: the longest walks whose count V * D^L fits 2^20
+    # bits are counted and unranked, one edge more is refused with one
+    # message, and the closed form refuses at the same k = L + 3
+    fld = GF(q)
+    g = build_graph(fld, b)
+    vertices, degree = len(g.vertices), g.degree
+    cap = 1 << DEFAULT_INT_BITS
+    length = int((DEFAULT_INT_BITS - math.log2(vertices)) / math.log2(degree))
+    # the float logs may be off by one either way
+    length += vertices * degree ** (length + 1) < cap
+    length -= vertices * degree ** length >= cap
+    total = vertices * degree ** length
+    assert total < cap <= total * degree
     message = f"^walk count exceeds the {DEFAULT_INT_BITS}-bit budget$"
     with pytest.raises(BudgetExceededError, match=message):
         count_paths(g, length + 1)
     with pytest.raises(BudgetExceededError, match=message):
         unrank_path(g, length + 1, 0)
-    assert count_paths(g, length) == len(g.vertices) * degree ** length
+    with pytest.raises(BudgetExceededError, match=(
+            f"^count for q={q}, b={b}, k={length + 4} exceeds the")):
+        latin_hypercube_count(fld, b, length + 4)
+    assert count_paths(g, length) == total
+    assert latin_hypercube_count(fld, b, length + 3) == total
     assert unrank_path(g, length, 0) == (g.vertices[0],) * (length + 1)
 
 
