@@ -36,9 +36,11 @@ LHCA_BUDGET overrides the default enumeration and entry budgets;
 more than 2^30 bytes of inputs, whatever the budget.  synth --all sweeps
 and samples only when its whole set of rules fits the entry budget; a set
 of one rule samples as check and synth --index do, past the budget.
-Every budget bounds a power of q or of the out-degree, and each refusal
-is decided before any work, with no huge power built, by one exact test,
-errors.bounded_power, the k >= 3 count and its walk recount included.
+synth refuses a walk whose k - 2 windows outnumber the enumeration
+budget, since at out-degree 1 no walk count bounds it.  Every other budget bounds
+a power of q or of the out-degree, and each refusal is decided before any
+work, with no huge power built, by one exact test, errors.bounded_power,
+the k >= 3 count and its walk recount included.
 """
 
 from __future__ import annotations
@@ -228,6 +230,9 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
             raise BudgetExceededError(
                 f"{'sweeping' if args.verify else 'sampling'} {count} rules "
                 f"exceeds the entry budget {args.entry_budget}")
+    if args.k - 2 > args.enum_budget:
+        raise BudgetExceededError(f"a walk of {args.k - 2} windows exceeds "
+                                  f"the enumeration budget {args.enum_budget}")
     walks = (enumerate_paths(g, length, args.enum_budget) if args.all
              else [unrank_path(g, length, args.index)])
     rules = [rule_from_path(fld, w) for w in walks]

@@ -37,20 +37,13 @@ A linear combination of element arrays with constant coefficients,
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import bounded_power
-
 ORDER_CAP = 1 << 16
 TABLE_CAP = 256
 _UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -128,29 +121,19 @@ def default_irreducible_poly(p: int, m: int) -> int:
 
 
 class GF:
-    """A finite field GF(p^m) with exact integer-encoded arithmetic.
+    """A finite field GF(q), q = p^m, with exact integer-encoded arithmetic.
 
-    Construct from the order (``GF(9)``) or explicitly as
-    ``GF(p=3, m=2, poly=10)``.  ``poly`` is the integer encoding of a monic
+    Construct from the order only: ``GF(9)``, or ``GF(9, poly=10)`` for
+    another modulus.  ``poly`` is the integer encoding of a monic
     irreducible degree-m polynomial over GF(p), p^m <= poly < 2 p^m;
     ValueError for any other.  For m = 1 every x + c gives the same field,
     so ``poly`` is checked and then kept as None.
     """
 
-    def __init__(self, q: int | None = None, *, p: int | None = None,
-                 m: int | None = None, poly: int | None = None):
-        if q is not None:
-            if q > ORDER_CAP:  # factoring and primality tests grow with q
-                raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
-            p, m = _factor_prime_power(q)
-        elif p is None or m is None:
-            raise ValueError("give either q or both p and m")
-        elif m >= 1 and bounded_power(p, m, ORDER_CAP) is None:
-            raise ValueError(f"field order {p}^{m} exceeds cap {ORDER_CAP}")
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
+    def __init__(self, q: int, *, poly: int | None = None):
+        if q > ORDER_CAP:  # factoring grows with q
+            raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
+        p, m = _factor_prime_power(q)
         self.p, self.m, self.q = p, m, p**m
 
         if poly is None:
@@ -414,18 +397,11 @@ class GF:
         """All q elements exactly once, in encoding order."""
         return list(range(self.q))
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "m": self.m, "poly": self.poly}
-
     def short_json(self) -> dict:
         """{"q": q}, plus "poly" if the modulus is not the default one."""
         if self.m > 1 and self.poly != default_irreducible_poly(self.p, self.m):
             return {"q": self.q, "poly": self.poly}
         return {"q": self.q}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GF":
-        return cls(p=data["p"], m=data["m"], poly=data.get("poly"))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GF)

@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import BudgetExceededError, CrossCheckError, bounded_power
 from .field import GF
-from .rules import LinearRule, apply_ca
+from .rules import _INT_CAP, DEFAULT_INT_BITS, LinearRule, apply_ca
 
 DEFAULT_SUPPORT_BUDGET = 1 << 20
 # matrix entries reduced at once by the batched elimination; its largest
@@ -234,11 +234,15 @@ def support_of_det(field: GF, b: int,
 
 def count_nonsingular_toeplitz(field: GF, b: int) -> int:
     """Number of windows with nonsingular matrix: (q-1) q^{2(b-1)}, the
-    size of :func:`support_of_det`."""
+    size of :func:`support_of_det`, refused past ``DEFAULT_INT_BITS`` bits."""
     if b < 1:
         raise ValueError(f"need b >= 1, got {b}")
     q = field.q
-    return (q - 1) * q ** (2 * (b - 1))
+    power = bounded_power(q, 2 * (b - 1), _INT_CAP)
+    if power is None or (count := (q - 1) * power) > _INT_CAP:
+        raise BudgetExceededError(f"count for q={q}, b={b} exceeds the "
+                                  f"{DEFAULT_INT_BITS}-bit budget")
+    return count
 
 
 def solve_linear_system(field: GF, matrix: Sequence[Sequence[int]],

@@ -40,7 +40,7 @@ def every_modulus(q: int):
         return
     for low in range(q):
         try:
-            yield GF(p=base.p, m=base.m, poly=q + low)
+            yield GF(q, poly=q + low)
         except ValueError:  # reducible
             continue
 

@@ -85,7 +85,7 @@ def test_check_general_rule_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("rule", [
-    LinearRule(GF(p=3, m=2, poly=17), 1, 4, (2, 5)),
+    LinearRule(GF(9, poly=17), 1, 4, (2, 5)),
     GeneralBipermutiveRule(GF(3), 3, (1, 0, 2)),
 ], ids=["linear-gf9-poly17", "general"])
 def test_check_report_leads_with_the_rule_json(capsys, tmp_path, rule):
@@ -771,6 +771,37 @@ def test_synth_all_refuses_a_long_walk_at_once(capsys, k):
     assert code == 3 and out == ""
     assert err == (f"error: 4 * 2^{k - 3} walks exceed the enumeration "
                    "budget 1048576\n")
+
+
+@pytest.mark.parametrize("k", [2**20 + 3, 10**20])
+@pytest.mark.parametrize("mode", [("--index", "0"), ("--all",)])
+def test_synth_refuses_one_walk_past_the_budget(capsys, monkeypatch, k,
+                                                mode):
+    # at (q, b) = (2, 1) the one vertex has a loop, so there is one walk of
+    # every length and only its k - 2 windows can bound it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a walk was unranked or enumerated")
+
+    monkeypatch.setattr(lhca.cli, "unrank_path", unreachable)
+    monkeypatch.setattr(lhca.cli, "enumerate_paths", unreachable)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "synth", "--q", "2", "--b", "1",
+                         "--k", str(k), *mode)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == (f"error: a walk of {k - 2} windows exceeds the "
+                   "enumeration budget 1048576\n")
+
+
+def test_synth_walk_bound_is_the_budget(capsys):
+    synth = ("synth", "--q", "2", "--b", "1", "--index", "0",
+             "--budget", "10")
+    code, out, _ = run(capsys, *synth, "--k", "12")
+    assert code == 0 and json.loads(out)["k"] == 12
+    code, out, err = run(capsys, *synth, "--k", "13")
+    assert (code, out) == (3, "")
+    assert err == ("error: a walk of 11 windows exceeds the enumeration "
+                   "budget 10\n")
 
 
 def test_synth_all_bounds_its_oracle_by_the_whole_set(capsys, monkeypatch):

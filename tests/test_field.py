@@ -1,13 +1,14 @@
 """Field arithmetic tests: axioms by exhaustion on small orders, encoding
 conventions, and error handling."""
 
+import inspect
 import random
 import time
 
 import numpy as np
 import pytest
 
-from helpers import every_modulus
+from helpers import MODULUS_ORDERS, every_modulus
 from lhca.field import (GF, ORDER_CAP, _digits, _poly_mul_mod, _undigits,
                         default_irreducible_poly)
 
@@ -157,7 +158,20 @@ def test_a_prime_field_checks_its_modulus_and_keeps_none():
     for poly in (None, *range(5, 10)):
         f = GF(5, poly=poly)
         assert f.poly is None and f == GF(5)
-        assert f.to_json() == {"p": 5, "m": 1, "poly": None}
+
+
+def test_a_field_is_built_from_its_order_only():
+    params = inspect.signature(GF).parameters
+    assert list(params) == ["q", "poly"]
+    assert params["poly"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["poly"].default is None
+    with pytest.raises(TypeError):
+        GF(p=3, m=2)
+    # rules and reports write a field with short_json
+    assert not hasattr(GF, "to_json") and not hasattr(GF, "from_json")
+    assert GF(9, poly=17).short_json() == {"q": 9, "poly": 17}
+    # every monic irreducible modulus of the central orders, 27 in all
+    assert sum(1 for q in MODULUS_ORDERS for _ in every_modulus(q)) == 27
 
 
 def test_non_prime_power_order_rejected():
@@ -169,7 +183,7 @@ def test_non_prime_power_order_rejected():
 def test_order_cap_enforced():
     assert 2**17 > ORDER_CAP
     with pytest.raises(ValueError):
-        GF(p=2, m=17)
+        GF(2**17)
 
 
 def test_an_order_over_the_cap_is_refused_before_factoring():
@@ -177,16 +191,10 @@ def test_an_order_over_the_cap_is_refused_before_factoring():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds cap"):
         GF(2**61 - 1)
-    with pytest.raises(ValueError, match="exceeds cap"):
-        GF(p=2**61 - 1, m=1)
-    with pytest.raises(ValueError, match=r"^field order 2\^1000000000 "):
-        GF(p=2, m=10**9)
     assert time.perf_counter() - start < 2
     # orders within the cap keep their own messages
     with pytest.raises(ValueError, match="not a prime power"):
         GF(6)
-    with pytest.raises(ValueError, match="characteristic 4 is not prime"):
-        GF(p=4, m=2)
 
 
 def test_out_of_range_elements_rejected(field):
@@ -199,14 +207,6 @@ def test_out_of_range_elements_rejected(field):
 def test_inverse_of_zero_rejected(field):
     with pytest.raises(ZeroDivisionError):
         field.inv(0)
-
-
-def test_json_round_trip(field):
-    data = field.to_json()
-    assert set(data) == {"p", "m", "poly"}
-    rebuilt = GF.from_json(data)
-    assert rebuilt == field
-    assert rebuilt.q == field.q
 
 
 def test_tables_match_scalar_ops():

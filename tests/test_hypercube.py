@@ -285,7 +285,7 @@ def test_sampled_lines_leave_numpy_random_unimported():
 
 
 def test_is_latin_same_cold_and_warm():
-    f9 = GF(p=3, m=2, poly=17)
+    f9 = GF(9, poly=17)
     rules = [XOR5, LinearRule(F2, 2, 3, (0, 0, 0)),
              LinearRule(f9, 1, 4, (2, 5)), LinearRule(f9, 1, 4, (0, 1)),
              GeneralBipermutiveRule(F3, 3, (1, 0, 2)),
@@ -370,7 +370,7 @@ DUMPED_RULES = [
     LinearRule(GF(27), 1, 3, (5,)),
     LinearRule(F3, 2, 4, (1, 2, 0, 1, 2)),
     LinearRule(GF(16), 1, 4, (7, 11)),
-    LinearRule(GF(p=2, m=3, poly=13), 1, 4, (3, 5)),
+    LinearRule(GF(8, poly=13), 1, 4, (3, 5)),
     LinearRule(GF(8), 1, 5, (1, 2, 3)),
     LinearRule(F2, 2, 5, (1, 0, 1, 1, 0, 1, 1)),
     LinearRule(F2, 1, 17, (1,) * 15),
@@ -488,3 +488,34 @@ def test_no_cross_check_is_an_assert_statement():
     for path in Path(lhca.hypercube.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             assert not isinstance(node, ast.Assert), (path.name, node.lineno)
+
+
+
+def test_no_private_name_is_dead():
+    # a private module-level function, class or assignment, or a private
+    # method, must be read somewhere in the package outside its definition
+    trees = [ast.parse(path.read_text()) for path in
+             Path(lhca.hypercube.__file__).parent.glob("*.py")]
+    defined = []
+    for node in itertools.chain.from_iterable(tree.body for tree in trees):
+        if isinstance(node, ast.Assign):
+            defined += [(t.id, node) for t in node.targets
+                        if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            defined.append((getattr(node.target, "id", None), node))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            defined += [(f.name, f) for f in node.body
+                        if isinstance(f, ast.FunctionDef)]
+    for name, definition in defined:
+        if not name or not name.startswith("_") or name.startswith("__"):
+            continue
+        inside = set(map(id, ast.walk(definition)))
+        assert any(id(node) not in inside
+                   and name in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                getattr(node, "name", None),
+                                getattr(node, "value", None))
+                   for tree in trees for node in ast.walk(tree)), (
+            f"{name} is never read")

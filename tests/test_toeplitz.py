@@ -119,6 +119,18 @@ def test_nonsingular_count_matches_enumeration(q, b):
     assert count == (q - 1) * q ** (2 * (b - 1))
 
 
+def test_nonsingular_count_refuses_past_the_int_budget():
+    # 2^(2^20 - 2) has 2^20 - 1 bits; 2^(2^20) is one bit past the budget
+    start = time.perf_counter()
+    assert count_nonsingular_toeplitz(F2, 2**19) == 2 ** (2**20 - 2)
+    for b in (2**19 + 1, 10**8):
+        with pytest.raises(BudgetExceededError,
+                           match=rf"^count for q=2, b={b} exceeds the "
+                                 "1048576-bit budget$"):
+            count_nonsingular_toeplitz(F2, b)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2)])
 def test_support_is_balanced_on_both_sides(q, b):
     # fixing either overlap margin of the window leaves the same number
