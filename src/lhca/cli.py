@@ -37,10 +37,10 @@ more than 2^30 bytes of inputs, whatever the budget.  synth --all sweeps
 and samples only when its whole set of rules fits the entry budget; a set
 of one rule samples as check and synth --index do, past the budget.
 synth refuses a walk whose k - 2 windows outnumber the enumeration
-budget, since at out-degree 1 no walk count bounds it.  Every other budget bounds
-a power of q or of the out-degree, and each refusal is decided before any
-work, with no huge power built, by one exact test, errors.bounded_power,
-the k >= 3 count and its walk recount included.
+budget, since at out-degree 1 no walk count bounds it.  Every other budget
+bounds a power of q or of the out-degree, and each refusal is decided
+before any work, with no huge power built, by one exact test,
+errors.bounded_power, the k >= 3 count and its walk recount included.
 """
 
 from __future__ import annotations
@@ -325,9 +325,8 @@ def _encode(x, nl: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lhca",
-        description="Latin hypercubes from linear cellular automata over GF(q)")
+    parser = argparse.ArgumentParser(prog="lhca", description=(
+        "Latin hypercubes from linear cellular automata over GF(q)"))
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser("check", help="Latin verdict for one rule")
     count = sub.add_parser("count", help="count Latin-generating rules")

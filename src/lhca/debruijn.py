@@ -276,10 +276,10 @@ def rule_from_path(field: GF, path: Sequence[Sequence[int]]) -> LinearRule:
     if even:
         raise ValueError(f"window length {len(prev)} is not 2b-1")
     coeffs = list(prev)
-    for w in path[1:]:
+    for w in map(tuple, path[1:]):
         if len(w) != 2 * b - 1:
             raise ValueError("windows have mixed lengths")
-        if fuse(prev, w, b - 1) is None:
+        if w[:b - 1] != prev[b:]:
             raise ValueError(
                 f"consecutive windows do not overlap in {b - 1} entries")
         coeffs.extend(w[b - 1:])

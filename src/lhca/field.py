@@ -12,9 +12,9 @@ Every field, up to ``ORDER_CAP``, computes in one log domain: ``exp`` and
 ``log`` of a primitive element g make a product a sum of logarithms, and
 Zech logarithms, Z(n) = log(1 + g^n), make a sum one too, since
 a + b = a (1 + b/a).  The scalar operations index these as Python lists.
-A scalar sum of products, ``dot``, stays in the log domain from term to
-term and checks no element: the scalar global map checks a configuration
-once and then sums each window of a linear rule with it.  The vectorized
+A sum of products over many windows at once, ``dot``, sums the base-p
+digits of its ``mul_array`` products over the terms and reduces each digit
+sum modulo p once: in characteristic 2, each bit's parity.  The vectorized
 operations (``add_array``, ``mul_array``, ...) gather from q x q lookup
 tables (``add_table``, ``mul_table``) for q <= 256, where those fit, and
 from the same exp/log/Zech vectors above.  A pair's index into a table,
@@ -43,7 +43,7 @@ import numpy as np
 
 ORDER_CAP = 1 << 16
 TABLE_CAP = 256
-_UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+_CHUNK_CELLS = 1 << 16  # window cells GF.dot reduces at a time
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -59,6 +59,11 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
+def _as_int(a):
+    """A bool or numpy integer as its int; anything else, as it is."""
+    return int(a) if isinstance(a, (int, np.integer)) else a
+
+
 def _digits(n: int, p: int, width: int) -> list[int]:
     return [n // p**i % p for i in range(width)]
 
@@ -67,8 +72,8 @@ def _undigits(digits: list[int], p: int) -> int:
     return sum(d * p**i for i, d in enumerate(digits))
 
 
-def _poly_mul_mod(a: int, b: int, reducer: list[int], p: int, m: int) -> int:
-    """Product of two degree-<m polynomials modulo x^m = reducer(x), over GF(p)."""
+def _poly_mul_mod(a: int, b: int, red: list[int], p: int, m: int) -> int:
+    """a * b modulo x^m = red(x) over GF(p), both of degree < m."""
     da = _digits(a, p, m)
     db = _digits(b, p, m)
     prod = [0] * (2 * m - 1)
@@ -80,7 +85,7 @@ def _poly_mul_mod(a: int, b: int, reducer: list[int], p: int, m: int) -> int:
         c = prod[i]
         if c:
             prod[i] = 0
-            for j, r in enumerate(reducer):
+            for j, r in enumerate(red):
                 prod[i - m + j] = (prod[i - m + j] + c * r) % p
     return _undigits(prod[:m], p)
 
@@ -161,8 +166,8 @@ class GF:
             self.mul_table = self.mul_array(every[:, None], every)
 
     def _build_logs(self) -> None:
-        """The log domain of a primitive element g, as numpy arrays for the
-        array operations and as Python lists for the scalar ones.
+        """The log domain of a primitive element g: numpy arrays for the
+        array operations, ``dot`` included, and lists for the scalar ones.
 
         With n = q - 1, log 0 is the sentinel 2n, and exp holds g^i for
         i < 2n and 0 from 2n to 4n, so a sum of two logarithms is a valid
@@ -189,12 +194,6 @@ class GF:
         self._exps, self._logs, self._zechs = exp, log, zech
         self._exp, self._log, self._zech = (exp.tolist(), log.tolist(),
                                             zech.tolist())
-
-    @cached_property
-    def _log_exp(self) -> list[int]:
-        """log exp[i] for every index i of ``exp``: i mod (q-1) below
-        2(q-1), the log 0 sentinel above; built at the first :meth:`dot`."""
-        return self._logs.take(self._exps).tolist()
 
     def _primitive_powers(self) -> np.ndarray:
         """g^0, g^1, ..., g^(q-2) as integers, for the smallest element g
@@ -233,8 +232,8 @@ class GF:
         """The package's one test of an element: an integer 0 .. q-1,
         returned as an int (a bool or numpy integer reads as its int);
         ValueError for anything else, a float included."""
-        if type(a) is not int and isinstance(a, (int, np.integer)):
-            a = int(a)
+        if type(a) is not int:
+            a = _as_int(a)
         if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a} is not an element of {self!r}")
         return a
@@ -267,23 +266,39 @@ class GF:
         self._check(b)
         return self._exp[self._log[a] + self._log[b]]
 
-    def dot(self, coeffs, cells) -> int:
-        """The sum of a * x over paired elements of ``coeffs`` and
-        ``cells``, unchecked, as one fold in the log domain: each product
-        is a sum of logarithms and each partial sum a Zech step, both
-        brought back to a logarithm by ``_log_exp``."""
-        log, log_exp, zech, zero = (self._log, self._log_exp, self._zech,
-                                    self._zero_log)
-        acc = zero
-        for a, x in zip(coeffs, cells):
-            t = log_exp[log[a] + log[x]]
-            acc = log_exp[acc + zech[t - acc + zero]]
-        return self._exp[acc]
+    @cached_property
+    def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every element's m base-p digits, one row each, in the narrowest
+        unsigned dtype, and the weights p^i that rebuild an element."""
+        weights = self.p ** np.arange(self.m, dtype=self.dtype)
+        digits = np.arange(self.q)[:, None] // weights % self.p
+        return digits.astype(np.min_scalar_type(self.p - 1)), weights
+
+    @cached_property
+    def _ints(self) -> np.ndarray:
+        """The q elements as Python ints, shared by every gather from it."""
+        return np.arange(self.q).astype(object)
+
+    def dot(self, coeffs, windows: np.ndarray) -> np.ndarray:
+        """The sum of a * x over ``coeffs`` and each row of the (N, d)
+        element array ``windows``, unchecked, as N elements of ``dtype``:
+        the base-p digits of the :meth:`mul_array` products summed over the
+        terms, reduced modulo p once, ``_CHUNK_CELLS`` cells at a time."""
+        coeffs, p = self.array(coeffs), self.p
+        acc = np.min_scalar_type(len(coeffs) * (p - 1))
+        table, weights = self._digit_table
+        out = np.empty(len(windows), self.dtype)
+        rows = max(1, _CHUNK_CELLS // len(coeffs))
+        for lo in range(0, len(windows), rows):
+            terms = self.mul_array(coeffs, windows[lo:lo + rows])
+            sums = table.take(terms, axis=0).sum(1, dtype=acc)
+            np.matmul(sums % p, weights, out=out[lo:lo + rows])
+        return out
 
     def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
+        if not self._check(a):
+            raise ZeroDivisionError(
+                f"0 has no multiplicative inverse in {self!r}")
         return self._exp[self.q - 1 - self._log[a]]
 
     def _pair_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -364,7 +379,7 @@ class GF:
         else:
             bound = (self.p - 1) * sum(coeffs)
             # fewer than 2^32 terms keep the bound below 2^64
-            acc_type = next(t for t in _UNSIGNED if bound <= np.iinfo(t).max)
+            acc_type = np.min_scalar_type(bound)
             scaled = None
             for a, x in zip(coeffs, terms):
                 if not a:
@@ -399,13 +414,13 @@ class GF:
 
     def short_json(self) -> dict:
         """{"q": q}, plus "poly" if the modulus is not the default one."""
-        if self.m > 1 and self.poly != default_irreducible_poly(self.p, self.m):
+        if self.poly not in (None, default_irreducible_poly(self.p, self.m)):
             return {"q": self.q, "poly": self.poly}
         return {"q": self.q}
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GF)
-                and (self.p, self.m, self.poly) == (other.p, other.m, other.poly))
+        return (isinstance(other, GF) and (self.p, self.m, self.poly)
+                == (other.p, other.m, other.poly))
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.poly))

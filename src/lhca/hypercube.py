@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, bounded_power
-from .field import GF
+from .field import GF, _as_int
 from .rules import (
     Rule,
     apply_ca,
@@ -59,7 +59,7 @@ SAMPLED_LINE_BYTES = 1 << 30
 def psi(i: int, q: int, b: int) -> tuple[int, ...]:
     """Encode a 1-based index 1 <= i <= q^b as a block of b cells; the
     leftmost cell is the least significant base-q digit of i-1."""
-    if not 1 <= i <= q**b:
+    if type(i := _as_int(i)) is not int or not 1 <= i <= q**b:
         raise ValueError(f"index {i} out of range 1..{q**b}")
     return unrank_cells(i - 1, q, b)
 
@@ -78,9 +78,7 @@ def entry(rule: Rule, idx: Sequence[int]) -> int:
     q = rule.field.q
     if len(idx) != k:
         raise ValueError(f"expected {k} indices, got {len(idx)}")
-    cells: list[int] = []
-    for i in idx:
-        cells.extend(psi(i, q, b))
+    cells = [c for i in idx for c in psi(i, q, b)]
     return psi_inverse(apply_ca(rule, cells), q)
 
 
@@ -115,7 +113,7 @@ def _cube_shape(rule: Rule, b: int | None, k: int | None,
 
 def _line_coords(lo: int, hi: int, N: int, k: int) -> np.ndarray:
     """Rows of fixed coordinates (0-based) of lines lo..hi-1 in order."""
-    weights = np.array([N**t for t in range(k - 2, -1, -1)])  # exact past int64
+    weights = np.array([N**t for t in range(k - 2, -1, -1)])  # exact past 2^63
     return (np.arange(lo, hi)[:, None] // weights % N).astype(np.int64)
 
 

@@ -31,16 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, bounded_power
-from .field import GF
+from .field import GF, _as_int
 
 DEFAULT_INT_BITS = 1 << 20
 _INT_CAP = (1 << DEFAULT_INT_BITS) - 1  # the largest count within the bits
 
 
 def rank_cells(cells: Sequence[int], q: int) -> int:
-    """Rank of a cell tuple, leftmost cell least significant."""
+    """Rank of a tuple of integer cells, leftmost cell least significant."""
     r = 0
     for c in reversed(cells):
+        if type(c) is not int and type(c := _as_int(c)) is not int:
+            raise ValueError(f"cell {c!r} is not an integer")
         r = r * q + c
     return r
 
@@ -73,7 +75,8 @@ class LinearRule:
             raise ValueError(f"block size must be >= 1, got {self.b}")
         if self.k < 2:
             raise ValueError(f"dimension must be >= 2, got {self.k}")
-        object.__setattr__(self, "coeffs", self.field._as_elements(self.coeffs))
+        object.__setattr__(self, "coeffs",
+                           self.field._as_elements(self.coeffs))
         if len(self.coeffs) != self.d - 2:
             raise ValueError(
                 f"expected {self.d - 2} interior coefficients for "
@@ -177,35 +180,33 @@ def rule_from_json(data: dict) -> LinearRule | GeneralBipermutiveRule:
     raise ValueError("rule JSON needs either 'coeffs' or 'g_table'")
 
 
-def _evaluate(rule: Rule, window: Sequence[int]) -> int:
-    """The rule on d cells already checked to be elements."""
-    fld = rule.field
-    if isinstance(rule, LinearRule):
-        return fld.dot(rule.full_coeffs, window)
-    g = rule.g_table[rank_cells(window[1:-1], fld.q)]
-    return fld.add(fld.add(window[0], g), window[-1])
-
-
 def apply_rule(rule: Rule, window: Sequence[int]) -> int:
     """Evaluate the rule on one window of exactly d cells, each read as an
-    element; a linear rule is one :meth:`GF.dot` in the log domain."""
+    element: :func:`apply_ca` on those d cells."""
     if len(window) != rule.d:
         raise ValueError(f"window length {len(window)} != diameter {rule.d}")
-    return _evaluate(rule, rule.field._as_elements(window))
+    return apply_ca(rule, window)[0]
 
 
 def apply_ca(rule: Rule, cells: Sequence[int]) -> tuple[int, ...]:
     """Global map: the rule applied to every window of d consecutive cells.
 
     The configuration is read once through :meth:`GF._as_elements`, so the
-    first cell that is not an element raises ValueError; each window of a
-    linear rule is then one unchecked :meth:`GF.dot` in the log domain."""
-    d = rule.d
+    first cell that is not an element raises ValueError; a linear rule then
+    sums every window at once, one :meth:`GF.dot` over a read-only strided
+    (n-d+1, d) view of the cells."""
+    d, fld = rule.d, rule.field
     if len(cells) < d:
         raise ValueError(f"input length {len(cells)} < diameter {d}")
-    cells = rule.field._as_elements(cells)
-    return tuple(_evaluate(rule, cells[i:i + d])
-                 for i in range(len(cells) - d + 1))
+    cells = fld._as_elements(cells)
+    if isinstance(rule, LinearRule):
+        cells = fld.array(cells)  # frees the tuple before the output
+        view = np.lib.stride_tricks.as_strided(
+            cells, (len(cells) - d + 1, d), cells.strides * 2, writeable=False)
+        return tuple(fld._ints.take(fld.dot(rule.full_coeffs, view)).tolist())
+    g = rule.g_table
+    return tuple(fld.add(fld.add(w[0], g[rank_cells(w[1:-1], fld.q)]), w[-1])
+                 for w in (cells[i:i + d] for i in range(len(cells) - d + 1)))
 
 
 def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:

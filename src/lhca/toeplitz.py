@@ -296,8 +296,7 @@ def solve_middle_block(rule: LinearRule, i: int,
     if any(len(blk) != b for blk in blocks):
         raise ValueError(f"fixed blocks must have {b} cells each")
     blocks.insert(i, (0,) * b)
-    cells = [c for blk in blocks for c in blk]
-    base = apply_ca(rule, cells)
+    base = apply_ca(rule, [c for blk in blocks for c in blk])
     rhs = [fld.sub(t, c) for t, c in zip(y, base)]
     mat = toeplitz_matrix(_window(rule, i))
     block = tuple(solve_linear_system(fld, mat, rhs))

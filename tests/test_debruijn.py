@@ -514,14 +514,18 @@ def test_rule_from_path_golden():
 
 
 def test_rule_from_path_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one window$"):
         rule_from_path(F2, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^window length 2 is not 2b-1$"):
         rule_from_path(F2, [(0, 1)])
-    with pytest.raises(ValueError):
-        rule_from_path(F2, [(0, 1, 0), (1, 0, 1)])   # overlap mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=(
+            "^consecutive windows do not overlap in 1 entries$")):
+        rule_from_path(F2, [(0, 1, 0), (1, 0, 1)])
+    with pytest.raises(ValueError, match="^windows have mixed lengths$"):
         rule_from_path(F2, [(0, 1, 0), (0, 1, 1, 0, 1)])
+    # a window may be any sequence of cells, as fuse reads it
+    rule = rule_from_path(F2, [[0, 1, 0], (0, 1, 1), np.array([1, 0, 1])])
+    assert rule.coeffs == (0, 1, 0, 1, 1, 0, 1)
 
 
 def test_windows_and_rule_from_path_are_inverse():

@@ -80,6 +80,20 @@ def test_psi_validation():
         psi_inverse((0, 2), 2)
 
 
+def test_psi_reads_exact_ints():
+    # numpy cells rank as ints, not in their own wrapping dtype
+    assert psi_inverse(np.ones(9, np.uint8), 2) == 512
+    assert psi_inverse(np.full(3, 255, np.uint16), 256) == 256**3
+    assert psi(np.int64(3), 2, 2) == (0, 1) and psi(True, 2, 1) == (0,)
+    # a float is refused, even one that equals an index
+    for bad_index in (1.5, 2.0):
+        with pytest.raises(ValueError):
+            psi(bad_index, 2, 1)
+    for bad_cells in ((0.5,), (1, 1.0)):
+        with pytest.raises(ValueError):
+            psi_inverse(bad_cells, 2)
+
+
 def test_block_structure_defaults_and_overrides():
     assert block_structure(XOR5) == (2, 3)
     assert block_structure(XOR5, b=4) == (4, 2)
@@ -481,6 +495,12 @@ def test_only_the_field_decides_what_an_element_is():
             assert "_check_cells" not in names, (path.name, node.lineno)
             assert path.name == "field.py" or "_check" not in names, (
                 path.name, node.lineno)
+
+
+def test_no_source_line_is_longer_than_79_characters():
+    for path in Path(lhca.hypercube.__file__).parent.glob("*.py"):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert len(line) <= 79, (path.name, number)
 
 
 def test_no_cross_check_is_an_assert_statement():

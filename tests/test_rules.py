@@ -9,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
+import lhca.field
 import lhca.rules
-from helpers import every_modulus, mat_vec
+from helpers import MODULUS_ORDERS, every_modulus, mat_vec
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import dump, dump_json
@@ -45,6 +46,12 @@ def test_rank_leftmost_cell_is_least_significant():
     assert rank_cells((0, 1), 2) == 2
     assert rank_cells((1, 1), 2) == 3
     assert rank_cells((2, 1), 3) == 5
+    # each cell reads as an exact int: a uint8 product would wrap at 256
+    assert rank_cells(np.ones(9, np.uint8), 2) == 511
+    assert rank_cells((True, np.int64(2)), 3) == 7
+    for bad in ((1, 0.5), (2.0,), ("1",)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            rank_cells(bad, 3)
 
 
 def test_rank_unrank_round_trip():
@@ -234,19 +241,26 @@ def test_apply_ca_coordinates_match_apply_rule():
 
 
 # one field of each arithmetic kind: odd primes, characteristic 2 and odd
-# extensions, with and without tables, at every accumulator width
-@pytest.mark.parametrize("q", [3, 251, 65521, 2, 4, 256, 1024,
-                               9, 27, 243, 729])
-def test_scalar_map_is_the_per_term_fold(q):
+# extensions, with and without tables, at every accumulator width, and
+# every modulus of the central orders
+@pytest.mark.parametrize("q, poly", [
+    *(pytest.param(q, None, id=str(q)) for q in (
+        3, 251, 65521, 2, 4, 256, 1024, 65536, 9, 27, 243, 729)),
+    *(pytest.param(q, f.poly, id=f"{q}-poly{f.poly}")
+      for q in MODULUS_ORDERS for f in every_modulus(q)),
+])
+def test_scalar_map_is_the_per_term_fold(q, poly):
     # the definition: acc = add(acc, mul(a, x)) over each window, term by
     # term, on d >= 600 with zero coefficients and runs of zero cells
-    fld, rng = GF(q), random.Random(q)
+    fld, rng = GF(q, poly=poly), random.Random(q)
 
     def element():
         return rng.choice((0, 1, q - 1, rng.randrange(q)))
 
     rule = LinearRule(fld, 3, 201, [element() for _ in range(599)])
-    d, n = rule.d, rule.d + 5
+    d, n = rule.d, rule.d + 120
+    # more windows than GF.dot reduces in one chunk
+    assert n - d + 1 > lhca.field._CHUNK_CELLS // d
     cells = [element() for _ in range(n)]
     cells[:3] = cells[n // 2:n // 2 + 3] = [0] * 3
     band = [[0] * i + list(rule.full_coeffs) + [0] * (n - d - i)
