@@ -14,7 +14,6 @@ from .debruijn import (
     count_paths,
     cross_check_count,
     enumerate_paths,
-    fuse,
     latin_hypercube_count,
     rule_from_path,
     unrank_path,
@@ -106,7 +105,6 @@ __all__ = [
     "solve_linear_system",
     "solve_middle_block",
     "DEFAULT_SUPPORT_BUDGET",
-    "fuse",
     "DetGraph",
     "build_graph",
     "count_paths",

@@ -37,21 +37,6 @@ from .toeplitz import DEFAULT_SUPPORT_BUDGET, support_of_det
 _CHUNK_CELLS = 1 << 16  # walk cells per chunk of enumerate_paths
 
 
-def fuse(u: Sequence[int], v: Sequence[int],
-         s: int) -> tuple[int, ...] | None:
-    """Overlap two tuples in their s boundary entries.
-
-    Returns the concatenation keeping the shared part once when the last
-    s entries of u equal the first s of v, and None when they differ;
-    absence of a fusion is a value, not an error.  s = 0 always fuses.
-    """
-    if s < 0 or s > len(u) or s > len(v):
-        raise ValueError(f"overlap {s} out of range")
-    if s and tuple(u[-s:]) != tuple(v[:s]):
-        return None
-    return tuple(u) + tuple(v[s:])
-
-
 class _View(Sequence):
     """A read-only sequence, item i ``make(rows[i].tolist())`` built as it
     is read; a slice is a list, and iterating reads ``rows`` once."""

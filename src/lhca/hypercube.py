@@ -59,8 +59,9 @@ SAMPLED_LINE_BYTES = 1 << 30
 def psi(i: int, q: int, b: int) -> tuple[int, ...]:
     """Encode a 1-based index 1 <= i <= q^b as a block of b cells; the
     leftmost cell is the least significant base-q digit of i-1."""
-    if type(i := _as_int(i)) is not int or not 1 <= i <= q**b:
-        raise ValueError(f"index {i} out of range 1..{q**b}")
+    if (type(i := _as_int(i)) is not int or i < 1 or b < 0
+            or bounded_power(q, b, i - 1) is not None):
+        raise ValueError(f"index {i} out of range 1..{q}^{b}")
     return unrank_cells(i - 1, q, b)
 
 

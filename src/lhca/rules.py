@@ -194,19 +194,19 @@ def apply_ca(rule: Rule, cells: Sequence[int]) -> tuple[int, ...]:
     The configuration is read once through :meth:`GF._as_elements`, so the
     first cell that is not an element raises ValueError; a linear rule then
     sums every window at once, one :meth:`GF.dot` over a read-only strided
-    (n-d+1, d) view of the cells."""
+    (n-d+1, d) view of the cells, and a general rule maps the cells as one
+    row of :func:`apply_ca_batch`."""
     d, fld = rule.d, rule.field
     if len(cells) < d:
         raise ValueError(f"input length {len(cells)} < diameter {d}")
-    cells = fld._as_elements(cells)
+    cells = fld.array(fld._as_elements(cells))  # frees the tuple
     if isinstance(rule, LinearRule):
-        cells = fld.array(cells)  # frees the tuple before the output
         view = np.lib.stride_tricks.as_strided(
             cells, (len(cells) - d + 1, d), cells.strides * 2, writeable=False)
-        return tuple(fld._ints.take(fld.dot(rule.full_coeffs, view)).tolist())
-    g = rule.g_table
-    return tuple(fld.add(fld.add(w[0], g[rank_cells(w[1:-1], fld.q)]), w[-1])
-                 for w in (cells[i:i + d] for i in range(len(cells) - d + 1)))
+        out = fld.dot(rule.full_coeffs, view)
+    else:
+        out = apply_ca_batch(rule, cells[None])[0]
+    return tuple(fld._ints.take(out).tolist())
 
 
 def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
@@ -271,23 +271,27 @@ def restriction_is_permutation(rule: Rule, side: str,
     ``fixed`` supplies the remaining d-1 cells.  Returns True iff the map
     from the free block to the CA output (also b cells) is a permutation
     of GF(q)^b.  The free block size defaults to rule.b for linear rules
-    and to d-1 otherwise.
+    and to d-1 otherwise.  The q^b free blocks, block r the digits of r,
+    are mapped as one :func:`apply_ca_batch` batch, refused past 2^24 cells.
     """
-    fld = rule.field
+    fld, d = rule.field, rule.d
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if b is None:
-        b = rule.b if isinstance(rule, LinearRule) else rule.d - 1
-    if len(fixed) != rule.d - 1:
+        b = rule.b if isinstance(rule, LinearRule) else d - 1
+    if len(fixed) != d - 1:
         raise ValueError(
-            f"fixed part must have d-1 = {rule.d - 1} cells, got {len(fixed)}")
-    # apply_ca reads the fixed cells as elements
-    fixed, q = tuple(fixed), fld.q
-    seen = set()
-    for free in itertools.product(range(q), repeat=b):
-        cells = free + fixed if side == "left" else fixed + free
-        seen.add(apply_ca(rule, cells))
-    return len(seen) == q**b
+            f"fixed part must have d-1 = {d - 1} cells, got {len(fixed)}")
+    if b < 1:
+        raise ValueError(f"block size must be >= 1, got {b}")
+    fixed, q, n = fld._as_elements(fixed), fld.q, d - 1 + b
+    if (rows := bounded_power(q, b, (1 << 24) // n)) is None:
+        raise BudgetExceededError(f"{q}^{b} rows of {n} cells exceed 2^24")
+    free = np.indices((q,) * b, fld.dtype).reshape(b, rows)[::-1].T
+    fixed = np.broadcast_to(fld.array(fixed), (rows, d - 1))
+    cells = np.hstack((free, fixed) if side == "left" else (fixed, free))
+    ranks = apply_ca_batch(rule, cells) @ q ** np.arange(b)  # one per row
+    return np.unique(ranks).size == rows
 
 
 def count_bipermutive_rules(field: GF, b: int) -> int:

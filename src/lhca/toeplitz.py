@@ -26,7 +26,7 @@ returns their pivots.  ``support_of_det`` reduces all q^(2b-1) windows
 this way and keeps those with no zero pivot; ``window_dets`` reduces
 the k-2 windows of a rule this way, finishing their determinants in
 ``_batch_dets``, once there are ``_BATCH_MIN_WINDOWS`` = 8 or more;
-shorter rules take ``det_of_window`` one window at a time.  Up to 16
+shorter rules take ``_eliminate`` one window at a time.  Up to 16
 windows the batch's cost is nearly all fixed, about 25 us at b = 1,
 75 us at b = 2, 130 us at b = 3 and 250 us at b = 6 on a 2-vCPU Xeon
 virtual machine, while the scalar path costs about 5, 10, 20 and 70 us
@@ -130,14 +130,15 @@ def window_dets(rule: LinearRule) -> list[int]:
     square.
 
     A rule with fewer than ``_BATCH_MIN_WINDOWS`` windows reduces them one
-    at a time through :func:`det_of_window`; a longer one is sliced from
+    at a time through ``_eliminate``; a longer one is sliced from
     its coefficients into one stack, reduced in batches of at most
     ``_BATCH_CELLS`` matrix entries."""
     if not isinstance(rule, LinearRule):
         raise TypeError("windows are defined for linear rules only")
     b, k, fld = rule.b, rule.k, rule.field
     if k - 2 < _BATCH_MIN_WINDOWS:
-        return [det_of_window(fld, _window(rule, i)) for i in range(1, k - 1)]
+        return [_eliminate(fld, toeplitz_matrix(_window(rule, i)), b)
+                for i in range(1, k - 1)]
     # a rule holds elements, read when it was built; window i starts at
     # coefficient b(i-1): a read-only view, which the batch copies
     coeffs = fld.array(rule.coeffs)

@@ -3,6 +3,7 @@
 import itertools
 
 from lhca.field import GF
+from lhca.rules import LinearRule
 
 
 def cofactor_det(field: GF, matrix) -> int:
@@ -29,6 +30,61 @@ def mat_vec(field: GF, matrix, vec) -> list[int]:
             acc = field.add(acc, field.mul(a, x))
         out.append(acc)
     return out
+
+
+def fuse(u, v, s: int):
+    """Overlap two tuples in their s boundary entries: the concatenation
+    keeping the shared part once when the last s entries of u equal the
+    first s of v, and None when they differ; s = 0 always fuses."""
+    if s < 0 or s > len(u) or s > len(v):
+        raise ValueError(f"overlap {s} out of range")
+    if s and tuple(u[-s:]) != tuple(v[:s]):
+        return None
+    return tuple(u) + tuple(v[s:])
+
+
+def ca_by_windows(rule, cells) -> tuple[int, ...]:
+    """The global map one window at a time on the field's scalar add and
+    mul: a linear rule as acc = add(acc, mul(a, x)) term by term, a
+    general one as x_1 + g[rank of the interior] + x_d, the interior
+    ranked leftmost cell least significant."""
+    fld, d = rule.field, rule.d
+    cells = fld._as_elements(cells)
+    if len(cells) < d:
+        raise ValueError(f"input length {len(cells)} < diameter {d}")
+    out = []
+    for w in (cells[i:i + d] for i in range(len(cells) - d + 1)):
+        if isinstance(rule, LinearRule):
+            acc = 0
+            for a, x in zip(rule.full_coeffs, w):
+                acc = fld.add(acc, fld.mul(a, x))
+        else:
+            rank = sum(c * fld.q**j for j, c in enumerate(w[1:-1]))
+            acc = fld.add(fld.add(w[0], rule.g_table[rank]), w[-1])
+        out.append(acc)
+    return tuple(out)
+
+
+def restriction_by_configurations(rule, side: str, fixed, b=None,
+                                  global_map=ca_by_windows) -> bool:
+    """Whether varying one border block of b cells is a bijection, decided
+    one configuration at a time through ``global_map``, with the
+    library's argument checks, messages and order."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if b is None:
+        b = rule.b if isinstance(rule, LinearRule) else rule.d - 1
+    if len(fixed) != rule.d - 1:
+        raise ValueError(
+            f"fixed part must have d-1 = {rule.d - 1} cells, got {len(fixed)}")
+    if b < 1:
+        raise ValueError(f"block size must be >= 1, got {b}")
+    fixed, q = tuple(rule.field._as_elements(fixed)), rule.field.q
+    seen = set()
+    for free in itertools.product(range(q), repeat=b):
+        cells = free + fixed if side == "left" else fixed + free
+        seen.add(global_map(rule, cells))
+    return len(seen) == q**b
 
 
 def every_modulus(q: int):

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (MODULUS_ORDERS, central_points, every_modulus,
+from helpers import (MODULUS_ORDERS, central_points, every_modulus, fuse,
                      unrank_by_divmod, unrank_by_suffix_counts)
 from lhca import debruijn
 from lhca.debruijn import (
@@ -24,7 +24,6 @@ from lhca.debruijn import (
     count_paths,
     cross_check_count,
     enumerate_paths,
-    fuse,
     latin_hypercube_count,
     rule_from_path,
     unrank_path,
@@ -523,7 +522,7 @@ def test_rule_from_path_validation():
         rule_from_path(F2, [(0, 1, 0), (1, 0, 1)])
     with pytest.raises(ValueError, match="^windows have mixed lengths$"):
         rule_from_path(F2, [(0, 1, 0), (0, 1, 1, 0, 1)])
-    # a window may be any sequence of cells, as fuse reads it
+    # a window may be any sequence of cells
     rule = rule_from_path(F2, [[0, 1, 0], (0, 1, 1), np.array([1, 0, 1])])
     assert rule.coeffs == (0, 1, 0, 1, 1, 0, 1)
 

@@ -64,3 +64,12 @@ def test_readme_command_runs(capsys, line):
     out = capsys.readouterr()
     assert code == (int(named.group(1)) if named else 0), out.err
     assert out.out
+
+
+def test_readme_lists_the_public_api():
+    # the "public names" list under "## Library", one name a line, in the
+    # order of lhca.__all__
+    library = README.split("## Library", 1)[1].split("\n## ", 1)[0]
+    block = library.split("The public names", 1)[1].split("\n\n", 2)[1]
+    assert re.findall(r"^- `(\w+)`: ", block, re.M) == lhca.__all__
+    assert len(block.splitlines()) == len(lhca.__all__)

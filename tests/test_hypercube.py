@@ -72,12 +72,29 @@ def test_psi_round_trip():
 
 
 def test_psi_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^index 0 out of range 1\.\.2\^2$"):
         psi(0, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^index 5 out of range 1\.\.2\^2$"):
         psi(5, 2, 2)
+    assert psi(9, 3, 2) == (2, 2)
+    with pytest.raises(ValueError, match=r"^index 10 out of range 1\.\.3\^2$"):
+        psi(10, 3, 2)
     with pytest.raises(ValueError):
         psi_inverse((0, 2), 2)
+
+
+def test_psi_range_check_builds_no_power():
+    # 3^(10^4) has over 4300 digits, and 3^(10^8) takes minutes to build
+    start = time.perf_counter()
+    for i, b in ((0, 10**4), (0, 10**8), (-5, 10**8)):
+        with pytest.raises(ValueError, match=(
+                rf"^index {i} out of range 1\.\.3\^{b}$")):
+            psi(i, 3, b)
+    assert psi(2, 3, 10**4)[:2] == (1, 0)
+    assert psi(1, 3, 0) == ()
+    with pytest.raises(ValueError, match=r"^index 1 out of range 1\.\.3\^-1$"):
+        psi(1, 3, -1)
+    assert time.perf_counter() - start < 2
 
 
 def test_psi_reads_exact_ints():

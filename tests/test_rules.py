@@ -11,7 +11,8 @@ import pytest
 
 import lhca.field
 import lhca.rules
-from helpers import MODULUS_ORDERS, every_modulus, mat_vec
+from helpers import (MODULUS_ORDERS, ca_by_windows, every_modulus, mat_vec,
+                     restriction_by_configurations)
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import dump, dump_json
@@ -124,15 +125,26 @@ def test_general_rule_validation():
 
 def test_a_map_that_ignores_the_borders_is_not_a_permutation(monkeypatch):
     # every rule that can be built is bipermutive, so stand in a global map
-    # that reads only the second cell of each window: f(x1,x2,x3) = x2
-    def project(rule, cells):
-        return tuple(cells[1:len(cells) - rule.d + 2])
-
-    monkeypatch.setattr(lhca.rules, "apply_ca", project)
+    # that reads only cell `at` of each window: f(x1,x2,x3) = x2 ignores
+    # both borders, x1 and x3 each keep one side a permutation
     rule = LinearRule(F2, 1, 3, (1,))
-    assert project(rule, (0, 1, 0)) == (1,)
-    assert not restriction_is_permutation(rule, "left", (0, 0))
-    assert not restriction_is_permutation(rule, "right", (0, 0))
+    for at, verdicts in ((1, (False, False)), (0, (True, False)),
+                         (2, (False, True))):
+        def project(rule, inputs):
+            inputs = np.asarray(inputs)
+            return inputs[:, at:inputs.shape[1] - rule.d + 1 + at]
+
+        def scalar(rule, cells):
+            return tuple(project(rule, [cells])[0].tolist())
+
+        monkeypatch.setattr(lhca.rules, "apply_ca_batch", project)
+        assert scalar(rule, (0, 1, 0)) == (at == 1,)
+        for side, verdict in zip(("left", "right"), verdicts):
+            for fixed in itertools.product(range(2), repeat=2):
+                assert restriction_is_permutation(
+                    rule, side, fixed) is verdict
+                assert restriction_by_configurations(
+                    rule, side, fixed, global_map=scalar) is verdict
 
 
 def test_linear_rules_are_bipermutive():
@@ -156,6 +168,48 @@ def test_restriction_validation():
         restriction_is_permutation(XOR5, "up", (0, 0, 0, 0), b=1)
     with pytest.raises(ValueError):
         restriction_is_permutation(XOR5, "left", (0, 0, 0), b=1)
+    for b in (0, -1):
+        with pytest.raises(ValueError, match=f"^block size must be >= 1, "
+                                             f"got {b}$"):
+            restriction_is_permutation(XOR5, "left", (0, 0, 0, 0), b=b)
+
+
+def _outcome(restriction, *args):
+    """The verdict, or the type and message of the error raised."""
+    try:
+        return restriction(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+# every modulus of the central orders, by its encoding
+@pytest.mark.parametrize("q, poly", [
+    pytest.param(q, f.poly, id=f"{q}-poly{f.poly}")
+    for q in MODULUS_ORDERS for f in every_modulus(q)])
+def test_maps_and_restrictions_match_the_oracles(q, poly):
+    fld, rng = GF(q, poly=poly), random.Random(poly)
+    for rule in (LinearRule(fld, 2, 3, [rng.randrange(q) for _ in range(3)]),
+                 GeneralBipermutiveRule(fld, 3, [rng.randrange(q)
+                                                 for _ in range(q)])):
+        d = rule.d
+        rows = [[rng.randrange(q) for _ in range(d + 20)] for _ in range(8)]
+        want = [ca_by_windows(rule, row) for row in rows]
+        assert [apply_ca(rule, row) for row in rows] == want
+        got = apply_ca_batch(rule, np.array(rows))
+        assert list(map(tuple, got.tolist())) == want
+        fixed = [rng.randrange(q) for _ in range(d - 1)]
+        good = [(side, fixed, b) for side in ("left", "right")
+                for b in (1, None)]
+        # each check in its order: side, length, block size, cells
+        bad = [("up", fixed, 0), ("left", fixed[1:], 0), ("right", fixed, 0)]
+        bad += [(side, cells, None) for x in (q, -1, 2.0)
+                for side, cells in (("left", [x] + fixed[1:]),
+                                    ("right", fixed[:-1] + [x]))]
+        for i, args in enumerate(good + bad):
+            verdict = _outcome(restriction_is_permutation, rule, *args)
+            assert verdict == _outcome(restriction_by_configurations,
+                                       rule, *args)
+            assert (verdict is True) == (i < len(good))
 
 
 def _random_rules(q: int) -> list:
@@ -190,9 +244,48 @@ def test_batch_matches_scalar(rule):
     rows = [[rng.randrange(q) for _ in range(n)] for _ in range(64)]
     got = apply_ca_batch(rule, np.array(rows))
     for row, out in zip(rows, got.tolist()):
-        assert tuple(out) == apply_ca(rule, row)
+        # the window oracle shares no code with either map
+        assert tuple(out) == apply_ca(rule, row) == ca_by_windows(rule, row)
     empty = apply_ca_batch(rule, np.zeros((0, n), dtype=int))
     assert empty.shape == (0, n - d + 1) and empty.dtype == rule.field.dtype
+
+
+@pytest.mark.parametrize("rule", [
+    GeneralBipermutiveRule(F2, 5, (0, 1, 1, 0, 1, 0, 0, 1)),
+    GeneralBipermutiveRule(GF(16), 4, tuple(
+        random.Random(16).randrange(16) for _ in range(256))),
+    LinearRule(GF(27), 2, 4, tuple(
+        random.Random(27).randrange(27) for _ in range(5))),
+], ids=["2-d5", "16-d4", "27-linear"])
+def test_a_long_configuration_matches_the_window_oracle(rule):
+    rng = random.Random(rule.d)
+    cells = [rng.randrange(rule.field.q) for _ in range(10_000)]
+    want = ca_by_windows(rule, cells)
+    assert apply_ca(rule, cells) == want
+    assert apply_ca_batch(rule, np.array([cells])).tolist() == [list(want)]
+
+
+def test_linear_rules_map_without_the_batch(monkeypatch):
+    # apply_ca sums a linear rule's windows with GF.dot alone
+    def refuse(*args):
+        raise AssertionError("apply_ca_batch called")
+
+    monkeypatch.setattr(lhca.rules, "apply_ca_batch", refuse)
+    assert apply_ca(XOR5, (1, 0, 0, 0, 1, 1)) == (0, 1)
+    with pytest.raises(AssertionError):
+        apply_ca(GeneralBipermutiveRule(F2, 3, (0, 1)), (0, 1, 1))
+
+
+def test_restriction_refuses_a_batch_past_2_24_cells_at_once():
+    rule = LinearRule(F2, 1, 3, (1,))
+    # 2^14 rows of 16 cells are mapped, 2^20 rows of 22 are too many
+    assert restriction_is_permutation(rule, "right", (0, 1), b=14)
+    start = time.perf_counter()
+    for b in (20, 40, 10**8):
+        with pytest.raises(BudgetExceededError, match=(
+                rf"^2\^{b} rows of {b + 2} cells exceed 2\^24$")):
+            restriction_is_permutation(rule, "left", (0, 1), b=b)
+    assert time.perf_counter() - start < 2
 
 
 def test_batch_rejects_bad_input():
