@@ -240,8 +240,16 @@ class GF:
 
     def _as_elements(self, values) -> tuple[int, ...]:
         """``values`` as a tuple of ints, each read by :meth:`_check`; a
-        tuple of ints in range passes on one inline compare per value."""
-        values, q = tuple(values), self.q
+        tuple of ints in range passes on one inline compare per value, and
+        a 1-d integer array on one test of its largest value, read as
+        ``uint64``, where a negative value wraps to a large one."""
+        q = self.q
+        if (isinstance(values, np.ndarray) and values.ndim == 1
+                and values.dtype.kind in "iu"):
+            cells = values.astype(np.uint64, copy=False)
+            if cells.max(initial=0) < q:
+                return tuple(cells.tolist())
+        values = tuple(values)
         for a in values:
             if type(a) is not int or not 0 <= a < q:
                 return tuple(map(self._check, values))

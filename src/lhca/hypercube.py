@@ -17,10 +17,10 @@ criterion in ``toeplitz`` so the two routes stay independently checkable.
 ``is_latin``, ``check_random_lines`` and ``dump`` all read the cube through
 one line evaluator: build the inputs of a batch of lines, each along its
 own axis, column-major, run the global map once with the cells-major
-``apply_ca_batch``, decode.  ``is_latin`` and ``dump`` give one axis for
-the whole batch; ``check_random_lines`` gives each drawn line its drawn
-axis, so a batch of mixed axes is still one call.  The inputs of
-``is_latin``'s chunks depend only on the cube shape, never on the rule,
+``apply_ca_batch``, decode.  ``dump`` gives axis 2 to a whole batch,
+``is_latin`` each line the axis of its place in its scan order, and
+``check_random_lines`` each drawn line its drawn axis.  The inputs of
+``is_latin``'s batches depend only on the cube shape, never on the rule,
 so they are built once and shared through a module cache of read-only
 arrays capped at 8 MiB.  Dumps read the cube as blocks of whole N x N
 layers, about 65536 entries each, and render each block with one join.
@@ -113,7 +113,7 @@ def _cube_shape(rule: Rule, b: int | None, k: int | None,
 
 
 def _line_coords(lo: int, hi: int, N: int, k: int) -> np.ndarray:
-    """Rows of fixed coordinates (0-based) of lines lo..hi-1 in order."""
+    """Rows of fixed coordinates (0-based) of lines lo..hi-1, mod N^(k-1)."""
     weights = np.array([N**t for t in range(k - 2, -1, -1)])  # exact past 2^63
     return (np.arange(lo, hi)[:, None] // weights % N).astype(np.int64)
 
@@ -143,25 +143,25 @@ def _line_inputs(field: GF, b: int, k: int, axis: int | np.ndarray,
     return cells.reshape(b * k, L * N).T
 
 
-# Inputs of the line scans of is_latin, keyed on (q, b, k, axis, lo, hi):
-# they do not depend on the rule, so every rule of a cube shape shares
-# them.  Least recently used entries go once the arrays pass the cap.
+# Inputs of is_latin's batches, keyed on (q, b, k, lo, hi) over the scan
+# order: they do not depend on the rule, so every rule of a cube shape
+# shares them.  Least recently used entries go once the arrays pass the cap.
 _INPUT_CACHE_BYTES = 8 << 20
 _input_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _input_cache_lock = threading.Lock()
 
 
-def _scan_inputs(field: GF, b: int, k: int, axis: int, lo: int,
-                 hi: int) -> np.ndarray:
-    """Read-only inputs of lines lo..hi-1 along ``axis``, from the cache."""
-    key = (field.q, b, k, axis, lo, hi)
+def _scan_inputs(field: GF, b: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """Read-only inputs of lines lo..hi-1 of is_latin's scan, cached."""
+    key = (field.q, b, k, lo, hi)
     with _input_cache_lock:
         inputs = _input_cache.get(key)
         if inputs is not None:
             _input_cache.move_to_end(key)
             return inputs
-    inputs = _line_inputs(field, b, k, axis,
-                          _line_coords(lo, hi, field.q**b, k))
+    N = field.q**b
+    inputs = _line_inputs(field, b, k, np.arange(lo, hi) // N ** (k - 1) + 1,
+                          _line_coords(lo, hi, N, k))
     inputs.flags.writeable = False
     with _input_cache_lock:
         _input_cache[key] = inputs
@@ -172,8 +172,7 @@ def _scan_inputs(field: GF, b: int, k: int, axis: int, lo: int,
 
 
 def _line_values(rule: Rule, inputs: np.ndarray, b: int) -> np.ndarray:
-    """0-based entries of the lines whose inputs :func:`_line_inputs`
-    built, as an (L, N) array."""
+    """The (L, N) 0-based entries of lines :func:`_line_inputs` built."""
     q = rule.field.q
     outs = apply_ca_batch(rule, inputs).T
     vals = outs[b - 1].astype(np.intp)
@@ -201,26 +200,27 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     """Brute-force Latin test: evaluate every axis-parallel line and check
     each is a permutation of 1..N.
 
-    Axes are scanned in order and lines in lexicographic order of their
-    fixed coordinates, in chunks of one ``apply_ca_batch`` call each, so
-    the reported counterexample is deterministic.  The inputs of a chunk
-    depend only on the cube shape, so they are built once and kept in a
-    module cache capped at 8 MiB, least recently used out first.
+    The lines form one sequence, axis by axis and each axis in
+    lexicographic order of its fixed coordinates, and the first failing
+    line of it is reported.  Each batch is one ``apply_ca_batch`` call:
+    the first holds axes 1 and 2, each later one twice as many lines, none
+    over ``_BATCH_ROWS`` rows (or one line).  A batch's inputs depend only
+    on (q, b, k, lo, hi), so a module cache keeps them, up to 8 MiB.
     Raises BudgetExceededError for cubes with more than ``budget`` entries.
     """
     b, k, N = _cube_shape(rule, b, k, budget)
     n_lines = N ** (k - 1)
     chunk = max(1, _BATCH_ROWS // N)
-    for axis in range(1, k + 1):
-        for lo in range(0, n_lines, chunk):
-            hi = min(lo + chunk, n_lines)
-            inputs = _scan_inputs(rule.field, b, k, axis, lo, hi)
-            failure = _first_repeat(_line_values(rule, inputs, b))
-            if failure is not None:
-                line, value = failure
-                fixed = unrank_cells(lo + line, N, k - 1)[::-1]
-                return LatinCheck(False, axis, tuple(c + 1 for c in fixed),
-                                  value + 1)
+    lo, size = 0, 2 * n_lines
+    while lo < k * n_lines:
+        hi = min(lo + size, lo + chunk, k * n_lines)
+        inputs = _scan_inputs(rule.field, b, k, lo, hi)
+        failure = _first_repeat(_line_values(rule, inputs, b))
+        if failure is not None:
+            axis, rank = divmod(lo + failure[0], n_lines)
+            fixed = tuple(c + 1 for c in unrank_cells(rank, N, k - 1)[::-1])
+            return LatinCheck(False, axis + 1, fixed, failure[1] + 1)
+        lo, size = hi, 2 * size
     return LatinCheck(True)
 
 

@@ -3,7 +3,14 @@
 import itertools
 
 from lhca.field import GF
-from lhca.rules import LinearRule
+from lhca.hypercube import (
+    LatinCheck,
+    _first_repeat,
+    _line_coords,
+    _line_inputs,
+    _line_values,
+)
+from lhca.rules import LinearRule, block_structure, unrank_cells
 
 
 def cofactor_det(field: GF, matrix) -> int:
@@ -164,3 +171,25 @@ def dump_text_by_rows(data: dict) -> str:
         if k > 2:
             lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
+
+
+def is_latin_by_axes(rule, b=None, k=None, rows=65536) -> LatinCheck:
+    """The line sweep one axis at a time: axes in order, each in chunks of
+    ``rows`` // N lines in lexicographic order of their fixed coordinates,
+    one map call and fresh inputs per chunk; the verdict, with the first
+    failing line and its smallest repeated value."""
+    b, k = block_structure(rule, b, k)
+    N = rule.field.q**b
+    n_lines = N ** (k - 1)
+    chunk = max(1, rows // N)
+    for axis in range(1, k + 1):
+        for lo in range(0, n_lines, chunk):
+            coords = _line_coords(lo, min(lo + chunk, n_lines), N, k)
+            inputs = _line_inputs(rule.field, b, k, axis, coords)
+            failure = _first_repeat(_line_values(rule, inputs, b))
+            if failure is not None:
+                line, value = failure
+                fixed = unrank_cells(lo + line, N, k - 1)[::-1]
+                return LatinCheck(False, axis, tuple(c + 1 for c in fixed),
+                                  value + 1)
+    return LatinCheck(True)

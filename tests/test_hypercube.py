@@ -6,6 +6,7 @@ GOLDEN_CUBE[z-1][x-1][y-1] is the entry at (i1=x, i2=y, i3=z).
 """
 
 import ast
+import functools
 import itertools
 import json
 import os
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import lhca.hypercube
-from helpers import dump_text_by_rows
+from helpers import dump_text_by_rows, is_latin_by_axes
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import (
@@ -349,6 +350,119 @@ def test_input_cache_stays_under_its_cap():
     assert not res and res.axis == 2 and res.fixed == (1,) * 18
     cache = lhca.hypercube._input_cache
     assert 0 < sum(a.nbytes for a in cache.values()) <= cap
+
+
+# every linear rule at the benchmark's nine sweep points and at the cli's
+# swept check shapes, of which only (2, 2, 6) is not a sweep point
+SCAN_POINTS = ((2, 1, 10), (2, 2, 5), (3, 2, 4), (2, 3, 4), (4, 1, 6),
+               (8, 1, 4), (5, 1, 5), (9, 1, 4), (27, 1, 3), (2, 2, 6))
+
+
+def _every_rule(q, b, k):
+    return [LinearRule(GF(q), b, k, c)
+            for c in itertools.product(range(q), repeat=b * (k - 1) - 1)]
+
+
+@functools.cache
+def scan_readings(group):
+    """(rule, b, k, the per-axis scan's LatinCheck) for each reading of a
+    group: a point of SCAN_POINTS, "general" (every general rule of
+    diameter 2 to 4 over GF(2), 2 and 3 over GF(3) and GF(4), each a
+    square) or "re-read" (linear and general rules under another b or k)."""
+    if group == "general":
+        readings = [(GeneralBipermutiveRule(GF(q), d, g), None, None)
+                    for q, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                 (4, 2), (4, 3))
+                    for g in itertools.product(range(q), repeat=q**(d - 2))]
+    elif group == "re-read":
+        general = [GeneralBipermutiveRule(F2, 5, g)
+                   for g in itertools.product(range(2), repeat=8)]
+        readings = ([(r, b, None) for r in _every_rule(2, 2, 4)
+                     for b in (1, 3, 6)]
+                    + [(r, None, k) for r in _every_rule(3, 1, 5)
+                       for k in (3, 2)]
+                    + [(r, b, None) for r in general for b in (1, 2)])
+    else:
+        readings = [(r, None, None) for r in _every_rule(*group)]
+    return [(r, b, k, is_latin_by_axes(r, b, k)) for r, b, k in readings]
+
+
+SCAN_GROUPS = [*SCAN_POINTS, "general", "re-read"]
+
+
+def few_readings(group):
+    """One reading of each outcome of a group (a pass, or a failure on one
+    axis), drawn by a seeded shuffle."""
+    readings = scan_readings(group)[:]
+    random.Random(str(group)).shuffle(readings)
+    return list({want.axis: (r, b, k, want)
+                 for r, b, k, want in reversed(readings)}.values())
+
+
+def lines_checked(rule, b, k, result):
+    """Lines in is_latin's scan order up to and including the first that
+    fails, and all k N^(k-1) when none does."""
+    b, k = block_structure(rule, b, k)
+    N = rule.field.q**b
+    if result:
+        return k * N ** (k - 1)
+    rank = sum((c - 1) * N**i for i, c in enumerate(result.fixed[::-1]))
+    return (result.axis - 1) * N ** (k - 1) + rank + 1
+
+
+def batch_rows(monkeypatch, rows):
+    """Patch the batch size to ``rows``; below the default, also cap the
+    input cache at 4 KiB, since it sums its arrays on every insertion and
+    batches of a few lines would fill it with thousands."""
+    monkeypatch.setattr(lhca.hypercube, "_BATCH_ROWS", rows)
+    if rows < 65536:
+        monkeypatch.setattr(lhca.hypercube, "_INPUT_CACHE_BYTES", 1 << 12)
+
+
+@pytest.mark.parametrize("group", SCAN_GROUPS, ids=str)
+def test_is_latin_equals_the_per_axis_scan(group):
+    readings = scan_readings(group)
+    # a bipermutive square is always Latin
+    assert {bool(want) for *_, want in readings} == (
+        {True} if group == "general" else {True, False})
+    for rule, b, k, want in readings:
+        assert is_latin(rule, b=b, k=k) == want, (rule, b, k)
+
+
+@pytest.mark.parametrize("rows", [1, 16, 40])
+def test_is_latin_equals_the_per_axis_scan_in_small_batches(monkeypatch,
+                                                            rows):
+    # batches of 1 to 20 lines split axes, and those past the first span
+    # the end of one axis and the start of the next; one map call per line
+    # takes a while, so one-row batches check at most 2^11 lines a reading
+    batch_rows(monkeypatch, rows)
+    for group in SCAN_GROUPS:
+        for rule, b, k, want in few_readings(group):
+            if rows > 1 or lines_checked(rule, b, k, want) <= 1 << 11:
+                assert is_latin(rule, b=b, k=k) == want, (rule, b, k, rows)
+
+
+@pytest.mark.parametrize("rows", [65536, 40])
+def test_is_latin_evaluates_under_twice_the_lines_it_checks(monkeypatch,
+                                                            rows):
+    # the batches double, so they pass the lines checked by at most twice
+    # plus one batch, and bench/test_smoke.py's useful row ratio stays <= 1
+    readings = [r for group in SCAN_GROUPS for r in (
+        scan_readings(group) if rows == 65536 else few_readings(group))]
+    evaluated = []
+
+    def counted(rule, inputs):
+        evaluated.append(len(inputs))
+        return apply_ca_batch(rule, inputs)
+    monkeypatch.setattr(lhca.hypercube, "apply_ca_batch", counted)
+    batch_rows(monkeypatch, rows)
+    for rule, b, k, want in readings:
+        N = rule.field.q ** block_structure(rule, b, k)[0]
+        checked = lines_checked(rule, b, k, want) * N
+        evaluated.clear()
+        assert is_latin(rule, b=b, k=k) == want
+        batch = max(1, rows // N) * N
+        assert checked <= sum(evaluated) <= 2 * checked + batch, (rule, b, k)
 
 
 def test_dump_structure_and_goldens():

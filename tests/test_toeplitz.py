@@ -83,7 +83,8 @@ def test_determinant_row_swap_sign():
     assert determinant(F3, m) == F3.neg(1)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+# small prime and extension fields, and two past the table cap
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 257, 729])
 def test_determinant_matches_cofactor_oracle(q):
     fld = GF(q)
     rng = random.Random(100 + q)
@@ -237,6 +238,25 @@ def test_elimination_inverts_only_pivots_with_rows_below():
     assert inverted == [3]
     assert solve_linear_system(fld, [[2]], [2]) == [1]
     assert inverted == [3, 2]  # back substitution still divides
+
+
+def test_elimination_checks_only_the_pivots_it_inverts(monkeypatch):
+    # the caller reads every entry once; past that, the elimination is
+    # table lookups, and only the inverse of a pivot checks its operand
+    fld = GF(7)
+    rng = random.Random(3)
+    while True:
+        m = [[0] * 6] + [[rng.randrange(7) for _ in range(6)]
+                         for _ in range(5)]
+        m[0][5] = 1
+        want = cofactor_det(fld, m)
+        if want:
+            break
+    checked = []
+    check = fld._check
+    monkeypatch.setattr(fld, "_check", lambda a: checked.append(a) or check(a))
+    assert determinant(fld, m) == want
+    assert len(checked) == 5
 
 
 def test_support_budget():
