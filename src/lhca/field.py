@@ -240,16 +240,8 @@ class GF:
 
     def _as_elements(self, values) -> tuple[int, ...]:
         """``values`` as a tuple of ints, each read by :meth:`_check`; a
-        tuple of ints in range passes on one inline compare per value, and
-        a 1-d integer array on one test of its largest value, read as
-        ``uint64``, where a negative value wraps to a large one."""
-        q = self.q
-        if (isinstance(values, np.ndarray) and values.ndim == 1
-                and values.dtype.kind in "iu"):
-            cells = values.astype(np.uint64, copy=False)
-            if cells.max(initial=0) < q:
-                return tuple(cells.tolist())
-        values = tuple(values)
+        tuple of ints in range passes on one inline compare per value."""
+        values, q = tuple(values), self.q
         for a in values:
             if type(a) is not int or not 0 <= a < q:
                 return tuple(map(self._check, values))
@@ -308,6 +300,23 @@ class GF:
             raise ZeroDivisionError(
                 f"0 has no multiplicative inverse in {self!r}")
         return self._exp[self.q - 1 - self._log[a]]
+
+    def _clear_below(self, m: list[list[int]], col: int) -> None:
+        """One step of Gaussian elimination on rows of elements, in place:
+        each row below row ``col`` gains s = -m[r][col] / m[col][col]
+        times row ``col``, from column ``col`` on, so its entry in column
+        ``col`` becomes 0.  Only the pivot is checked, by its inverse; the
+        other entries are taken as elements, and each x + s y is computed
+        as in :meth:`add`, with log(s y) read back from ``exp``."""
+        exp, log, zech, zero = self._exp, self._log, self._zech, self._zero_log
+        log_scale = log[self.inv(m[col][col])] + log[self.p - 1]
+        logs = [log[y] for y in m[col][col:]]
+        for row in m[col + 1:]:
+            if row[col]:
+                s = (log[row[col]] + log_scale) % (self.q - 1)
+                for c, log_y in enumerate(logs, col):
+                    lx = log[row[c]]
+                    row[c] = exp[lx + zech[log[exp[s + log_y]] - lx + zero]]
 
     def _pair_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x*q + y, the index of each pair into a raveled q x q table, as

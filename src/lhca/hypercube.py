@@ -172,7 +172,8 @@ def _scan_inputs(field: GF, b: int, k: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _line_values(rule: Rule, inputs: np.ndarray, b: int) -> np.ndarray:
-    """The (L, N) 0-based entries of lines :func:`_line_inputs` built."""
+    """0-based entries of the lines whose inputs :func:`_line_inputs`
+    built, as an (L, N) array."""
     q = rule.field.q
     outs = apply_ca_batch(rule, inputs).T
     vals = outs[b - 1].astype(np.intp)
@@ -200,12 +201,11 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     """Brute-force Latin test: evaluate every axis-parallel line and check
     each is a permutation of 1..N.
 
-    The lines form one sequence, axis by axis and each axis in
-    lexicographic order of its fixed coordinates, and the first failing
-    line of it is reported.  Each batch is one ``apply_ca_batch`` call:
-    the first holds axes 1 and 2, each later one twice as many lines, none
-    over ``_BATCH_ROWS`` rows (or one line).  A batch's inputs depend only
-    on (q, b, k, lo, hi), so a module cache keeps them, up to 8 MiB.
+    The lines form one sequence, axis by axis, each axis in lexicographic
+    order of its fixed coordinates; the first failing line is reported.
+    Each batch is one ``apply_ca_batch`` call: the first holds axes 1 and
+    2, each later one twice as many lines, none over ``_BATCH_ROWS`` rows
+    (or one line); its inputs, keyed on (q, b, k, lo, hi), are cached.
     Raises BudgetExceededError for cubes with more than ``budget`` entries.
     """
     b, k, N = _cube_shape(rule, b, k, budget)

@@ -89,36 +89,26 @@ def _eliminate(field: GF, m: list[list[int]], width: int) -> int:
     elements.  Returns the determinant of the leading n x n block, or 0 as
     soon as a column has no pivot, where elimination stops.
 
-    The entries were read as elements before the call, so past one
-    inverse per pivot with rows below it, nothing is checked again: row r
-    gains s = -m[r][col] / pivot times the pivot row, each entry x plus
-    t = s y as exp[log x + Z(log t - log x)], Z the field's Zech logs.
+    The entries were read as elements before the call, so the rows below
+    each pivot are cleared by :meth:`GF._clear_below`, which checks only
+    the pivot it inverts.
     """
     n = len(m)
     if any(len(row) != width for row in m):
         raise ValueError("matrix must be square")
-    exp, log, zech, zero = field._exp, field._log, field._zech, field._zero_log
-    order, minus_one = field.q - 1, log[field.p - 1]
-    log_det = 0
+    det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            log_det += minus_one
-        log_det += log[m[col][col]]
+            det = field.neg(det)
+        det = field.mul(det, m[col][col])
         if col + 1 == n:
             break  # no rows below, so the pivot needs no inverse
-        log_scale = log[field.inv(m[col][col])] + minus_one
-        logs = [log[y] for y in m[col][col:]]
-        for row in m[col + 1:]:
-            if row[col]:
-                s = (log[row[col]] + log_scale) % order
-                for c, log_y in enumerate(logs, col):
-                    lx = log[row[c]]
-                    row[c] = exp[lx + zech[log[exp[s + log_y]] - lx + zero]]
-    return exp[log_det % order]
+        field._clear_below(m, col)
+    return det
 
 
 def determinant(field: GF, matrix: Sequence[Sequence[int]]) -> int:

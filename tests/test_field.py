@@ -3,7 +3,6 @@ conventions, and error handling."""
 
 import inspect
 import random
-import re
 import time
 
 import numpy as np
@@ -203,30 +202,6 @@ def test_out_of_range_elements_rejected(field):
         field.add(0, field.q)
     with pytest.raises(ValueError):
         field.mul(-1, 0)
-
-
-def test_integer_arrays_read_as_their_lists_do():
-    # a 1-d integer array passes on one range test; any other array, or
-    # one with a bad cell, is read cell by cell, so the same ValueError
-    # names the first bad cell
-    f = GF(5)
-    for arr in (np.array([1, 2, 3]), np.array([4, 0], dtype=np.uint16),
-                np.array([], dtype=np.int8), np.arange(5, dtype=np.uint8),
-                np.array([1, 2], dtype=">i4")):
-        got = f._as_elements(arr)
-        assert got == tuple(arr.tolist())
-        assert {type(a) for a in got} <= {int}
-    for arr, first in ((np.array([1, -1, 7]), "-1"),
-                       (np.array([1, 5, -1]), "5"),
-                       (np.array([3, 2**40]), str(2**40)),
-                       (np.array([1.0, 2.5]), "1.0"),
-                       (np.array(["1", "x"]), "1"),
-                       (np.array([True, False]), "True")):
-        with pytest.raises(ValueError, match=(
-                f"^{re.escape(first)} is not an element of GF\\(5\\)$")):
-            f._as_elements(arr)
-    # Python bools and numpy integers read as their ints
-    assert f._as_elements([True, False, np.int64(3)]) == (1, 0, 3)
 
 
 def test_inverse_of_zero_rejected(field):

@@ -352,10 +352,13 @@ def test_input_cache_stays_under_its_cap():
     assert 0 < sum(a.nbytes for a in cache.values()) <= cap
 
 
-# every linear rule at the benchmark's nine sweep points and at the cli's
-# swept check shapes, of which only (2, 2, 6) is not a sweep point
-SCAN_POINTS = ((2, 1, 10), (2, 2, 5), (3, 2, 4), (2, 3, 4), (4, 1, 6),
-               (8, 1, 4), (5, 1, 5), (9, 1, 4), (27, 1, 3), (2, 2, 6))
+# the benchmark's nine sweep points, each with Latin rules and rules that
+# fail on every inner axis, are read rule by rule; the other groups, one
+# reading of each outcome: the cli's swept check shape that is not a sweep
+# point, general rules, and rules read under another b or k
+SWEEP_POINTS = ((2, 1, 10), (2, 2, 5), (3, 2, 4), (2, 3, 4), (4, 1, 6),
+                (8, 1, 4), (5, 1, 5), (9, 1, 4), (27, 1, 3))
+SCAN_GROUPS = [*SWEEP_POINTS, (2, 2, 6), "general", "re-read"]
 
 
 def _every_rule(q, b, k):
@@ -366,7 +369,7 @@ def _every_rule(q, b, k):
 @functools.cache
 def scan_readings(group):
     """(rule, b, k, the per-axis scan's LatinCheck) for each reading of a
-    group: a point of SCAN_POINTS, "general" (every general rule of
+    group: a (q, b, k) point, "general" (every general rule of
     diameter 2 to 4 over GF(2), 2 and 3 over GF(3) and GF(4), each a
     square) or "re-read" (linear and general rules under another b or k)."""
     if group == "general":
@@ -387,9 +390,6 @@ def scan_readings(group):
     return [(r, b, k, is_latin_by_axes(r, b, k)) for r, b, k in readings]
 
 
-SCAN_GROUPS = [*SCAN_POINTS, "general", "re-read"]
-
-
 def few_readings(group):
     """One reading of each outcome of a group (a pass, or a failure on one
     axis), drawn by a seeded shuffle."""
@@ -397,6 +397,13 @@ def few_readings(group):
     random.Random(str(group)).shuffle(readings)
     return list({want.axis: (r, b, k, want)
                  for r, b, k, want in reversed(readings)}.values())
+
+
+def readings_of(group):
+    """Every reading of a sweep point, and one of each outcome of any
+    other group."""
+    return (scan_readings(group) if group in SWEEP_POINTS
+            else few_readings(group))
 
 
 def lines_checked(rule, b, k, result):
@@ -419,9 +426,19 @@ def batch_rows(monkeypatch, rows):
         monkeypatch.setattr(lhca.hypercube, "_INPUT_CACHE_BYTES", 1 << 12)
 
 
+def small_batch_readings(rows):
+    """One reading of each outcome of every group, but those that would
+    take more than 2^10 map calls in batches of ``rows`` rows."""
+    for group in SCAN_GROUPS:
+        for rule, b, k, want in few_readings(group):
+            N = rule.field.q ** block_structure(rule, b, k)[0]
+            if lines_checked(rule, b, k, want) <= max(1, rows // N) << 10:
+                yield rule, b, k, want
+
+
 @pytest.mark.parametrize("group", SCAN_GROUPS, ids=str)
 def test_is_latin_equals_the_per_axis_scan(group):
-    readings = scan_readings(group)
+    readings = readings_of(group)
     # a bipermutive square is always Latin
     assert {bool(want) for *_, want in readings} == (
         {True} if group == "general" else {True, False})
@@ -433,13 +450,10 @@ def test_is_latin_equals_the_per_axis_scan(group):
 def test_is_latin_equals_the_per_axis_scan_in_small_batches(monkeypatch,
                                                             rows):
     # batches of 1 to 20 lines split axes, and those past the first span
-    # the end of one axis and the start of the next; one map call per line
-    # takes a while, so one-row batches check at most 2^11 lines a reading
+    # the end of one axis and the start of the next
     batch_rows(monkeypatch, rows)
-    for group in SCAN_GROUPS:
-        for rule, b, k, want in few_readings(group):
-            if rows > 1 or lines_checked(rule, b, k, want) <= 1 << 11:
-                assert is_latin(rule, b=b, k=k) == want, (rule, b, k, rows)
+    for rule, b, k, want in small_batch_readings(rows):
+        assert is_latin(rule, b=b, k=k) == want, (rule, b, k, rows)
 
 
 @pytest.mark.parametrize("rows", [65536, 40])
@@ -447,8 +461,8 @@ def test_is_latin_evaluates_under_twice_the_lines_it_checks(monkeypatch,
                                                             rows):
     # the batches double, so they pass the lines checked by at most twice
     # plus one batch, and bench/test_smoke.py's useful row ratio stays <= 1
-    readings = [r for group in SCAN_GROUPS for r in (
-        scan_readings(group) if rows == 65536 else few_readings(group))]
+    readings = ([r for group in SCAN_GROUPS for r in readings_of(group)]
+                if rows == 65536 else list(small_batch_readings(rows)))
     evaluated = []
 
     def counted(rule, inputs):

@@ -240,9 +240,10 @@ def test_elimination_inverts_only_pivots_with_rows_below():
     assert inverted == [3, 2]  # back substitution still divides
 
 
-def test_elimination_checks_only_the_pivots_it_inverts(monkeypatch):
-    # the caller reads every entry once; past that, the elimination is
-    # table lookups, and only the inverse of a pivot checks its operand
+def test_elimination_checks_per_column_not_per_entry(monkeypatch):
+    # the caller reads every entry once; past that, rows are cleared by
+    # table lookups, and only the determinant's product and sign and the
+    # inverse of a pivot check their operands: at most four a column
     fld = GF(7)
     rng = random.Random(3)
     while True:
@@ -256,7 +257,7 @@ def test_elimination_checks_only_the_pivots_it_inverts(monkeypatch):
     check = fld._check
     monkeypatch.setattr(fld, "_check", lambda a: checked.append(a) or check(a))
     assert determinant(fld, m) == want
-    assert len(checked) == 5
+    assert 0 < len(checked) <= 4 * 6
 
 
 def test_support_budget():
