@@ -301,23 +301,6 @@ class GF:
                 f"0 has no multiplicative inverse in {self!r}")
         return self._exp[self.q - 1 - self._log[a]]
 
-    def _clear_below(self, m: list[list[int]], col: int) -> None:
-        """One step of Gaussian elimination on rows of elements, in place:
-        each row below row ``col`` gains s = -m[r][col] / m[col][col]
-        times row ``col``, from column ``col`` on, so its entry in column
-        ``col`` becomes 0.  Only the pivot is checked, by its inverse; the
-        other entries are taken as elements, and each x + s y is computed
-        as in :meth:`add`, with log(s y) read back from ``exp``."""
-        exp, log, zech, zero = self._exp, self._log, self._zech, self._zero_log
-        log_scale = log[self.inv(m[col][col])] + log[self.p - 1]
-        logs = [log[y] for y in m[col][col:]]
-        for row in m[col + 1:]:
-            if row[col]:
-                s = (log[row[col]] + log_scale) % (self.q - 1)
-                for c, log_y in enumerate(logs, col):
-                    lx = log[row[c]]
-                    row[c] = exp[lx + zech[log[exp[s + log_y]] - lx + zero]]
-
     def _pair_index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x*q + y, the index of each pair into a raveled q x q table, as
         ``uint16``: tables exist up to q = 256, so an index is at most

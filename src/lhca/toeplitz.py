@@ -88,10 +88,6 @@ def _eliminate(field: GF, m: list[list[int]], width: int) -> int:
     swaps, in place, on the n rows of m, each of ``width`` >= n field
     elements.  Returns the determinant of the leading n x n block, or 0 as
     soon as a column has no pivot, where elimination stops.
-
-    The entries were read as elements before the call, so the rows below
-    each pivot are cleared by :meth:`GF._clear_below`, which checks only
-    the pivot it inverts.
     """
     n = len(m)
     if any(len(row) != width for row in m):
@@ -107,7 +103,12 @@ def _eliminate(field: GF, m: list[list[int]], width: int) -> int:
         det = field.mul(det, m[col][col])
         if col + 1 == n:
             break  # no rows below, so the pivot needs no inverse
-        field._clear_below(m, col)
+        pinv = field.inv(m[col][col])
+        for r in range(col + 1, n):
+            f = field.mul(m[r][col], pinv)
+            if f:
+                for c in range(col, width):
+                    m[r][c] = field.sub(m[r][c], field.mul(f, m[col][c]))
     return det
 
 
