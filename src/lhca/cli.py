@@ -378,11 +378,13 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        budget = args.budget
-        if budget is None and os.environ.get(BUDGET_ENV):
-            budget = int(os.environ[BUDGET_ENV])
+        budget, given = args.budget, f"--budget {args.budget}"
+        if budget is None and (env := os.environ.get(BUDGET_ENV)):
+            budget, given = 0, f"{BUDGET_ENV}={env!r}"
+            with contextlib.suppress(ValueError):
+                budget = int(env)
         if budget is not None and budget < 1:
-            raise ValueError(f"budget must be positive, got {budget}")
+            raise ValueError(f"{given}: budget must be a positive integer")
         args.enum_budget = budget or DEFAULT_SUPPORT_BUDGET
         args.entry_budget = budget or DEFAULT_ENTRY_BUDGET
         payload, code = args.run(args)

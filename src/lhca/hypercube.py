@@ -148,11 +148,13 @@ def _line_inputs(field: GF, b: int, k: int, axis: int | np.ndarray,
 # shares them.  Least recently used entries go once the arrays pass the cap.
 _INPUT_CACHE_BYTES = 8 << 20
 _input_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_input_cache_bytes = 0
 _input_cache_lock = threading.Lock()
 
 
 def _scan_inputs(field: GF, b: int, k: int, lo: int, hi: int) -> np.ndarray:
     """Read-only inputs of lines lo..hi-1 of is_latin's scan, cached."""
+    global _input_cache_bytes
     key = (field.q, b, k, lo, hi)
     with _input_cache_lock:
         inputs = _input_cache.get(key)
@@ -164,10 +166,11 @@ def _scan_inputs(field: GF, b: int, k: int, lo: int, hi: int) -> np.ndarray:
                           _line_coords(lo, hi, N, k))
     inputs.flags.writeable = False
     with _input_cache_lock:
-        _input_cache[key] = inputs
-        size = sum(a.nbytes for a in _input_cache.values())
-        while size > _INPUT_CACHE_BYTES:
-            size -= _input_cache.popitem(last=False)[1].nbytes
+        # another thread may have built the same key meanwhile
+        if _input_cache.setdefault(key, inputs) is inputs:
+            _input_cache_bytes += inputs.nbytes
+        while _input_cache_bytes > _INPUT_CACHE_BYTES:
+            _input_cache_bytes -= _input_cache.popitem(last=False)[1].nbytes
     return inputs
 
 

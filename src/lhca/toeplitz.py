@@ -17,27 +17,24 @@ the solver that recovers a middle block from a target output.  Matrices
 and targets are read through ``GF._as_elements``; a rule's coefficients
 were read when it was built, so no window is checked again.
 
-Single matrices go through the scalar elimination ``_eliminate``, which
-is also the reference the batch below is tested against.  Stacks of
-windows go through ``_batch_pivots``, which runs the same elimination on
-all of them at once, with every field operation one of the field's array
-operations, in chunks of at most ``_BATCH_CELLS`` matrix entries, and
-returns their pivots.  ``support_of_det`` reduces all q^(2b-1) windows
-this way and keeps those with no zero pivot; ``window_dets`` reduces
-the k-2 windows of a rule this way, finishing their determinants in
-``_batch_dets``, once there are ``_BATCH_MIN_WINDOWS`` = 8 or more;
-shorter rules take ``_eliminate`` one window at a time.  Up to 16
-windows the batch's cost is nearly all fixed, about 25 us at b = 1,
-75 us at b = 2, 130 us at b = 3 and 250 us at b = 6 on a 2-vCPU Xeon
-virtual machine, while the scalar path costs about 5, 10, 20 and 70 us
-per window, so the two cross between 4 and 8 windows.
+Single matrices go through the scalar elimination ``_eliminate``, the
+reference the batch is tested against.  Stacks of windows go through
+``_batch_pivots``: the same elimination on all of them at once, each field
+operation one array operation, in chunks of at most ``_BATCH_CELLS``
+matrix entries; the product of a matrix's pivots is its determinant.
+``support_of_det`` keeps the windows with no zero pivot among all
+q^(2b-1); ``window_dets`` batches a rule's k-2 windows once there are
+``_BATCH_MIN_WINDOWS`` = 8 or more, and reduces fewer one at a time.  Up
+to 16 windows a batch costs a nearly fixed 5, 35, 65 and 155 us at b = 1,
+2, 3 and 6 on a 2-vCPU Xeon virtual machine, the scalar path about 2.5,
+5, 10 and 45 us per window, so at b = 2 and 3 they cross between 4 and 8
+windows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 import functools
-import itertools
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -130,9 +127,9 @@ def window_dets(rule: LinearRule) -> list[int]:
     square.
 
     A rule with fewer than ``_BATCH_MIN_WINDOWS`` windows reduces them one
-    at a time through ``_eliminate``; a longer one is sliced from
-    its coefficients into one stack, reduced in batches of at most
-    ``_BATCH_CELLS`` matrix entries."""
+    at a time through ``_eliminate``; a longer one is sliced from its
+    coefficients into one stack, reduced in batches of at most
+    ``_BATCH_CELLS`` matrix entries, and multiplies out the pivots."""
     if not isinstance(rule, LinearRule):
         raise TypeError("windows are defined for linear rules only")
     b, k, fld = rule.b, rule.k, rule.field
@@ -146,8 +143,10 @@ def window_dets(rule: LinearRule) -> list[int]:
     wins = as_strided(coeffs, (k - 2, 2 * b - 1), (b * step, step),
                       writeable=False)
     per_chunk = max(1, _BATCH_CELLS // (b * b))
-    return [d for lo in range(0, k - 2, per_chunk)
-            for d in _batch_dets(fld, wins[lo:lo + per_chunk]).tolist()]
+    pivots = (_batch_pivots(fld, wins[lo:lo + per_chunk])
+              for lo in range(0, k - 2, per_chunk))
+    return [d for piv in pivots
+            for d in functools.reduce(fld.mul_array, piv.T).tolist()]
 
 
 def is_latin_by_windows(rule: LinearRule) -> bool:
@@ -158,53 +157,39 @@ def is_latin_by_windows(rule: LinearRule) -> bool:
 
 def _batch_pivots(field: GF, wins: np.ndarray) -> np.ndarray:
     """The (N, b) pivots, in the field's ``dtype``, of ``_eliminate``'s
-    forward elimination on the Toeplitz matrices of an (N, 2b-1) stack of
-    windows at once; a matrix is nonsingular exactly when all its pivots
-    are.  A row swap negates one of the two rows.  No pivot is divided
-    by: row r becomes -pivot times itself plus m[r, col] times the pivot
-    row, which multiplies the determinant by -pivot.  A zero pivot leaves
-    the rows below it zero, so every later pivot is 0."""
+    forward elimination run on the Toeplitz matrices of an (N, 2b-1) stack
+    of windows at once, so the product of a matrix's pivots is its
+    determinant.  A row swap negates one of the two rows, which keeps the
+    determinant; each row below a pivot then loses m[r, col] / pivot times
+    the pivot row, with one inversion of the N pivots per column.  Under a
+    zero pivot the column below is zero too, so those rows stay and the
+    matrix is singular; its later pivots are unspecified."""
     b = (wins.shape[1] + 1) // 2
-    # entry (r, s) of a window's matrix is its coefficient b-1+s-r (0-based)
+    # entry (r, s) of a window's matrix is its coefficient b-1+s-r (0-based);
+    # the windows run along the last axis, so each operation below works on
+    # contiguous runs of N entries
     span = np.arange(b)
-    m = wins[:, b - 1 + span[None, :] - span[:, None]]
-    # -1 is encoded as p - 1
-    minus_one = field.p - 1
+    m = wins.T[b - 1 + span[None, :] - span[:, None]]
+    minus_one = field.p - 1  # -1 is encoded as p - 1
     # the last column has no rows below its pivot, so no step
     for col in range(b - 1):
-        piv = col + (m[:, col:, col] != 0).argmax(axis=1)
-        swap = np.flatnonzero(piv != col)
-        if len(swap):
-            top = m[swap, col]
-            m[swap, col] = field.scale_array(minus_one, m[swap, piv[swap]])
-            m[swap, piv[swap]] = top
-        minus_pivot = field.scale_array(minus_one, m[:, col, col])
-        # row col and column col are final; only the block right of and
-        # below the pivot changes
-        m[:, col + 1:, col + 1:] = field.add_array(
-            field.mul_array(m[:, col + 1:, col + 1:],
-                            minus_pivot[:, None, None]),
-            field.mul_array(m[:, col + 1:, col, None],
-                            m[:, None, col, col + 1:]))
-    return m[:, span, span]
-
-
-def _batch_dets(field: GF, wins: np.ndarray) -> np.ndarray:
-    """The determinants of :func:`_batch_pivots`'s matrices from their
-    pivots p_c.  Column c scales the determinant by -p_c for each of the
-    b-1-c rows below it, so the product of the pivots is the determinant
-    times the product of the running products (-p_0)(-p_1)...(-p_c) over
-    c < b-1; one inversion per matrix divides it out."""
-    pivots = _batch_pivots(field, wins)
-    dets = functools.reduce(field.mul_array, pivots.T)
-    if pivots.shape[1] == 1:
-        return dets
-    minus_pivots = field.scale_array(field.p - 1, pivots[:, :-1])
-    scale = functools.reduce(
-        field.mul_array, itertools.accumulate(minus_pivots.T, field.mul_array))
-    # a singular matrix may have a zero scaling, which has no inverse
-    scale[dets == 0] = 1
-    return field.mul_array(dets, field.inv_array(scale))
+        # a zero pivot swaps with the first row below it that is nonzero
+        # in this column; when there is none, argmax gives row col itself
+        zero = np.flatnonzero(m[col, col] == 0)
+        piv = col + (m[col:, col, zero] != 0).argmax(axis=0)
+        swap, piv = zero[piv != col], piv[piv != col]
+        top = m[col, :, swap]
+        m[col, :, swap] = field.scale_array(minus_one, m[piv, :, swap])
+        m[piv, :, swap] = top
+        # -1 / pivot; a zero pivot reads as 1, since its column below is 0
+        minus_inv = field.inv_array(
+            field.scale_array(minus_one, np.maximum(m[col, col], 1)))
+        factors = field.mul_array(m[col + 1:, col], minus_inv)
+        # only the block right of and below the pivot changes
+        m[col + 1:, col + 1:] = field.add_array(
+            m[col + 1:, col + 1:],
+            field.mul_array(factors[:, None], m[None, col, col + 1:]))
+    return m[span, span].T
 
 
 def support_of_det(field: GF, b: int,

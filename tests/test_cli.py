@@ -670,9 +670,18 @@ def test_budget_env_var(capsys, monkeypatch):
 
 
 def test_budget_env_var_rejects_nonpositive(capsys, monkeypatch):
-    monkeypatch.setenv("LHCA_BUDGET", "0")
-    code, _, err = run(capsys, "graph", "--q", "2", "--b", "2")
+    # the message names the variable and its value, a non-integer too
+    for value in ("0", "abc"):
+        monkeypatch.setenv("LHCA_BUDGET", value)
+        code, out, err = run(capsys, "count", "--q", "2", "--b", "1",
+                             "--k", "3")
+        assert code == 2
+        assert out == "" and err == (f"error: LHCA_BUDGET='{value}': budget "
+                                     "must be a positive integer\n")
+    code, _, err = run(capsys, "graph", "--q", "2", "--b", "2",
+                       "--budget", "0")
     assert code == 2
+    assert err == "error: --budget 0: budget must be a positive integer\n"
 
 
 # ---------------------------------------------------------------- synth

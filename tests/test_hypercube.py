@@ -14,7 +14,9 @@ import random
 import struct
 import subprocess
 import sys
+import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -316,14 +318,15 @@ def test_sampled_lines_leave_numpy_random_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_is_latin_same_cold_and_warm():
+def test_is_latin_same_cold_and_warm(monkeypatch):
     f9 = GF(9, poly=17)
     rules = [XOR5, LinearRule(F2, 2, 3, (0, 0, 0)),
              LinearRule(f9, 1, 4, (2, 5)), LinearRule(f9, 1, 4, (0, 1)),
              GeneralBipermutiveRule(F3, 3, (1, 0, 2)),
              LinearRule(F3, 2, 3, (1, 2, 0))]
     readings = [(r, None) for r in rules] + [(XOR5, 5), (rules[4], 3)]
-    lhca.hypercube._input_cache.clear()
+    monkeypatch.setattr(lhca.hypercube, "_input_cache", OrderedDict())
+    monkeypatch.setattr(lhca.hypercube, "_input_cache_bytes", 0)
     cold = [is_latin(r, k=k) for r, k in readings]
     assert [is_latin(r, k=k) for r, k in readings] == cold
     assert [is_latin(r, k=k) for r, k in reversed(readings)] == cold[::-1]
@@ -349,7 +352,61 @@ def test_input_cache_stays_under_its_cap():
     res = is_latin(LinearRule(F2, 1, 19, (0,) + (1,) * 16))
     assert not res and res.axis == 2 and res.fixed == (1,) * 18
     cache = lhca.hypercube._input_cache
-    assert 0 < sum(a.nbytes for a in cache.values()) <= cap
+    size = sum(a.nbytes for a in cache.values())
+    assert 0 < size <= cap
+    assert lhca.hypercube._input_cache_bytes == size
+
+
+def test_input_cache_counts_a_key_built_twice_once(monkeypatch):
+    # while one caller builds a key, another builds and inserts the same
+    # key; the first then finds it cached and adds no bytes
+    monkeypatch.setattr(lhca.hypercube, "_input_cache", OrderedDict())
+    monkeypatch.setattr(lhca.hypercube, "_input_cache_bytes", 0)
+    line_inputs = lhca.hypercube._line_inputs
+
+    def racing(*args):
+        monkeypatch.setattr(lhca.hypercube, "_line_inputs", line_inputs)
+        lhca.hypercube._scan_inputs(F2, 2, 3, 0, 4)
+        return line_inputs(*args)
+
+    monkeypatch.setattr(lhca.hypercube, "_line_inputs", racing)
+    inputs = lhca.hypercube._scan_inputs(F2, 2, 3, 0, 4)
+    cache = lhca.hypercube._input_cache
+    assert list(cache) == [(2, 2, 3, 0, 4)]
+    assert (cache[2, 2, 3, 0, 4] == inputs).all()
+    assert lhca.hypercube._input_cache_bytes == inputs.nbytes > 0
+
+
+def test_input_cache_total_holds_under_threads(monkeypatch):
+    # four threads sweep the same shapes in batches of 4 lines through a
+    # cache small enough to evict: a lost update would break the total
+    monkeypatch.setattr(lhca.hypercube, "_input_cache", OrderedDict())
+    monkeypatch.setattr(lhca.hypercube, "_input_cache_bytes", 0)
+    monkeypatch.setattr(lhca.hypercube, "_INPUT_CACHE_BYTES", 1 << 12)
+    batch_rows(monkeypatch, 16)
+    rules = [LinearRule(F2, 2, 4, c)
+             for c in itertools.product(range(2), repeat=5)]
+    want = [is_latin(r) for r in rules]
+    got = [None] * 4
+
+    def sweep(i):
+        got[i] = [is_latin(r) for r in rules]
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
+    cache = lhca.hypercube._input_cache
+    size = sum(a.nbytes for a in cache.values())
+    assert lhca.hypercube._input_cache_bytes == size <= 1 << 12
 
 
 # the benchmark's nine sweep points, each with Latin rules and rules that
@@ -418,12 +475,8 @@ def lines_checked(rule, b, k, result):
 
 
 def batch_rows(monkeypatch, rows):
-    """Patch the batch size to ``rows``; below the default, also cap the
-    input cache at 4 KiB, since it sums its arrays on every insertion and
-    batches of a few lines would fill it with thousands."""
+    """Patch the batch size to ``rows``."""
     monkeypatch.setattr(lhca.hypercube, "_BATCH_ROWS", rows)
-    if rows < 65536:
-        monkeypatch.setattr(lhca.hypercube, "_INPUT_CACHE_BYTES", 1 << 12)
 
 
 def small_batch_readings(rows):

@@ -1,5 +1,6 @@
 """Window extraction, exact determinants, support counts, block solving."""
 
+import functools
 import itertools
 import random
 import time
@@ -182,15 +183,28 @@ def test_support_matches_the_scalar_determinants(fld, b):
 
 
 def test_support_reads_the_pivots_and_finishes_no_determinant(monkeypatch):
-    # det != 0 is every pivot nonzero: no scaling is built or inverted
+    # det != 0 is every pivot nonzero: the support keeps exactly the windows
+    # whose pivots are all nonzero, and multiplies nothing outside the
+    # elimination, so no product of pivots is built
     fld = GF(9)
+    batch_pivots, mul_array = toeplitz._batch_pivots, fld.mul_array
+    eliminating, nonzero = [], []
 
-    def refuse(*args):
-        raise AssertionError("the support finished a determinant")
+    def pivots(field, wins):
+        eliminating.append(True)
+        piv = batch_pivots(field, wins)
+        eliminating.pop()
+        nonzero.extend(tuple(w) for w, p in zip(wins.tolist(), piv.tolist())
+                       if all(p))
+        return piv
 
-    monkeypatch.setattr(toeplitz, "_batch_dets", refuse)
-    monkeypatch.setattr(fld, "inv_array", refuse)
-    assert _support(fld, 2) == _scalar_support(fld, 2)
+    def mul(x, y):
+        assert eliminating, "the support multiplied outside the elimination"
+        return mul_array(x, y)
+
+    monkeypatch.setattr(toeplitz, "_batch_pivots", pivots)
+    monkeypatch.setattr(fld, "mul_array", mul)
+    assert _support(fld, 2) == nonzero == _scalar_support(fld, 2)
 
 
 @pytest.mark.parametrize("fld,b", [(F3, 2), (GF(16), 2), (GF(257), 1)],
@@ -206,16 +220,33 @@ def test_enumerations_span_many_chunks(fld, b, monkeypatch):
 
 # every window with q^(2b-1) <= 2^12, as criterion 11 caps its windows:
 # characteristic 2, odd primes, odd extension fields, and GF(729), whose
-# array operations go through the Zech logarithms
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 243, 729])
-def test_batch_dets_match_the_scalar_and_cofactor_determinants(q):
-    fld = GF(q)
-    b = 1
+# array operations go through the Zech logarithms; then every modulus of
+# the central cross-checks' fields
+BATCH_FIELDS = list(dict.fromkeys(
+    [GF(q) for q in (2, 3, 4, 5, 8, 9, 243, 729)]
+    + [fld for q in MODULUS_ORDERS for fld in every_modulus(q)]))
+
+
+# a field under its default modulus is named by its order, q-poly otherwise
+@pytest.mark.parametrize("fld", BATCH_FIELDS, ids=lambda fld: "-".join(
+    map(str, fld.short_json().values())))
+def test_batch_dets_match_the_scalar_and_cofactor_determinants(
+        fld, monkeypatch):
+    # the product of the batch's pivots is the determinant, with
+    # _eliminate as the oracle; no zero pivot is ever inverted
+    inv_array = fld.inv_array
+
+    def inverse(x):
+        assert x.all(), "a zero pivot was inverted"
+        return inv_array(x)
+
+    monkeypatch.setattr(fld, "inv_array", inverse)
+    q, b = fld.q, 1
     while q ** (2 * b - 1) <= 1 << 12:
         wins = list(itertools.product(range(q), repeat=2 * b - 1))
-        dets = toeplitz._batch_dets(fld, np.array(wins, dtype=fld.dtype))
-        assert dets.dtype == fld.dtype
-        dets = dets.tolist()
+        pivots = toeplitz._batch_pivots(fld, np.array(wins, dtype=fld.dtype))
+        assert pivots.dtype == fld.dtype and pivots.shape == (len(wins), b)
+        dets = functools.reduce(fld.mul_array, pivots.T).tolist()
         assert dets == [det_of_window(fld, w) for w in wins]
         assert dets == [cofactor_det(fld, toeplitz_matrix(w)) for w in wins]
         assert 0 in dets
@@ -223,7 +254,20 @@ def test_batch_dets_match_the_scalar_and_cofactor_determinants(q):
             # a zero top-left entry makes a row swap, and some of those
             # matrices are nonsingular
             assert any(d and w[b - 1] == 0 for w, d in zip(wins, dets))
+            # a zero pivot before the last column with nonzero entries to
+            # its right: the rows below it stay, and the matrix is singular
+            assert any(_zero_pivot_then_nonzero(w, p)
+                       for w, p in zip(wins, pivots.tolist()))
         b += 1
+
+
+def _zero_pivot_then_nonzero(window, pivots):
+    """Whether a pivot before the last is 0 while the window's matrix has
+    a nonzero entry in a later column."""
+    if 0 not in pivots[:-1]:
+        return False
+    col = pivots.index(0)
+    return any(any(row[col + 1:]) for row in toeplitz_matrix(window))
 
 
 def test_elimination_inverts_only_pivots_with_rows_below():
