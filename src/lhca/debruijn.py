@@ -22,6 +22,7 @@ Counts are Python integers; they grow far beyond any fixed-width type.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import operator
 from collections.abc import Iterator, Sequence
 
@@ -178,8 +179,9 @@ def unrank_path(graph: DetGraph, length: int,
     starts at vertex ``index // D**length`` and the base-D digits of the
     rest, most significant first, pick the successors; ``divmod`` takes
     them in word-sized chunks, least significant first.  Digit t steps
-    from vertex v to tail[v]*D + t.  The total and its refusal are
-    :func:`count_paths`'s.
+    from vertex v to tail[v]*D + t.  Only the visited vertices are built,
+    each once, and all visits of one vertex share its tuple.  The total
+    and its refusal are :func:`count_paths`'s.
     """
     degree, total = graph.degree, count_paths(graph, length)
     if not 0 <= index < total:
@@ -194,17 +196,11 @@ def unrank_path(graph: DetGraph, length: int,
         for _ in range(min(n, c)):
             chunk, digit = divmod(chunk, degree)
             digits.append(digit)
-    # a walk as long as the graph reads it as lists once, vertices shared
-    # between visits; a shorter one reads only the vertices it visits
-    if len(graph.tail) <= length:
-        tail = graph.tail.tolist().__getitem__
-        vertex = list(map(tuple, graph.support.tolist())).__getitem__
-    else:
-        tail, vertex = graph.tail.item, graph.vertices.__getitem__
     walk = [index]
     for digit in reversed(digits):
-        walk.append(tail(walk[-1]) * degree + digit)
-    return tuple(map(vertex, walk))
+        walk.append(graph.tail.item(walk[-1]) * degree + digit)
+    vertex = {v: graph.vertices[v] for v in set(walk)}
+    return tuple(map(vertex.__getitem__, walk))
 
 
 def _walk_total(graph: DetGraph, length: int, budget: int) -> int:
@@ -310,7 +306,8 @@ def cross_check_count(field: GF, b: int, k: int,
     q = field.q
     if k >= 3:
         counts["paths"] = count_paths(build_graph(field, b, budget), k - 3)
-        if bounded_power(q, b * (k - 1) - 1 + b * k, entry_budget) is not None:
+        # a sweep over entry_budget is refused before any rule is swept
+        with contextlib.suppress(BudgetExceededError):
             counts["exhaustive"] = count_latin_rules(field, b, k, entry_budget)
     elif bounded_power(q, 2 * b, entry_budget // formula) is None:
         raise BudgetExceededError(f"{q}^{q ** (b - 1)} rules x {q}^{2 * b} "

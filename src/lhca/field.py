@@ -352,11 +352,12 @@ class GF:
         """The sum of a * x over the constant coefficients ``coeffs`` and
         the element arrays ``terms``, which have one shape; the result has
         the field's ``dtype``.  The coefficients are read as elements,
-        the terms are not checked.
+        the terms are not checked.  Every term is scaled and summed, also
+        one whose coefficient is 0; ``rules.apply_ca_batch`` drops those.
 
         In characteristic 2 the scaled terms fold by XOR, in place.  Over
         an odd prime the products a*x add up as machine integers, in the
-        narrowest unsigned dtype that holds their largest sum,
+        narrowest unsigned dtype that holds both p and their largest sum,
         (p-1)*sum(a) (at most len(coeffs)*(p-1)^2), and the sum is reduced
         modulo p once, by one floor division.  In odd extension fields
         base-p digits carry into each other, so the scaled terms fold with
@@ -364,11 +365,9 @@ class GF:
         coeffs = self._as_elements(coeffs)
         if len(coeffs) != len(terms) or not terms:
             raise ValueError("need one coefficient per term, and a term")
-        acc = None
         if self.p == 2 or self.m > 1:
+            acc = None
             for a, x in zip(coeffs, terms):
-                if not a:
-                    continue
                 x = x if a == 1 else self.scale_array(a, x)
                 if acc is None:
                     acc = np.array(x, dtype=self.dtype)
@@ -376,30 +375,22 @@ class GF:
                     np.bitwise_xor(acc, x, out=acc, casting="unsafe")
                 else:
                     acc = self.add_array(acc, x)
-        else:
-            bound = (self.p - 1) * sum(coeffs)
-            # fewer than 2^32 terms keep the bound below 2^64
-            acc_type = np.min_scalar_type(bound)
-            scaled = None
-            for a, x in zip(coeffs, terms):
-                if not a:
-                    continue
-                if acc is None:
-                    acc = np.multiply(x, a, dtype=acc_type, casting="unsafe")
-                    continue
-                if a != 1:
-                    x = scaled = np.multiply(x, a, out=scaled, dtype=acc_type,
-                                             casting="unsafe")
-                np.add(acc, x, out=acc, casting="unsafe")
-            if acc is not None:
-                quot = acc // self.p
-                quot *= self.p
-                # acc - p*(acc // p) is below p, so exact modulo 2^8 or 2^16
-                acc = np.subtract(acc, quot, dtype=self.dtype,
-                                  casting="unsafe")
-        if acc is None:
-            return np.zeros(np.shape(terms[0]), dtype=self.dtype)
-        return acc
+            return acc
+        # the floor division needs p in the dtype, also when every
+        # coefficient is 0; fewer than 2^32 terms keep it below 2^64
+        acc_type = np.min_scalar_type(max((self.p - 1) * sum(coeffs), self.p))
+        acc = np.multiply(terms[0], coeffs[0], dtype=acc_type,
+                          casting="unsafe")
+        scaled = None
+        for a, x in zip(coeffs[1:], terms[1:]):
+            if a != 1:
+                x = scaled = np.multiply(x, a, out=scaled, dtype=acc_type,
+                                         casting="unsafe")
+            np.add(acc, x, out=acc, casting="unsafe")
+        quot = acc // self.p
+        quot *= self.p
+        # acc - p*(acc // p) is below p, so exact modulo 2^8 or 2^16
+        return np.subtract(acc, quot, dtype=self.dtype, casting="unsafe")
 
     def array(self, values) -> np.ndarray:
         """A sequence of elements as a 1-d array of the field's ``dtype``;

@@ -367,13 +367,14 @@ def test_count_counts_are_decimal_strings(capsys):
     assert report["paths"] == "108"
 
 
-def test_count_verify_defaults_off_above_threshold(capsys):
-    # 2^(2*9-1) = 2^17 rules is past the auto-verify cutoff
+def test_count_verify_defaults_on_within_budget(capsys):
+    # 2^(2*9-1) = 2^17 rules: the walks are recounted by default, and the
+    # sweep of every rule is over the entry budget
     code, report = run_json(capsys, "count", "--q", "2", "--b", "2",
                             "--k", "10")
     assert code == 0
-    assert report["formula"] == str(2 ** 9)
-    assert "paths" not in report and "match" not in report
+    assert report["formula"] == report["paths"] == str(2 ** 9)
+    assert report["match"] is True and "exhaustive" not in report
 
 
 def test_count_verify_on_within_threshold_skips_sweep(capsys):
@@ -477,8 +478,8 @@ def test_decimal_matches_str():
 
 
 def test_count_recount_over_the_graph_budget_is_left_out(capsys):
-    # 2^5 rules pass the auto-verify cutoff, but not their 2^5 windows the
-    # budget of 16: by default the formula stands alone
+    # 2^5 windows are over the budget of 16: by default the formula stands
+    # alone
     argv = ("count", "--q", "2", "--b", "3", "--k", "3", "--budget", "16")
     code, report = run_json(capsys, *argv)
     assert code == 0

@@ -420,12 +420,21 @@ def test_unranking_a_long_walk_stays_small():
     g = build_graph(fld, 1)
     tracemalloc.start()
     try:
-        rule = rule_from_path(fld, unrank_path(g, 31997, 123456789))
+        walk = unrank_path(g, 31997, 123456789)
+        rule = rule_from_path(fld, walk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rule.k == 32000
     assert peak < 16 * 2**20
+    # the visits of one vertex share one tuple
+    assert len(set(map(id, walk))) == len(set(walk)) < len(walk)
+    # a short walk on a large graph builds only the vertices it visits
+    g, built = build_graph(fld, 3), []
+    g.vertices = type(g.vertices)(
+        g.support, lambda row: built.append(row) or tuple(row))
+    walk = unrank_path(g, 2, 123456789)
+    assert sorted(map(tuple, built)) == sorted(set(walk))
 
 
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
