@@ -46,13 +46,11 @@ from .rules import (
     enumerate_bipermutive_rules,
     enumerate_linear_rules,
     rank_cells,
-    restriction_is_permutation,
     rule_from_json,
     unrank_cells,
 )
 from .toeplitz import (
     DEFAULT_SUPPORT_BUDGET,
-    count_nonsingular_toeplitz,
     determinant,
     det_of_window,
     is_latin_by_windows,
@@ -78,7 +76,6 @@ __all__ = [
     "apply_ca_batch",
     "rank_cells",
     "unrank_cells",
-    "restriction_is_permutation",
     "count_bipermutive_rules",
     "enumerate_linear_rules",
     "enumerate_bipermutive_rules",
@@ -101,7 +98,6 @@ __all__ = [
     "window_dets",
     "is_latin_by_windows",
     "support_of_det",
-    "count_nonsingular_toeplitz",
     "solve_linear_system",
     "solve_middle_block",
     "DEFAULT_SUPPORT_BUDGET",

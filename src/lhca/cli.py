@@ -9,7 +9,8 @@ Subcommands:
             its budget admits it; a forced --verify over budget exits 3.
   graph  -- the de Bruijn graph over nonsingular windows (dot or json);
             a graph with more edges than the enumeration budget is
-            refused with exit 3.
+            refused with exit 3, and a built graph whose edges are not
+            the closed form's exits 4.
   synth  -- synthesize Latin-generating rules from graph walks.
   dump   -- all cube entries (text or json).
 
@@ -187,16 +188,17 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     q = fld.q
     # build_graph bounds the q^(2b-1) windows; edges are about q^b times
     # more.  Their closed form (q-1)^2 q^(3b-3) refuses a graph before it
-    # is built.  The out-degrees of a built graph stay the authority.
-    if bounded_power(q, 3 * b - 3, budget // (q - 1) ** 2) is None:
+    # is built, and a built graph with other V * D is not written.
+    power = bounded_power(q, 3 * b - 3, budget // (q - 1) ** 2)
+    if power is None:
         raise BudgetExceededError(
             f"{q - 1}^2 * {q}^{3 * b - 3} edges exceed the enumeration "
             f"budget {budget}")
-    g = build_graph(fld, b, budget)
-    edges = len(g.vertices) * g.degree
-    if edges > budget:
-        raise BudgetExceededError(
-            f"{edges} edges exceed the enumeration budget {budget}")
+    g, edges = build_graph(fld, b, budget), (q - 1) ** 2 * power
+    if len(g.vertices) * g.degree != edges:
+        raise CrossCheckError(
+            f"{len(g.vertices)} vertices of out-degree {g.degree} disagree "
+            f"with the closed form's {edges} edges for q={q}, b={b}")
     if args.format == "json":
         return _json(g.to_json()), 0
     return g.to_dot(), 0

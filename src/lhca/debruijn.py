@@ -177,8 +177,7 @@ def unrank_path(graph: DetGraph, length: int,
 
     Each vertex starts D^length walks, D the out-degree, so the walk
     starts at vertex ``index // D**length`` and the base-D digits of the
-    rest, most significant first, pick the successors; ``divmod`` takes
-    them in word-sized chunks, least significant first.  Digit t steps
+    rest, most significant first, pick the successors.  Digit t steps
     from vertex v to tail[v]*D + t.  Only the visited vertices are built,
     each once, and all visits of one vertex share its tuple.  The total
     and its refusal are :func:`count_paths`'s.
@@ -187,17 +186,18 @@ def unrank_path(graph: DetGraph, length: int,
     if not 0 <= index < total:
         raise ValueError(f"walk index {index} out of range for "
                          f"{len(graph.vertices)} * {degree}^{length} walks")
-    # one big-int divmod per chunk of c digits, D**c < 2**30, then the
-    # chunk's digits from a small int: a division of the whole index per
-    # digit would make a random index cost O(length**2)
-    c, digits = 30 // max(degree, 1).bit_length(), []
-    for n in range(length, 0, -c):
-        index, chunk = divmod(index, degree ** min(n, c))
-        for _ in range(min(n, c)):
-            chunk, digit = divmod(chunk, degree)
-            digits.append(digit)
-    walk = [index]
-    for digit in reversed(digits):
+    start, rest = divmod(index, total // len(graph.vertices))
+    # the rest split by halves, D^(2^j) dividing each part of level j and
+    # each power built once: quadratic still under schoolbook division,
+    # but a fraction of one division of the whole rest per word of digits
+    powers = [degree]
+    while 2 ** len(powers) < length:
+        powers.append(powers[-1] ** 2)
+    digits = [rest]
+    for power in reversed(powers):
+        digits = [d for n in digits for d in divmod(n, power)]
+    walk = [start]
+    for digit in digits[len(digits) - length:]:  # past the leading zeros
         walk.append(graph.tail.item(walk[-1]) * degree + digit)
     vertex = {v: graph.vertices[v] for v in set(walk)}
     return tuple(map(vertex.__getitem__, walk))

@@ -274,11 +274,6 @@ class GF:
         digits = np.arange(self.q)[:, None] // weights % self.p
         return digits.astype(np.min_scalar_type(self.p - 1)), weights
 
-    @cached_property
-    def _ints(self) -> np.ndarray:
-        """The q elements as Python ints, shared by every gather from it."""
-        return np.arange(self.q).astype(object)
-
     def dot(self, coeffs, windows: np.ndarray) -> np.ndarray:
         """The sum of a * x over ``coeffs`` and each row of the (N, d)
         element array ``windows``, unchecked, as N elements of ``dtype``:

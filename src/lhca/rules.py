@@ -6,7 +6,8 @@ The global map of a rule of diameter d sends a configuration of length
 n >= d to the length n-d+1 configuration obtained by evaluating the rule
 on every window of d consecutive cells.
 
-Two rule representations are supported, both bipermutive by construction:
+Two rule representations are supported, both bipermutive by construction,
+so nothing here tests bipermutivity:
 
 * ``LinearRule``       -- a linear combination of the window cells whose
   border coefficients are fixed to 1, stored as the d-2 interior
@@ -206,7 +207,7 @@ def apply_ca(rule: Rule, cells: Sequence[int]) -> tuple[int, ...]:
         out = fld.dot(rule.full_coeffs, view)
     else:
         out = apply_ca_batch(rule, cells[None])[0]
-    return tuple(fld._ints.take(out).tolist())
+    return tuple(out.tolist())
 
 
 def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
@@ -260,38 +261,6 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
         mid = fld.array(rule.g_table).take(ranks)
         out = fld.combine_array((1, 1, 1), (cells[:width], mid, cells[d - 1:]))
     return out.T
-
-
-def restriction_is_permutation(rule: Rule, side: str,
-                               fixed: Sequence[int],
-                               b: int | None = None) -> bool:
-    """Exhaustively test whether varying one border block is a bijection.
-
-    The free block of b cells sits on the given side ('left' or 'right');
-    ``fixed`` supplies the remaining d-1 cells.  Returns True iff the map
-    from the free block to the CA output (also b cells) is a permutation
-    of GF(q)^b.  The free block size defaults to rule.b for linear rules
-    and to d-1 otherwise.  The q^b free blocks, block r the digits of r,
-    are mapped as one :func:`apply_ca_batch` batch, refused past 2^24 cells.
-    """
-    fld, d = rule.field, rule.d
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if b is None:
-        b = rule.b if isinstance(rule, LinearRule) else d - 1
-    if len(fixed) != d - 1:
-        raise ValueError(
-            f"fixed part must have d-1 = {d - 1} cells, got {len(fixed)}")
-    if b < 1:
-        raise ValueError(f"block size must be >= 1, got {b}")
-    fixed, q, n = fld._as_elements(fixed), fld.q, d - 1 + b
-    if (rows := bounded_power(q, b, (1 << 24) // n)) is None:
-        raise BudgetExceededError(f"{q}^{b} rows of {n} cells exceed 2^24")
-    free = np.indices((q,) * b, fld.dtype).reshape(b, rows)[::-1].T
-    fixed = np.broadcast_to(fld.array(fixed), (rows, d - 1))
-    cells = np.hstack((free, fixed) if side == "left" else (fixed, free))
-    ranks = apply_ca_batch(rule, cells) @ q ** np.arange(b)  # one per row
-    return np.unique(ranks).size == rows
 
 
 def count_bipermutive_rules(field: GF, b: int) -> int:

@@ -13,22 +13,22 @@ function here that takes a rule raises TypeError for any other.
 
 Also here: exact determinants and linear solves over GF(q), which share
 one forward elimination, the support of the window determinant map, and
-the solver that recovers a middle block from a target output.  Matrices
-and targets are read through ``GF._as_elements``; a rule's coefficients
-were read when it was built, so no window is checked again.
+the solver that recovers a middle block from a target output.  Matrices,
+windows and targets are read through ``GF._as_elements``; a batch of a
+rule's windows is not, since its coefficients were read when it was built.
 
-Single matrices go through the scalar elimination ``_eliminate``, the
-reference the batch is tested against.  Stacks of windows go through
-``_batch_pivots``: the same elimination on all of them at once, each field
-operation one array operation, in chunks of at most ``_BATCH_CELLS``
-matrix entries; the product of a matrix's pivots is its determinant.
-``support_of_det`` keeps the windows with no zero pivot among all
-q^(2b-1); ``window_dets`` batches a rule's k-2 windows once there are
-``_BATCH_MIN_WINDOWS`` = 8 or more, and reduces fewer one at a time.  Up
-to 16 windows a batch costs a nearly fixed 5, 35, 65 and 155 us at b = 1,
-2, 3 and 6 on a 2-vCPU Xeon virtual machine, the scalar path about 2.5,
-5, 10 and 45 us per window, so at b = 2 and 3 they cross between 4 and 8
-windows.
+Single matrices and windows go through the scalar elimination
+``_eliminate``, the reference the batch is tested against.  Stacks of
+windows go through ``_batch_pivots``: the same elimination on all of them
+at once, each field operation one array operation, in chunks of at most
+``_BATCH_CELLS`` matrix entries; the product of a matrix's pivots is its
+determinant.  ``support_of_det`` keeps the windows with no zero pivot
+among all q^(2b-1); ``window_dets`` batches a rule's k-2 windows once
+there are ``_BATCH_MIN_WINDOWS`` = 8 or more, and reduces fewer one at a
+time by ``det_of_window``.  Up to 16 windows a batch costs a nearly fixed
+5, 35, 65 and 155 us at b = 1, 2, 3 and 6 on a 2-vCPU Xeon virtual
+machine, the scalar path about 2.5, 5, 10 and 45 us per window, so at
+b = 2 and 3 they cross between 4 and 8 windows.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import BudgetExceededError, CrossCheckError, bounded_power
 from .field import GF
-from .rules import _INT_CAP, DEFAULT_INT_BITS, LinearRule, apply_ca
+from .rules import LinearRule, apply_ca
 
 DEFAULT_SUPPORT_BUDGET = 1 << 20
 # matrix entries reduced at once by the batched elimination; its largest
@@ -117,9 +117,11 @@ def determinant(field: GF, matrix: Sequence[Sequence[int]]) -> int:
 
 def det_of_window(field: GF, window: Sequence[int]) -> int:
     """Determinant of the b x b Toeplitz matrix of one window of length
-    2b-1, by the scalar elimination; ValueError when an entry is not an
-    element of the field."""
-    return determinant(field, toeplitz_matrix(window))
+    2b-1, by the scalar elimination.  The 2b-1 entries are read once
+    through ``GF._as_elements``: ValueError when one is not an element of
+    the field, or when the length is even."""
+    m = toeplitz_matrix(field._as_elements(window))
+    return _eliminate(field, m, len(m))
 
 
 def window_dets(rule: LinearRule) -> list[int]:
@@ -127,15 +129,14 @@ def window_dets(rule: LinearRule) -> list[int]:
     square.
 
     A rule with fewer than ``_BATCH_MIN_WINDOWS`` windows reduces them one
-    at a time through ``_eliminate``; a longer one is sliced from its
-    coefficients into one stack, reduced in batches of at most
+    at a time through :func:`det_of_window`; a longer one is sliced from
+    its coefficients into one stack, reduced in batches of at most
     ``_BATCH_CELLS`` matrix entries, and multiplies out the pivots."""
     if not isinstance(rule, LinearRule):
         raise TypeError("windows are defined for linear rules only")
     b, k, fld = rule.b, rule.k, rule.field
     if k - 2 < _BATCH_MIN_WINDOWS:
-        return [_eliminate(fld, toeplitz_matrix(_window(rule, i)), b)
-                for i in range(1, k - 1)]
+        return [det_of_window(fld, _window(rule, i)) for i in range(1, k - 1)]
     # a rule holds elements, read when it was built; window i starts at
     # coefficient b(i-1): a read-only view, which the batch copies
     coeffs = fld.array(rule.coeffs)
@@ -216,19 +217,6 @@ def support_of_det(field: GF, b: int,
             rank, wins[:, j] = np.divmod(rank, q)
         kept.append(wins[_batch_pivots(field, wins).all(axis=1)])
     return np.concatenate(kept)
-
-
-def count_nonsingular_toeplitz(field: GF, b: int) -> int:
-    """Number of windows with nonsingular matrix: (q-1) q^{2(b-1)}, the
-    size of :func:`support_of_det`, refused past ``DEFAULT_INT_BITS`` bits."""
-    if b < 1:
-        raise ValueError(f"need b >= 1, got {b}")
-    q = field.q
-    power = bounded_power(q, 2 * (b - 1), _INT_CAP)
-    if power is None or (count := (q - 1) * power) > _INT_CAP:
-        raise BudgetExceededError(f"count for q={q}, b={b} exceeds the "
-                                  f"{DEFAULT_INT_BITS}-bit budget")
-    return count
 
 
 def solve_linear_system(field: GF, matrix: Sequence[Sequence[int]],

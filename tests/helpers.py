@@ -74,19 +74,15 @@ def ca_by_windows(rule, cells) -> tuple[int, ...]:
 
 def restriction_by_configurations(rule, side: str, fixed, b=None,
                                   global_map=ca_by_windows) -> bool:
-    """Whether varying one border block of b cells is a bijection, decided
-    one configuration at a time through ``global_map``, with the
-    library's argument checks, messages and order."""
+    """Whether varying one border block of b cells, on the given side of
+    the d-1 ``fixed`` cells, is a bijection, decided one configuration at
+    a time through ``global_map``; b is rule.b for a linear rule and d-1
+    otherwise, unless given."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if b is None:
         b = rule.b if isinstance(rule, LinearRule) else rule.d - 1
-    if len(fixed) != rule.d - 1:
-        raise ValueError(
-            f"fixed part must have d-1 = {rule.d - 1} cells, got {len(fixed)}")
-    if b < 1:
-        raise ValueError(f"block size must be >= 1, got {b}")
-    fixed, q = tuple(rule.field._as_elements(fixed)), rule.field.q
+    fixed, q = tuple(fixed), rule.field.q
     seen = set()
     for free in itertools.product(range(q), repeat=b):
         cells = free + fixed if side == "left" else fixed + free

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import lhca.cli
+import lhca.debruijn
 import lhca.hypercube
 from lhca.cli import main, _decimal, _parse_coeffs
 from lhca.debruijn import (build_graph, enumerate_paths, rule_from_path,
@@ -643,6 +644,28 @@ def test_graph_refuses_more_edges_than_the_budget(capsys, fmt):
                          "--format", fmt)
     assert code == 3
     assert out == "" and "edges exceed" in err
+
+
+def test_a_graph_that_contradicts_its_closed_form_exits_4(
+        capsys, monkeypatch, tmp_path):
+    # a support of 3 of the 6 windows in each prefix class at (3, 2)
+    # still builds a regular graph, of 27 edges where the closed form
+    # (q-1)^2 q^(3b-3) says 108; it is not written
+    support_of_det = lhca.debruijn.support_of_det
+
+    def half(field, b, budget):
+        supp = support_of_det(field, b, budget)
+        return supp.reshape(3, 6, 3)[:, :3].reshape(9, 3)
+
+    monkeypatch.setattr(lhca.debruijn, "support_of_det", half)
+    out_file = tmp_path / "g.json"
+    for fmt in ("json", "dot"):
+        code, out, err = run(capsys, "graph", "--q", "3", "--b", "2",
+                             "--format", fmt, "--out", str(out_file))
+        assert code == 4
+        assert out == "" and not out_file.exists()
+        assert err == ("error: 9 vertices of out-degree 3 disagree with "
+                       "the closed form's 108 edges for q=3, b=2\n")
 
 
 def test_graph_refuses_before_building(capsys, monkeypatch):

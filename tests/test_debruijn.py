@@ -10,6 +10,7 @@ import collections
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -429,6 +430,9 @@ def test_unranking_a_long_walk_stays_small():
     assert peak < 16 * 2**20
     # the visits of one vertex share one tuple
     assert len(set(map(id, walk))) == len(set(walk)) < len(walk)
+    # the last index is every digit D-1: the walk stays on the last vertex
+    last = unrank_path(g, 31997, count_paths(g, 31997) - 1)
+    assert last == ((15,),) * 31998
     # a short walk on a large graph builds only the vertices it visits
     g, built = build_graph(fld, 3), []
     g.vertices = type(g.vertices)(
@@ -616,6 +620,15 @@ def test_count_bit_budget_admits_exactly_its_bits():
     # 3^600000 has 950 978 bits; two bits per factor of 3 would make it
     # 1 200 000, past the cap
     assert latin_hypercube_count(GF(4), 1, 600_002) == 3**600_000
+    # k = 3 counts the nonsingular windows, (q-1) q^(2b-2): 2^(2^20 - 2)
+    # has 2^20 - 1 bits, and the next b is past the budget
+    start = time.perf_counter()
+    assert latin_hypercube_count(F2, 2**19, 3) == 2 ** (2**20 - 2)
+    for b in (2**19 + 1, 10**8):
+        with pytest.raises(BudgetExceededError, match=(
+                f"^count for q=2, b={b}, k=3 exceeds the {k}-bit budget$")):
+            latin_hypercube_count(F2, b, 3)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])

@@ -26,7 +26,6 @@ from lhca.rules import (
     enumerate_bipermutive_rules,
     enumerate_linear_rules,
     rank_cells,
-    restriction_is_permutation,
     rule_from_json,
     unrank_cells,
 )
@@ -123,63 +122,40 @@ def test_general_rule_validation():
         GeneralBipermutiveRule(F2, 1, ())
 
 
-def test_a_map_that_ignores_the_borders_is_not_a_permutation(monkeypatch):
+def test_a_map_that_ignores_the_borders_is_not_a_permutation():
     # every rule that can be built is bipermutive, so stand in a global map
     # that reads only cell `at` of each window: f(x1,x2,x3) = x2 ignores
     # both borders, x1 and x3 each keep one side a permutation
     rule = LinearRule(F2, 1, 3, (1,))
     for at, verdicts in ((1, (False, False)), (0, (True, False)),
                          (2, (False, True))):
-        def project(rule, inputs):
-            inputs = np.asarray(inputs)
-            return inputs[:, at:inputs.shape[1] - rule.d + 1 + at]
+        def project(rule, cells):
+            return tuple(cells[at:len(cells) - rule.d + 1 + at])
 
-        def scalar(rule, cells):
-            return tuple(project(rule, [cells])[0].tolist())
-
-        monkeypatch.setattr(lhca.rules, "apply_ca_batch", project)
-        assert scalar(rule, (0, 1, 0)) == (at == 1,)
+        assert project(rule, (0, 1, 0)) == (at == 1,)
         for side, verdict in zip(("left", "right"), verdicts):
             for fixed in itertools.product(range(2), repeat=2):
-                assert restriction_is_permutation(
-                    rule, side, fixed) is verdict
                 assert restriction_by_configurations(
-                    rule, side, fixed, global_map=scalar) is verdict
+                    rule, side, fixed, global_map=project) is verdict
 
 
 def test_linear_rules_are_bipermutive():
-    # single-cell restrictions are permutations on both sides, all fixings
+    # single-cell restrictions are permutations on both sides, all fixings,
+    # on the library's own global map
     for coeffs in itertools.product(range(2), repeat=3):
         rule = LinearRule(F2, 2, 3, coeffs)
         for fixed in itertools.product(range(2), repeat=4):
-            assert restriction_is_permutation(rule, "left", fixed, b=1)
-            assert restriction_is_permutation(rule, "right", fixed, b=1)
+            for side in ("left", "right"):
+                assert restriction_by_configurations(
+                    rule, side, fixed, b=1, global_map=apply_ca)
 
 
 def test_block_restrictions_of_linear_rules_are_permutations():
     rule = LinearRule(F3, 2, 3, (1, 2, 0))
     for fixed in itertools.product(range(3), repeat=4):
-        assert restriction_is_permutation(rule, "left", fixed)
-        assert restriction_is_permutation(rule, "right", fixed)
-
-
-def test_restriction_validation():
-    with pytest.raises(ValueError):
-        restriction_is_permutation(XOR5, "up", (0, 0, 0, 0), b=1)
-    with pytest.raises(ValueError):
-        restriction_is_permutation(XOR5, "left", (0, 0, 0), b=1)
-    for b in (0, -1):
-        with pytest.raises(ValueError, match=f"^block size must be >= 1, "
-                                             f"got {b}$"):
-            restriction_is_permutation(XOR5, "left", (0, 0, 0, 0), b=b)
-
-
-def _outcome(restriction, *args):
-    """The verdict, or the type and message of the error raised."""
-    try:
-        return restriction(*args)
-    except ValueError as exc:
-        return ValueError, str(exc)
+        for side in ("left", "right"):
+            assert restriction_by_configurations(rule, side, fixed,
+                                                 global_map=apply_ca)
 
 
 # every modulus of the central orders, by its encoding
@@ -197,19 +173,11 @@ def test_maps_and_restrictions_match_the_oracles(q, poly):
         assert [apply_ca(rule, row) for row in rows] == want
         got = apply_ca_batch(rule, np.array(rows))
         assert list(map(tuple, got.tolist())) == want
-        fixed = [rng.randrange(q) for _ in range(d - 1)]
-        good = [(side, fixed, b) for side in ("left", "right")
-                for b in (1, None)]
-        # each check in its order: side, length, block size, cells
-        bad = [("up", fixed, 0), ("left", fixed[1:], 0), ("right", fixed, 0)]
-        bad += [(side, cells, None) for x in (q, -1, 2.0)
-                for side, cells in (("left", [x] + fixed[1:]),
-                                    ("right", fixed[:-1] + [x]))]
-        for i, args in enumerate(good + bad):
-            verdict = _outcome(restriction_is_permutation, rule, *args)
-            assert verdict == _outcome(restriction_by_configurations,
-                                       rule, *args)
-            assert (verdict is True) == (i < len(good))
+        # bipermutive on the library's map: one block or the whole span
+        fixed = tuple(rng.randrange(q) for _ in range(d - 1))
+        for side, b in itertools.product(("left", "right"), (1, None)):
+            assert restriction_by_configurations(rule, side, fixed, b,
+                                                 global_map=apply_ca)
 
 
 def _random_rules(q: int) -> list:
@@ -274,18 +242,6 @@ def test_linear_rules_map_without_the_batch(monkeypatch):
     assert apply_ca(XOR5, (1, 0, 0, 0, 1, 1)) == (0, 1)
     with pytest.raises(AssertionError):
         apply_ca(GeneralBipermutiveRule(F2, 3, (0, 1)), (0, 1, 1))
-
-
-def test_restriction_refuses_a_batch_past_2_24_cells_at_once():
-    rule = LinearRule(F2, 1, 3, (1,))
-    # 2^14 rows of 16 cells are mapped, 2^20 rows of 22 are too many
-    assert restriction_is_permutation(rule, "right", (0, 1), b=14)
-    start = time.perf_counter()
-    for b in (20, 40, 10**8):
-        with pytest.raises(BudgetExceededError, match=(
-                rf"^2\^{b} rows of {b + 2} cells exceed 2\^24$")):
-            restriction_is_permutation(rule, "left", (0, 1), b=b)
-    assert time.perf_counter() - start < 2
 
 
 def test_batch_rejects_bad_input():
@@ -359,7 +315,9 @@ def test_scalar_map_is_the_per_term_fold(q, poly):
     band = [[0] * i + list(rule.full_coeffs) + [0] * (n - d - i)
             for i in range(n - d + 1)]
     want = mat_vec(fld, band, cells)
-    assert apply_ca(rule, cells) == tuple(want)
+    got = apply_ca(rule, cells)
+    assert got == tuple(want)
+    assert all(type(v) is int for v in got)
     for i, v in enumerate(want):
         assert apply_rule(rule, cells[i:i + d]) == v
     assert apply_ca(rule, [0] * n) == (0,) * (n - d + 1)
@@ -378,8 +336,6 @@ def test_scalar_map_is_the_per_term_fold(q, poly):
         (cells[:6], lambda x: solve_linear_system(fld, [x[:2], x[2:4]],
                                                   x[4:])),
         (cells[:3], lambda y: solve_middle_block(rule, 1, blocks, y)),
-        (cells[:d - 1], lambda x: restriction_is_permutation(rule, "left",
-                                                             x, 1)),
     )
     for base, evaluate in routes:
         m = len(base)

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 import time
 from collections import Counter
 
@@ -12,13 +13,13 @@ import pytest
 from helpers import (MODULUS_ORDERS, central_points, cofactor_det,
                      every_modulus, mat_vec)
 from lhca import toeplitz
+from lhca.debruijn import latin_hypercube_count
 from lhca.errors import BudgetExceededError, CrossCheckError
 from lhca.field import GF
 from lhca.hypercube import entry, is_latin, psi, psi_inverse
 from lhca.rules import (GeneralBipermutiveRule, LinearRule, apply_ca,
                         enumerate_linear_rules)
 from lhca.toeplitz import (
-    count_nonsingular_toeplitz,
     det_of_window,
     determinant,
     is_latin_by_windows,
@@ -99,6 +100,15 @@ def test_determinant_validation():
         determinant(F2, [[0, 1], [1]])
     with pytest.raises(ValueError):
         determinant(F2, [[0, 2], [1, 0]])
+    # a window's 2b-1 entries are read as elements, and its length is odd
+    for bad, window in ((2, (0, 2, 1)), (0.5, (1, 1, 0.5)), (-1, (-1,))):
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(bad))} is not an element of GF\\(2\\)$")):
+            det_of_window(F2, window)
+    for even in ((), (1, 0), (1, 0, 1, 0)):
+        with pytest.raises(ValueError, match=(
+                f"^window length {len(even)} is not odd$")):
+            det_of_window(F2, even)
 
 
 def _support(fld, b):
@@ -114,22 +124,11 @@ def test_support_of_det_b2_q2():
 
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_nonsingular_count_matches_enumeration(q, b):
+    # a k = 3 rule has one window, so its Latin count is the support's size
     fld = GF(q)
-    count = count_nonsingular_toeplitz(fld, b)
+    count = latin_hypercube_count(fld, b, 3)
     assert count == len(support_of_det(fld, b))
     assert count == (q - 1) * q ** (2 * (b - 1))
-
-
-def test_nonsingular_count_refuses_past_the_int_budget():
-    # 2^(2^20 - 2) has 2^20 - 1 bits; 2^(2^20) is one bit past the budget
-    start = time.perf_counter()
-    assert count_nonsingular_toeplitz(F2, 2**19) == 2 ** (2**20 - 2)
-    for b in (2**19 + 1, 10**8):
-        with pytest.raises(BudgetExceededError,
-                           match=rf"^count for q=2, b={b} exceeds the "
-                                 "1048576-bit budget$"):
-            count_nonsingular_toeplitz(F2, b)
-    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("q,b", [(2, 2), (2, 3), (3, 2)])
@@ -178,7 +177,7 @@ def _support_run(supp, lower):
 def test_support_matches_the_scalar_determinants(fld, b):
     supp = support_of_det(fld, b)
     assert supp.dtype == fld.dtype
-    assert supp.shape == (count_nonsingular_toeplitz(fld, b), 2 * b - 1)
+    assert supp.shape == (latin_hypercube_count(fld, b, 3), 2 * b - 1)
     assert list(map(tuple, supp.tolist())) == _scalar_support(fld, b)
 
 
@@ -351,16 +350,22 @@ def test_window_dets_match_the_scalar_path_on_both_sides(fld, b, monkeypatch):
             coeffs = [rng.randrange(fld.q) if rng.random() < 2 / 3 else 0
                       for _ in range(b * (k - 1) - 1)]
             rule = LinearRule(fld, b, k, coeffs)
-            want = [det_of_window(fld, w) for w in windows(rule)]
-            got = window_dets(rule)
+            want = [determinant(fld, toeplitz_matrix(w))
+                    for w in windows(rule)]
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(toeplitz, "det_of_window", lambda *args: (
+                    calls.append(args[1]) or det_of_window(*args)))
+                got = window_dets(rule)
             assert got == want
             assert all(type(d) is int for d in got)
+            # below the threshold, one det_of_window call per window; from
+            # it on, none
+            assert calls == (windows(rule) if n < limit else [])
             if n < limit:
                 continue
-            # from the threshold on, the scalar path is not taken; a cap
-            # of b*b+1 cells puts one matrix in each batch
+            # a cap of b*b+1 cells puts one matrix in each batch
             with monkeypatch.context() as patch:
-                patch.setattr(toeplitz, "det_of_window", None)
                 patch.setattr(toeplitz, "_BATCH_CELLS", b * b + 1)
                 assert window_dets(rule) == want
 
