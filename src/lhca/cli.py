@@ -55,6 +55,7 @@ import sys
 from collections.abc import Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import ge
 
 from .debruijn import (
     _walk_total,
@@ -228,8 +229,11 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     if args.k - 2 > args.enum_budget:
         raise BudgetExceededError(f"a walk of {args.k - 2} windows exceeds "
                                   f"the enumeration budget {args.enum_budget}")
-    walks = (enumerate_paths(g, length, args.enum_budget) if args.all
+    walks = (list(enumerate_paths(g, length, args.enum_budget)) if args.all
              else [unrank_path(g, length, args.index)])
+    if args.all and (len(walks) != count or any(map(ge, walks, walks[1:]))):
+        raise CrossCheckError(f"{len(walks)} walks are not the {count} "
+                              "walks in increasing order")
     rules = [rule_from_path(fld, w) for w in walks]
     for rule in rules:
         if not _check_report(rule, args)["latin"]:

@@ -147,10 +147,13 @@ def build_graph(field: GF, b: int,
                 budget: int = DEFAULT_SUPPORT_BUDGET) -> DetGraph:
     """Graph over the nonsingular windows of length 2b-1, the sorted rows
     of ``support_of_det``; at b = 1 every tail is empty, so the graph is
-    complete, loops included."""
+    complete, loops included; CrossCheckError if DetGraph refuses it."""
     support = support_of_det(field, b, budget)
     support.flags.writeable = False  # the graph's own: held, not copied
-    return DetGraph(field, b, support)
+    try:
+        return DetGraph(field, b, support)
+    except ValueError as exc:
+        raise CrossCheckError(f"{field!r}, b={b}: {exc}") from None
 
 
 def count_paths(graph: DetGraph, length: int) -> int:

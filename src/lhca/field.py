@@ -12,19 +12,20 @@ Every field, up to ``ORDER_CAP``, computes in one log domain: ``exp`` and
 ``log`` of a primitive element g make a product a sum of logarithms, and
 Zech logarithms, Z(n) = log(1 + g^n), make a sum one too, since
 a + b = a (1 + b/a).  The scalar operations index these as Python lists.
-A sum of products over many windows at once, ``dot``, sums the base-p
-digits of its ``mul_array`` products over the terms and reduces each digit
-sum modulo p once: in characteristic 2, each bit's parity.  The vectorized
-operations (``add_array``, ``mul_array``, ...) gather from q x q lookup
-tables (``add_table``, ``mul_table``) for q <= 256, where those fit, and
-from the same exp/log/Zech vectors above.  A pair's index into a table,
-x*q + y, is at most q^2 - 1 = 65 535, so it is built as ``uint16``.  In
-characteristic 2 array addition gathers nothing at any q: digits add
-modulo 2, so the sum of two encodings is their XOR.  Vector elements have
-the dtype ``dtype``: ``uint8`` up to q = 256, ``uint16`` above.
+The vectorized operations (``add_array``, ``mul_array``, ...) gather from
+q x q lookup tables (``add_table``, ``mul_table``) for q <= 256, where
+those fit, and from the same exp/log/Zech vectors above.  A pair's index
+into a table, x*q + y, is at most q^2 - 1 = 65 535, so it is built as
+``uint16``.  In characteristic 2 array addition gathers nothing at any q:
+digits add modulo 2, so the sum of two encodings is their XOR.  Vector
+elements have the dtype ``dtype``: ``uint8`` up to q = 256, ``uint16``
+above.
 
-A linear combination of element arrays with constant coefficients,
-``combine_array``, is reduced once, in one of three ways:
+A sum of products of element arrays with constant coefficients,
+``combine_array``, has one kernel.  With more terms than outputs (a long
+rule's few windows) the base-p digits of the products are summed over the
+terms and reduced modulo p once: in characteristic 2, each bit's parity.
+Otherwise each term is one array operation, reduced once:
 
 * characteristic 2: the scaled terms fold by XOR;
 * odd prime (m = 1): the products a*x add up as machine integers, in the
@@ -43,7 +44,7 @@ import numpy as np
 
 ORDER_CAP = 1 << 16
 TABLE_CAP = 256
-_CHUNK_CELLS = 1 << 16  # window cells GF.dot reduces at a time
+_CHUNK_CELLS = 1 << 16  # products GF._combine sums over its terms at once
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -167,7 +168,7 @@ class GF:
 
     def _build_logs(self) -> None:
         """The log domain of a primitive element g: numpy arrays for the
-        array operations, ``dot`` included, and lists for the scalar ones.
+        array operations and lists for the scalar ones.
 
         With n = q - 1, log 0 is the sentinel 2n, and exp holds g^i for
         i < 2n and 0 from 2n to 4n, so a sum of two logarithms is a valid
@@ -266,30 +267,6 @@ class GF:
         self._check(b)
         return self._exp[self._log[a] + self._log[b]]
 
-    @cached_property
-    def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every element's m base-p digits, one row each, in the narrowest
-        unsigned dtype, and the weights p^i that rebuild an element."""
-        weights = self.p ** np.arange(self.m, dtype=self.dtype)
-        digits = np.arange(self.q)[:, None] // weights % self.p
-        return digits.astype(np.min_scalar_type(self.p - 1)), weights
-
-    def dot(self, coeffs, windows: np.ndarray) -> np.ndarray:
-        """The sum of a * x over ``coeffs`` and each row of the (N, d)
-        element array ``windows``, unchecked, as N elements of ``dtype``:
-        the base-p digits of the :meth:`mul_array` products summed over the
-        terms, reduced modulo p once, ``_CHUNK_CELLS`` cells at a time."""
-        coeffs, p = self.array(coeffs), self.p
-        acc = np.min_scalar_type(len(coeffs) * (p - 1))
-        table, weights = self._digit_table
-        out = np.empty(len(windows), self.dtype)
-        rows = max(1, _CHUNK_CELLS // len(coeffs))
-        for lo in range(0, len(windows), rows):
-            terms = self.mul_array(coeffs, windows[lo:lo + rows])
-            sums = table.take(terms, axis=0).sum(1, dtype=acc)
-            np.matmul(sums % p, weights, out=out[lo:lo + rows])
-        return out
-
     def inv(self, a: int) -> int:
         if not self._check(a):
             raise ZeroDivisionError(
@@ -343,23 +320,48 @@ class GF:
             return self.mul_table[a].take(x)
         return self._exps.take(self._logs.take(x) + self._log[a])
 
+    @cached_property
+    def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every element's m base-p digits, one row each, in the narrowest
+        unsigned dtype, and the weights p^i that rebuild an element."""
+        weights = self.p ** np.arange(self.m, dtype=self.dtype)
+        digits = np.arange(self.q)[:, None] // weights % self.p
+        return digits.astype(np.min_scalar_type(self.p - 1)), weights
+
     def combine_array(self, coeffs, terms) -> np.ndarray:
         """The sum of a * x over the constant coefficients ``coeffs`` and
-        the element arrays ``terms``, which have one shape; the result has
-        the field's ``dtype``.  The coefficients are read as elements,
-        the terms are not checked.  Every term is scaled and summed, also
-        one whose coefficient is 0; ``rules.apply_ca_batch`` drops those.
-
-        In characteristic 2 the scaled terms fold by XOR, in place.  Over
-        an odd prime the products a*x add up as machine integers, in the
-        narrowest unsigned dtype that holds both p and their largest sum,
-        (p-1)*sum(a) (at most len(coeffs)*(p-1)^2), and the sum is reduced
-        modulo p once, by one floor division.  In odd extension fields
-        base-p digits carry into each other, so the scaled terms fold with
-        :meth:`add_array`."""
+        the element arrays ``terms`` of one shape (or one array, its first
+        axis the terms), in that shape and the field's ``dtype``.  The
+        coefficients are read as elements, the terms are not checked."""
         coeffs = self._as_elements(coeffs)
-        if len(coeffs) != len(terms) or not terms:
+        if len(coeffs) != len(terms) or not coeffs:
             raise ValueError("need one coefficient per term, and a term")
+        return self._combine(coeffs, terms)
+
+    def _combine(self, coeffs: tuple[int, ...], terms) -> np.ndarray:
+        """:meth:`combine_array` on coefficients read as elements already,
+        as a rule's are; oriented by the shape as the module says.  The
+        digit sums take ``_CHUNK_CELLS`` products at a time; the per-term
+        fold skips zero coefficients, and over an odd prime sums in the
+        narrowest unsigned dtype that holds both p and (p-1)*sum(a)."""
+        if len(coeffs) > terms[0].size:
+            terms = np.asarray(terms)  # a list is stacked, a view kept
+            shape, p = terms.shape[1:], self.p
+            # one row of terms per output, the terms along it
+            windows = terms.reshape(len(coeffs), -1).T
+            coeffs = self.array(coeffs)
+            acc = np.min_scalar_type(len(coeffs) * (p - 1))
+            table, weights = self._digit_table
+            out = np.empty(len(windows), self.dtype)
+            rows = max(1, _CHUNK_CELLS // len(coeffs))
+            for lo in range(0, len(out), rows):
+                products = self.mul_array(coeffs, windows[lo:lo + rows])
+                sums = table.take(products, axis=0).sum(1, dtype=acc)
+                np.matmul(sums % p, weights, out=out[lo:lo + rows])
+            return out.reshape(shape)
+        # a zero term adds nothing; one is kept when every term is zero
+        coeffs, terms = zip(*[(a, x) for a, x in zip(coeffs, terms) if a]
+                            or [(0, terms[0])])
         if self.p == 2 or self.m > 1:
             acc = None
             for a, x in zip(coeffs, terms):

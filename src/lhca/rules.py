@@ -4,7 +4,10 @@ A configuration ("cell vector") is a plain tuple of field elements; rules
 and cells are read once through ``GF._as_elements`` and keep its ints.
 The global map of a rule of diameter d sends a configuration of length
 n >= d to the length n-d+1 configuration obtained by evaluating the rule
-on every window of d consecutive cells.
+on every window of d consecutive cells.  ``apply_ca`` maps one
+configuration and ``apply_ca_batch`` an array of them, both through one
+cells-major evaluator whose sum over the window cells is one call of the
+field's one sum-of-products kernel, whatever the shape.
 
 Two rule representations are supported, both bipermutive by construction,
 so nothing here tests bipermutivity:
@@ -193,41 +196,23 @@ def apply_ca(rule: Rule, cells: Sequence[int]) -> tuple[int, ...]:
     """Global map: the rule applied to every window of d consecutive cells.
 
     The configuration is read once through :meth:`GF._as_elements`, so the
-    first cell that is not an element raises ValueError; a linear rule then
-    sums every window at once, one :meth:`GF.dot` over a read-only strided
-    (n-d+1, d) view of the cells, and a general rule maps the cells as one
-    row of :func:`apply_ca_batch`."""
+    first cell that is not an element raises ValueError, and mapped as one
+    column of the cells-major batch that :func:`apply_ca_batch` maps."""
     d, fld = rule.d, rule.field
     if len(cells) < d:
         raise ValueError(f"input length {len(cells)} < diameter {d}")
-    cells = fld.array(fld._as_elements(cells))  # frees the tuple
-    if isinstance(rule, LinearRule):
-        view = np.lib.stride_tricks.as_strided(
-            cells, (len(cells) - d + 1, d), cells.strides * 2, writeable=False)
-        out = fld.dot(rule.full_coeffs, view)
-    else:
-        out = apply_ca_batch(rule, cells[None])[0]
-    return tuple(out.tolist())
+    column = fld.array(fld._as_elements(cells))[:, None]  # frees the tuple
+    return tuple(_map_cells(rule, column).ravel().tolist())
 
 
 def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
     """Vectorized global map over a batch of configurations.
 
     ``inputs`` is an (M, n) integer array of configurations; returns the
-    (M, n-d+1) array of outputs in the field's ``dtype``.  The batch is
-    evaluated cells major: cell i of every configuration is row i of the
-    transposed batch, which costs no copy when ``inputs`` is a
-    column-major array of the field's ``dtype``, so rows t .. t+n-d of it
-    are cell t of every window of every configuration, and each field
-    operation is one of the field's array operations on such a block.
-    A linear rule, and the border sum of a general bipermutive one, is
-    one :meth:`GF.combine_array` call over these blocks (for a linear
-    rule, those with a nonzero coefficient): an XOR fold in
-    characteristic 2, a machine-integer sum reduced once modulo p over an
-    odd prime, and an ``add_array`` fold in odd extension fields.  The
-    result, being the transpose of the cells-major output, is
-    column-major.  Inputs whose dtype is not an integer one (bool
-    included) raise ValueError.
+    (M, n-d+1) array of outputs in the field's ``dtype``, column-major: the
+    batch is mapped cells major, transposed, which costs no copy when
+    ``inputs`` is a column-major array of the field's ``dtype``.  Inputs
+    whose dtype is not an integer one (bool included) raise ValueError.
     """
     fld = rule.field
     inputs = np.asarray(inputs)
@@ -243,24 +228,29 @@ def apply_ca_batch(rule: Rule, inputs: np.ndarray) -> np.ndarray:
     if inputs.size and ((inputs.dtype.kind == "i" and inputs.min() < 0)
                         or inputs.max() >= fld.q):
         raise ValueError("inputs contain values outside the field")
+    return _map_cells(rule, np.ascontiguousarray(inputs.T, dtype=fld.dtype)).T
 
-    width = n - d + 1
-    cells = np.ascontiguousarray(inputs.T, dtype=fld.dtype)
+
+def _map_cells(rule: Rule, cells: np.ndarray) -> np.ndarray:
+    """The global map of the columns of the contiguous (n, M) element
+    array ``cells``, cells major.  Rows t .. t+n-d are cell t of every
+    window, term t of a (d, n-d+1, M) view for a linear rule, so each
+    window sum is one :meth:`GF._combine` call over the whole batch."""
+    fld, d = rule.field, rule.d
+    width = len(cells) - d + 1
     if isinstance(rule, LinearRule):
-        coeffs = rule.full_coeffs
-        live = [t for t, a in enumerate(coeffs) if a]
-        out = fld.combine_array([coeffs[t] for t in live],
-                                [cells[t:t + width] for t in live])
-    else:
-        # rank of the interior cells of every window, leftmost least
-        # significant; d = 2 has none: every rank is 0, g[0]
-        ranks = np.zeros((width, len(inputs)), dtype=np.intp)
-        for t in range(d - 2, 0, -1):
-            ranks *= fld.q
-            ranks += cells[t:t + width]
-        mid = fld.array(rule.g_table).take(ranks)
-        out = fld.combine_array((1, 1, 1), (cells[:width], mid, cells[d - 1:]))
-    return out.T
+        # over the buffer: several times cheaper to build than as_strided
+        view = np.ndarray((d, width, cells.shape[1]), cells.dtype, cells,
+                          strides=cells.strides[:1] + cells.strides)
+        return fld._combine(rule.full_coeffs, view)
+    # rank of the interior cells of every window, leftmost least
+    # significant; d = 2 has none: every rank is 0, g[0]
+    ranks = np.zeros((width, cells.shape[1]), dtype=np.intp)
+    for t in range(d - 2, 0, -1):
+        ranks *= fld.q
+        ranks += cells[t:t + width]
+    mid = fld.array(rule.g_table).take(ranks)
+    return fld._combine((1, 1, 1), (cells[:width], mid, cells[d - 1:]))
 
 
 def count_bipermutive_rules(field: GF, b: int) -> int:

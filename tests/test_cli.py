@@ -668,6 +668,20 @@ def test_a_graph_that_contradicts_its_closed_form_exits_4(
                        "the closed form's 108 edges for q=3, b=2\n")
 
 
+def test_a_support_that_is_no_window_graph_exits_4(capsys, monkeypatch):
+    # one window dropped leaves one prefix class short: DetGraph refuses
+    # the support lhca built, which is lhca's fault, not a usage error
+    support_of_det = lhca.debruijn.support_of_det
+    monkeypatch.setattr(lhca.debruijn, "support_of_det",
+                        lambda *args: support_of_det(*args)[1:])
+    for argv in (("graph",), ("count", "--k", "4"),
+                 ("synth", "--k", "4", "--index", "0")):
+        code, out, err = run(capsys, *argv, "--q", "3", "--b", "2")
+        assert (code, out) == (4, "")
+        assert err == ("error: GF(3), b=2: out-degrees differ; the window "
+                       "graph is regular\n")
+
+
 def test_graph_refuses_before_building(capsys, monkeypatch):
     # (q-1)^2 q^(3b-3) edges are known in closed form before any build
     def build_graph(*args, **kwargs):
@@ -718,6 +732,22 @@ def test_synth_all_emits_every_latin_rule(capsys):
     coeff_sets = {tuple(r["coeffs"]) for r in rules}
     assert len(coeff_sets) == 8
     assert all(r["q"] == 2 and r["b"] == 2 and r["k"] == 4 for r in rules)
+
+
+@pytest.mark.parametrize("fault", ["repeat", "drop"])
+def test_synth_all_refuses_walks_that_are_not_every_walk(capsys, monkeypatch,
+                                                         fault):
+    # a walk repeated in place of the last, or the last dropped
+    def faulty(*args):
+        walks = list(enumerate_paths(*args))
+        return walks[:1] + walks[:-1] if fault == "repeat" else walks[:-1]
+
+    monkeypatch.setattr(lhca.cli, "enumerate_paths", faulty)
+    code, out, err = run(capsys, "synth", "--q", "3", "--b", "2", "--k", "4",
+                         "--all")
+    assert (code, out) == (4, "")
+    assert err == (f"error: {108 - (fault == 'drop')} walks are not the 108 "
+                   "walks in increasing order\n")
 
 
 def test_synth_index_picks_one(capsys):

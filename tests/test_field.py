@@ -2,12 +2,14 @@
 conventions, and error handling."""
 
 import inspect
+import itertools
 import random
 import time
 
 import numpy as np
 import pytest
 
+import lhca.field
 from helpers import MODULUS_ORDERS, every_modulus
 from lhca.field import (GF, ORDER_CAP, _digits, _poly_mul_mod, _undigits,
                         default_irreducible_poly)
@@ -395,18 +397,25 @@ COMBINE_ORDERS = [2, 4, 256, 3, 5, 251, 257, 65521, 9, 27, 243, 729]
 
 
 @pytest.mark.parametrize("q", COMBINE_ORDERS)
-def test_combine_array_matches_a_scalar_fold(q):
+def test_combine_array_matches_a_scalar_fold(q, monkeypatch):
+    # term by term while the outputs are at least the terms, else by digit
+    # sums over the terms, here two chunks of 3 outputs at 20 terms
+    monkeypatch.setattr(lhca.field, "_CHUNK_CELLS", 64)
     f, rng = GF(q), np.random.default_rng(q)
-    for count in (1, 2, 3, 7, 20):
+    for count, rows, cols in ((1, 5, 30), (2, 5, 30), (3, 5, 30),
+                              (7, 5, 30), (20, 5, 30), (20, 2, 3),
+                              (7, 1, 1), (2, 1, 1)):
         coeffs = rng.integers(0, q, count).tolist()
-        cells = rng.integers(0, q, (count + 4, 30))
+        cells = rng.integers(0, q, (count + rows - 1, cols))
         for dtype in (f.dtype, np.intp):
-            # shifted views of one array, as the CA global map passes them
-            terms = [cells[t:t + 5].astype(dtype) for t in range(count)]
-            for cs in (coeffs, [1] + coeffs[1:], [q - 1] * count):
+            # shifted views of one array, as a list or as one array
+            terms = [cells[t:t + rows].astype(dtype) for t in range(count)]
+            for cs, ts in itertools.product(
+                    (coeffs, [1] + coeffs[1:], [q - 1] * count),
+                    (terms, np.stack(terms))):
                 want = _scalar_combination(f, cs, terms)
-                got = f.combine_array(cs, terms)
-                assert got.dtype == f.dtype and got.shape == (5, 30)
+                got = f.combine_array(cs, ts)
+                assert got.dtype == f.dtype and got.shape == (rows, cols)
                 assert got.ravel().tolist() == want
     lone = cells[:5].astype(f.dtype)
     for coeffs in ([1], [0, 1, 0]):
@@ -433,7 +442,8 @@ def test_combine_array_rejects_bad_coefficients():
 
 
 # every cell and every coefficient p - 1, at term counts n on both sides of
-# each point where the largest sum n (p-1)^2 outgrows 8, 16 and 32 bits
+# each point where the largest sum n (p-1)^2 outgrows 8, 16 and 32 bits;
+# 6 outputs are summed by digits past 6 terms, n outputs term by term
 @pytest.mark.parametrize("p, counts", [
     (3, (63, 64, 16383, 16384)),
     (5, (15, 16, 4095, 4096)),
@@ -448,5 +458,8 @@ def test_combine_array_worst_case_at_each_accumulator_switch(p, counts):
         acc = 0
         for _ in range(n):
             acc = f.add(acc, top)
-        got = f.combine_array([p - 1] * n, [np.full(6, p - 1, f.dtype)] * n)
-        assert got.tolist() == [acc] * 6 == [n % p] * 6
+        # n^2 cells past 2^28 would take too long term by term
+        for width in {6, n} if n <= 1 << 14 else {6}:
+            got = f.combine_array([p - 1] * n,
+                                  [np.full(width, p - 1, f.dtype)] * n)
+            assert got.tolist() == [acc] * width == [n % p] * width

@@ -654,10 +654,16 @@ def test_count_latin_rules_refuses_a_huge_space_at_once():
 
 def test_sweep_never_imports_the_window_criterion():
     # the line sweep and the window criterion check each other, so the two
-    # routes share only rules and field
+    # routes share only rules and field; and the one kernel under both
+    # global maps sits below them: field imports no lhca module, and rules
+    # only field and errors
+    package = Path(lhca.hypercube.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
     for module, forbidden in (("hypercube", {"toeplitz", "debruijn"}),
-                              ("toeplitz", {"hypercube", "debruijn"})):
-        path = Path(lhca.hypercube.__file__).with_name(f"{module}.py")
+                              ("toeplitz", {"hypercube", "debruijn"}),
+                              ("field", modules),
+                              ("rules", modules - {"field", "errors"})):
+        path = package / f"{module}.py"
         imported = set()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):

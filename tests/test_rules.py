@@ -233,15 +233,15 @@ def test_a_long_configuration_matches_the_window_oracle(rule):
     assert apply_ca_batch(rule, np.array([cells])).tolist() == [list(want)]
 
 
-def test_linear_rules_map_without_the_batch(monkeypatch):
-    # apply_ca sums a linear rule's windows with GF.dot alone
+def test_apply_ca_never_calls_the_public_batch(monkeypatch):
+    # both maps share a private evaluator, so a tracer that rebinds
+    # apply_ca_batch counts batch rows only, never apply_ca's one row
     def refuse(*args):
         raise AssertionError("apply_ca_batch called")
 
     monkeypatch.setattr(lhca.rules, "apply_ca_batch", refuse)
     assert apply_ca(XOR5, (1, 0, 0, 0, 1, 1)) == (0, 1)
-    with pytest.raises(AssertionError):
-        apply_ca(GeneralBipermutiveRule(F2, 3, (0, 1)), (0, 1, 1))
+    assert apply_ca(GeneralBipermutiveRule(F2, 3, (0, 1)), (0, 1, 1)) == (0,)
 
 
 def test_batch_rejects_bad_input():
@@ -308,8 +308,9 @@ def test_scalar_map_is_the_per_term_fold(q, poly):
 
     rule = LinearRule(fld, 3, 201, [element() for _ in range(599)])
     d, n = rule.d, rule.d + 120
-    # more windows than GF.dot reduces in one chunk
-    assert n - d + 1 > lhca.field._CHUNK_CELLS // d
+    # more terms than windows, and more windows than the kernel's digit
+    # sums reduce in one chunk
+    assert d > n - d + 1 > lhca.field._CHUNK_CELLS // d
     cells = [element() for _ in range(n)]
     cells[:3] = cells[n // 2:n // 2 + 3] = [0] * 3
     band = [[0] * i + list(rule.full_coeffs) + [0] * (n - d - i)
@@ -318,6 +319,13 @@ def test_scalar_map_is_the_per_term_fold(q, poly):
     got = apply_ca(rule, cells)
     assert got == tuple(want)
     assert all(type(v) is int for v in got)
+    assert apply_ca_batch(rule, np.array([cells])).tolist() == [want]
+    # and a short rule, more windows than terms, folded term by term
+    short = LinearRule(fld, 2, 3, [element() for _ in range(3)])
+    folds = [mat_vec(fld, [short.full_coeffs], cells[i:i + 5])[0]
+             for i in range(n - 4)]
+    assert apply_ca(short, cells) == tuple(folds)
+    assert apply_ca_batch(short, np.array([cells])).tolist() == [folds]
     for i, v in enumerate(want):
         assert apply_rule(rule, cells[i:i + d]) == v
     assert apply_ca(rule, [0] * n) == (0,) * (n - d + 1)
