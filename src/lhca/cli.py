@@ -234,7 +234,10 @@ def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
     if args.all and (len(walks) != count or any(map(ge, walks, walks[1:]))):
         raise CrossCheckError(f"{len(walks)} walks are not the {count} "
                               "walks in increasing order")
-    rules = [rule_from_path(fld, w) for w in walks]
+    try:  # the walks are lhca's own, so a refused one is lhca's fault
+        rules = [rule_from_path(fld, w) for w in walks]
+    except ValueError as exc:
+        raise CrossCheckError(f"walk from the window graph: {exc}") from None
     for rule in rules:
         if not _check_report(rule, args)["latin"]:
             raise CrossCheckError(f"synthesized rule {rule} failed validation")

@@ -10,9 +10,12 @@ a linear rule's declared pair, a general one's square b = d-1, k = 2.
 Only ``is_latin`` and ``check_random_lines`` take another reading.
 
 The array is Latin when every axis-parallel line hits every value exactly
-once.  ``is_latin`` verifies this by direct evaluation of every line, in
-vectorized chunks; it deliberately knows nothing about the algebraic
-criterion in ``toeplitz`` so the two routes stay independently checkable.
+once.  ``is_latin`` evaluates every line, knowing nothing of the criterion
+in ``toeplitz``, so the two routes stay independent.  One scatter checks
+a batch of L lines: line l's entries plus its start l*N mark an L*N
+seen-map, whose first unseen slot names the first failing line.  The
+starts (one read-only array per N, at most ``_BATCH_ROWS`` entries) need
+no lock: a racing build at worst swaps one for a prefix of the same.
 
 ``is_latin``, ``check_random_lines`` and ``dump`` all read the cube through
 one line evaluator: build the inputs of a batch of lines, each along its
@@ -54,6 +57,7 @@ DEFAULT_ENTRY_BUDGET = 1 << 24
 _BATCH_ROWS = 65536  # rows per apply_ca_batch call; --seed lines depend on it
 # Largest inputs of one sampled line, in bytes; also keeps N below 2^32.
 SAMPLED_LINE_BYTES = 1 << 30
+_line_starts: dict[int, np.ndarray] = {}  # N: l*N on each row of line l
 
 
 def psi(i: int, q: int, b: int) -> tuple[int, ...]:
@@ -187,16 +191,24 @@ def _line_values(rule: Rule, inputs: np.ndarray, b: int) -> np.ndarray:
 
 
 def _first_repeat(vals: np.ndarray) -> tuple[int, int] | None:
-    """(row, value) for the first row of ``vals`` that repeats a value,
-    with the smallest value it repeats; None when every row of N entries
-    in 0..N-1 is a permutation."""
+    """(row, value) for the first row of the (L, N) array ``vals`` (entries
+    0..N-1) that repeats a value, and the smallest value it repeats; None
+    when every row is a permutation.  The row holds the first unseen slot
+    of one scatter into line slots, which overwrites ``vals``."""
     L, N = vals.shape
+    if L > 1:
+        if len(starts := _line_starts.get(N, ())) < L * N:
+            dtype = np.min_scalar_type(_BATCH_ROWS - 1)  # no intp temporary
+            starts = np.repeat(np.arange(0, L * N, N, dtype=dtype), N)
+            starts.flags.writeable = False
+            _line_starts[N] = starts
+        vals += starts[:L * N].reshape(L, N)
     seen = np.zeros(L * N, dtype=bool)
-    seen[(vals + np.arange(0, L * N, N)[:, None]).ravel()] = True
-    if seen.all():
+    seen[vals] = True
+    if seen[slot := int(seen.argmin())]:
         return None
-    bad = int(np.argmin(seen.reshape(L, N).all(axis=1)))
-    return bad, int(np.argmax(np.bincount(vals[bad], minlength=N) > 1))
+    bad = slot // N
+    return bad, int(np.argmax(np.bincount(vals[bad] % N, minlength=N) > 1))
 
 
 def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
@@ -208,7 +220,8 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     order of its fixed coordinates; the first failing line is reported.
     Each batch is one ``apply_ca_batch`` call: the first holds axes 1 and
     2, each later one twice as many lines, none over ``_BATCH_ROWS`` rows
-    (or one line); its inputs, keyed on (q, b, k, lo, hi), are cached.
+    (or one line); its inputs, keyed on (q, b, k, lo, hi), are cached, and
+    one scatter of its entries into line slots finds its first failing line.
     Raises BudgetExceededError for cubes with more than ``budget`` entries.
     """
     b, k, N = _cube_shape(rule, b, k, budget)
@@ -218,8 +231,7 @@ def is_latin(rule: Rule, b: int | None = None, k: int | None = None,
     while lo < k * n_lines:
         hi = min(lo + size, lo + chunk, k * n_lines)
         inputs = _scan_inputs(rule.field, b, k, lo, hi)
-        failure = _first_repeat(_line_values(rule, inputs, b))
-        if failure is not None:
+        if failure := _first_repeat(_line_values(rule, inputs, b)):
             axis, rank = divmod(lo + failure[0], n_lines)
             fixed = tuple(c + 1 for c in unrank_cells(rank, N, k - 1)[::-1])
             return LatinCheck(False, axis + 1, fixed, failure[1] + 1)
@@ -272,8 +284,7 @@ def check_random_lines(rule: Rule, n_lines: int = 1000, seed: int = 0,
         axes = _draw(rng, L, k) + 1
         coords = _draw(rng, L * (k - 1), N).reshape(L, k - 1)
         inputs = _line_inputs(rule.field, b, k, axes, coords)
-        failure = _first_repeat(_line_values(rule, inputs, b))
-        if failure is not None:
+        if failure := _first_repeat(_line_values(rule, inputs, b)):
             i, value = failure
             return LatinCheck(False, int(axes[i]),
                               tuple(int(c) + 1 for c in coords[i]), value + 1)

@@ -5,7 +5,6 @@ import itertools
 from lhca.field import GF
 from lhca.hypercube import (
     LatinCheck,
-    _first_repeat,
     _line_coords,
     _line_inputs,
     _line_values,
@@ -169,6 +168,17 @@ def dump_text_by_rows(data: dict) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
+def first_repeat_by_rows(vals) -> tuple[int, int] | None:
+    """(row, value) for the first row of ``vals`` (entries 0..N-1) whose
+    sorted entries are not 0..N-1, with the smallest value it holds twice;
+    None when there is no such row.  One row at a time, in plain Python."""
+    perm = list(range(vals.shape[1]))
+    for i, row in enumerate(map(sorted, vals.tolist())):
+        if row != perm:
+            return i, next(a for a, b in zip(row, row[1:]) if a == b)
+    return None
+
+
 def is_latin_by_axes(rule, b=None, k=None, rows=65536) -> LatinCheck:
     """The line sweep one axis at a time: axes in order, each in chunks of
     ``rows`` // N lines in lexicographic order of their fixed coordinates,
@@ -182,7 +192,7 @@ def is_latin_by_axes(rule, b=None, k=None, rows=65536) -> LatinCheck:
         for lo in range(0, n_lines, chunk):
             coords = _line_coords(lo, min(lo + chunk, n_lines), N, k)
             inputs = _line_inputs(rule.field, b, k, axis, coords)
-            failure = _first_repeat(_line_values(rule, inputs, b))
+            failure = first_repeat_by_rows(_line_values(rule, inputs, b))
             if failure is not None:
                 line, value = failure
                 fixed = unrank_cells(lo + line, N, k - 1)[::-1]

@@ -678,6 +678,28 @@ def test_a_support_that_is_no_window_graph_exits_4(capsys, monkeypatch):
                  ("synth", "--k", "4", "--index", "0")):
         code, out, err = run(capsys, *argv, "--q", "3", "--b", "2")
         assert (code, out) == (4, "")
+
+
+def test_a_walk_whose_windows_do_not_overlap_exits_4(capsys, monkeypatch,
+                                                     tmp_path):
+    # walk 100 at (3, 2) is (0,1,2), (2,2,0), (0,2,1); ending it on (1,2,1)
+    # breaks the last overlap, which is lhca's fault, not a usage error
+    unrank_path = lhca.cli.unrank_path
+
+    def last_off(g, length, index):
+        *head, (_, *rest) = unrank_path(g, length, index)
+        return (*head, (1, *rest))
+
+    monkeypatch.setattr(lhca.cli, "unrank_path", last_off)
+    out_file = tmp_path / "rule.json"
+    code, out, err = run(capsys, "synth", "--q", "3", "--b", "2", "--k", "5",
+                         "--index", "100", "--out", str(out_file))
+    assert (code, out) == (4, "") and not out_file.exists()
+    assert err == ("error: walk from the window graph: consecutive windows "
+                   "do not overlap in 1 entries\n")
+    # a walk a user passes is the user's input: still a ValueError
+    with pytest.raises(ValueError, match="do not overlap"):
+        rule_from_path(GF(3), last_off(build_graph(GF(3), 2), 2, 100))
         assert err == ("error: GF(3), b=2: out-degrees differ; the window "
                        "graph is regular\n")
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import lhca.hypercube
-from helpers import dump_text_by_rows, is_latin_by_axes
+from helpers import dump_text_by_rows, first_repeat_by_rows, is_latin_by_axes
 from lhca.errors import BudgetExceededError
 from lhca.field import GF
 from lhca.hypercube import (
@@ -530,6 +530,69 @@ def test_is_latin_evaluates_under_twice_the_lines_it_checks(monkeypatch,
         assert is_latin(rule, b=b, k=k) == want
         batch = max(1, rows // N) * N
         assert checked <= sum(evaluated) <= 2 * checked + batch, (rule, b, k)
+
+
+def _first_repeat_cases(L, N):
+    """Seeded (L, N) intp arrays of entries 0..N-1: every row a
+    permutation; one repeat planted in the first, a middle or the last
+    row; repeats in three rows; uniform random entries."""
+    rng = random.Random(f"{L} {N}")
+    perms = np.array([rng.sample(range(N), N) for _ in range(L)],
+                     dtype=np.intp).reshape(L, N)
+
+    def planted(rows):
+        vals = perms.copy()
+        for row in rows:
+            i, j = rng.sample(range(N), 2)
+            vals[row, i] = vals[row, j]
+        return vals
+    return [perms, *(planted([row]) for row in sorted({0, L // 2, L - 1})),
+            planted(rng.sample(range(L), min(L, 3))),
+            np.array([[rng.randrange(N) for _ in range(N)] for _ in range(L)],
+                     dtype=np.intp).reshape(L, N)]
+
+
+@pytest.mark.parametrize("L,N", [(1, 2), (1, 27), (2, 2), (3, 4), (7, 5),
+                                 (64, 4), (300, 9), (2427, 27), (8192, 8)])
+def test_first_repeat_equals_the_per_row_scan(L, N):
+    perms, *failing = _first_repeat_cases(L, N)
+    assert lhca.hypercube._first_repeat(perms.copy()) is None
+    for vals in failing:
+        want = first_repeat_by_rows(vals)
+        assert want is not None
+        assert lhca.hypercube._first_repeat(vals.copy()) == want, (L, N)
+
+
+def test_line_starts_are_read_only_bounded_prefixes():
+    for rule in (XOR5, LinearRule(F3, 2, 4, (1, 2, 0, 1, 2)),
+                 LinearRule(GF(27), 1, 3, (5,))):
+        is_latin(rule)
+        check_random_lines(rule, n_lines=500, seed=3)
+    starts = lhca.hypercube._line_starts
+    assert {4, 9, 27} <= starts.keys()
+    for N, s in starts.items():
+        assert not s.flags.writeable
+        assert len(s) <= lhca.hypercube._BATCH_ROWS and len(s) % N == 0
+        assert s.dtype.kind == "u" and s.dtype.itemsize <= 2
+        assert (s == np.arange(len(s)) // N * N).all()
+        with pytest.raises(ValueError):
+            s[0] = 1
+
+
+def test_one_line_batches_add_no_line_starts():
+    # N = 2^17: every batch of check_random_lines is one line; the flat
+    # rule x1 + x35 repeats on lines along axis 2 only, and at seed 0 the
+    # first three drawn lines pass and the fourth fails
+    flat = LinearRule(F2, 17, 3, (0,) * 33)
+    is_latin(XOR5)
+    before = dict(lhca.hypercube._line_starts)
+    want, failing_draw = _random_lines_one_at_a_time(flat, 4, 0, 17, 3)
+    assert failing_draw == 3
+    assert check_random_lines(flat, n_lines=4, seed=0) == want
+    assert lhca.hypercube._first_repeat(np.zeros((1, 5), np.intp)) == (0, 0)
+    after = lhca.hypercube._line_starts
+    assert after.keys() == before.keys()
+    assert all(after[N] is s for N, s in before.items())
 
 
 def test_dump_structure_and_goldens():
