@@ -13,9 +13,7 @@ The array is Latin when every axis-parallel line hits every value exactly
 once.  ``is_latin`` evaluates every line, knowing nothing of the criterion
 in ``toeplitz``, so the two routes stay independent.  One scatter checks
 a batch of L lines: line l's entries plus its start l*N mark an L*N
-seen-map, whose first unseen slot names the first failing line.  The
-starts (one read-only array per N, at most ``_BATCH_ROWS`` entries) need
-no lock: a racing build at worst swaps one for a prefix of the same.
+seen-map, whose first unseen slot names the first failing line.
 
 ``is_latin``, ``check_random_lines`` and ``dump`` all read the cube through
 one line evaluator: build the inputs of a batch of lines, each along its
@@ -57,7 +55,6 @@ DEFAULT_ENTRY_BUDGET = 1 << 24
 _BATCH_ROWS = 65536  # rows per apply_ca_batch call; --seed lines depend on it
 # Largest inputs of one sampled line, in bytes; also keeps N below 2^32.
 SAMPLED_LINE_BYTES = 1 << 30
-_line_starts: dict[int, np.ndarray] = {}  # N: l*N on each row of line l
 
 
 def psi(i: int, q: int, b: int) -> tuple[int, ...]:
@@ -196,13 +193,7 @@ def _first_repeat(vals: np.ndarray) -> tuple[int, int] | None:
     when every row is a permutation.  The row holds the first unseen slot
     of one scatter into line slots, which overwrites ``vals``."""
     L, N = vals.shape
-    if L > 1:
-        if len(starts := _line_starts.get(N, ())) < L * N:
-            dtype = np.min_scalar_type(_BATCH_ROWS - 1)  # no intp temporary
-            starts = np.repeat(np.arange(0, L * N, N, dtype=dtype), N)
-            starts.flags.writeable = False
-            _line_starts[N] = starts
-        vals += starts[:L * N].reshape(L, N)
+    vals += np.arange(0, L * N, N)[:, None]
     seen = np.zeros(L * N, dtype=bool)
     seen[vals] = True
     if seen[slot := int(seen.argmin())]:

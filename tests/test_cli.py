@@ -678,6 +678,8 @@ def test_a_support_that_is_no_window_graph_exits_4(capsys, monkeypatch):
                  ("synth", "--k", "4", "--index", "0")):
         code, out, err = run(capsys, *argv, "--q", "3", "--b", "2")
         assert (code, out) == (4, "")
+        assert err == ("error: GF(3), b=2: out-degrees differ; the window "
+                       "graph is regular\n")
 
 
 def test_a_walk_whose_windows_do_not_overlap_exits_4(capsys, monkeypatch,
@@ -700,8 +702,6 @@ def test_a_walk_whose_windows_do_not_overlap_exits_4(capsys, monkeypatch,
     # a walk a user passes is the user's input: still a ValueError
     with pytest.raises(ValueError, match="do not overlap"):
         rule_from_path(GF(3), last_off(build_graph(GF(3), 2), 2, 100))
-        assert err == ("error: GF(3), b=2: out-degrees differ; the window "
-                       "graph is regular\n")
 
 
 def test_graph_refuses_before_building(capsys, monkeypatch):

@@ -563,36 +563,15 @@ def test_first_repeat_equals_the_per_row_scan(L, N):
         assert lhca.hypercube._first_repeat(vals.copy()) == want, (L, N)
 
 
-def test_line_starts_are_read_only_bounded_prefixes():
-    for rule in (XOR5, LinearRule(F3, 2, 4, (1, 2, 0, 1, 2)),
-                 LinearRule(GF(27), 1, 3, (5,))):
-        is_latin(rule)
-        check_random_lines(rule, n_lines=500, seed=3)
-    starts = lhca.hypercube._line_starts
-    assert {4, 9, 27} <= starts.keys()
-    for N, s in starts.items():
-        assert not s.flags.writeable
-        assert len(s) <= lhca.hypercube._BATCH_ROWS and len(s) % N == 0
-        assert s.dtype.kind == "u" and s.dtype.itemsize <= 2
-        assert (s == np.arange(len(s)) // N * N).all()
-        with pytest.raises(ValueError):
-            s[0] = 1
-
-
-def test_one_line_batches_add_no_line_starts():
+def test_one_line_batches_report_the_first_failing_draw():
     # N = 2^17: every batch of check_random_lines is one line; the flat
     # rule x1 + x35 repeats on lines along axis 2 only, and at seed 0 the
     # first three drawn lines pass and the fourth fails
     flat = LinearRule(F2, 17, 3, (0,) * 33)
-    is_latin(XOR5)
-    before = dict(lhca.hypercube._line_starts)
     want, failing_draw = _random_lines_one_at_a_time(flat, 4, 0, 17, 3)
     assert failing_draw == 3
     assert check_random_lines(flat, n_lines=4, seed=0) == want
     assert lhca.hypercube._first_repeat(np.zeros((1, 5), np.intp)) == (0, 0)
-    after = lhca.hypercube._line_starts
-    assert after.keys() == before.keys()
-    assert all(after[N] is s for N, s in before.items())
 
 
 def test_dump_structure_and_goldens():
