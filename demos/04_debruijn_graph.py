@@ -3,6 +3,8 @@
 # this graph are exactly the coefficient vectors of Latin-generating
 # rules.
 
+from collections import Counter
+
 from lhca import GF, build_graph, support_of_det
 
 fld = GF(2)
@@ -13,9 +15,11 @@ g = build_graph(fld, 2)
 print()
 print(g.to_dot())
 
+# u's out-degree: the vertices whose first b-1 cells are u's last b-1
+heads = Counter(v[:1] for v in g.vertices)
 degree = (2 - 1) * 2 ** (2 - 1)
-print("out-degrees:", g.out_degrees(), "| in-degrees:", g.in_degrees(),
-      "| expected:", degree)
+print("out-degrees:", [heads[v[2:]] for v in g.vertices],
+      "| in-degrees:", g.in_degrees(), "| expected:", degree)
 
 for q, b in ((2, 3), (3, 2)):
     g = build_graph(GF(q), b)

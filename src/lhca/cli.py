@@ -14,34 +14,25 @@ Subcommands:
   synth  -- synthesize Latin-generating rules from graph walks.
   dump   -- all cube entries (text or json).
 
-Flags by subcommand (any other flag is a usage error, exit 2):
-  all five      --q, --poly (the field's modulus, as GF(q, poly=...)
-                takes it), --b, --budget, --out
-  check, dump   --k and a rule: --coeffs inline or --rule-file as JSON,
-                whose field and (b, k) a --q, --poly, --b or --k may
-                only repeat
-  count, synth  --k
-  check, synth  --verify (line sweep on or off), --seed (1000 lines
-                drawn from random.Random(seed), in batches, when the
-                sweep is skipped)
-  count         --verify (walk and sweep recounts on or off)
-  synth         --index or --all
-  graph, dump   --format
+Flags: the one table of the flags each subcommand takes and requires is
+in README.md, section "Command line"; build_parser declares them.
 
 Exit codes: 0 success, 1 a checked property is false (non-Latin rule),
 2 usage or value error, 3 budget exceeded, 4 two independent routes
-disagree (a bug in lhca; nothing is written).  JSON output is exactly
-json.dumps(indent=2), written at join speed; counts are decimal strings.
-LHCA_BUDGET overrides the default enumeration and entry budgets;
---budget overrides both per run.  Sampling exits 3 when one line has
-more than 2^30 bytes of inputs, whatever the budget.  synth --all sweeps
-and samples only when its whole set of rules fits the entry budget; a set
-of one rule samples as check and synth --index do, past the budget.
-synth refuses a walk whose k - 2 windows outnumber the enumeration
-budget, since at out-degree 1 no walk count bounds it.  Every other budget
-bounds a power of q or of the out-degree, and each refusal is decided
-before any work, with no huge power built, by one exact test,
-errors.bounded_power, the k >= 3 count and its walk recount included.
+disagree (a bug in lhca; nothing is written).  A usage error, a missing,
+unknown or conflicting flag, is argparse's, so main() raises
+SystemExit(2) for it.  JSON output is exactly json.dumps(indent=2),
+written at join speed; counts are decimal strings.  --budget overrides
+the default enumeration and entry budgets.  Sampling exits 3 when one
+line has more than 2^30 bytes of inputs, whatever the budget.  synth
+--all sweeps and samples only when its whole set of rules fits the entry
+budget; a set of one rule samples as check and synth --index do, past
+the budget.  synth refuses a walk whose k - 2 windows outnumber the
+enumeration budget, since at out-degree 1 no walk count bounds it.
+Every other budget bounds a power of q or of the out-degree, and each
+refusal is decided before any work, with no huge power built, by one
+exact test, errors.bounded_power, the k >= 3 count and its walk recount
+included.
 """
 
 from __future__ import annotations
@@ -50,7 +41,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 from collections.abc import Iterator
 from itertools import chain
@@ -77,9 +67,6 @@ from .hypercube import (
 from .rules import LinearRule, block_structure, rule_from_json
 from .toeplitz import DEFAULT_SUPPORT_BUDGET, window_dets
 
-BUDGET_ENV = "LHCA_BUDGET"
-
-
 def _parse_coeffs(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -88,10 +75,7 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
 
 
 def _load_rule(args: argparse.Namespace):
-    coeffs = None if args.coeffs is None else _parse_coeffs(args.coeffs)
     if args.rule_file is not None:
-        if coeffs is not None:
-            raise ValueError("give either --rule-file or --coeffs, not both")
         with open(args.rule_file) as fh:
             rule = rule_from_json(json.load(fh))
         b, k = block_structure(rule)
@@ -105,17 +89,10 @@ def _load_rule(args: argparse.Namespace):
             raise ValueError(f"--poly {args.poly} contradicts the rule "
                              f"file's field {rule.field!r}")
         return rule
-    if coeffs is None:
-        raise ValueError("need --rule-file or --coeffs")
     if args.q is None or args.b is None or args.k is None:
         raise ValueError("inline rules need --q, --b and --k")
-    return LinearRule(GF(args.q, poly=args.poly), args.b, args.k, coeffs)
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError("missing " + ", ".join(f"--{n}" for n in missing))
+    return LinearRule(GF(args.q, poly=args.poly), args.b, args.k,
+                      _parse_coeffs(args.coeffs))
 
 
 def _check_report(rule, args: argparse.Namespace) -> dict:
@@ -165,7 +142,6 @@ def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
-    _require(args, "q", "b", "k")
     fld, b, k = GF(args.q, poly=args.poly), args.b, args.k
     counts = {"formula": latin_hypercube_count(fld, b, k)}
     if args.verify is not False:
@@ -184,7 +160,6 @@ def cmd_count(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
-    _require(args, "q", "b")
     fld, b, budget = GF(args.q, poly=args.poly), args.b, args.enum_budget
     q = fld.q
     # build_graph bounds the q^(2b-1) windows; edges are about q^b times
@@ -206,12 +181,9 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> tuple[str, int]:
-    _require(args, "q", "b", "k")
     if args.k < 3:
         raise ValueError("synthesis needs k >= 3; k = 2 squares are not "
                          "walk-generated")
-    if args.all == (args.index is not None):
-        raise ValueError("give exactly one of --index or --all")
     fld = GF(args.q, poly=args.poly)
     g, length = build_graph(fld, args.b, args.enum_budget), args.k - 3
     if args.all:
@@ -342,27 +314,31 @@ def build_parser() -> argparse.ArgumentParser:
     dumps.set_defaults(run=cmd_dump)
     every = (check, count, graph, synth, dumps)
 
-    def add(flag, parsers, **kwargs):
+    def add(flag, parsers, required=(), **kwargs):
         for p in parsers:
-            p.add_argument(flag, **kwargs)
+            p.add_argument(flag, required=p in required, **kwargs)
 
-    add("--q", every, type=int, help="field order (prime power)")
+    given = (count, graph, synth)  # no rule file to read q and b off
+    add("--q", every, given, type=int, help="field order (prime power)")
     add("--poly", every, type=int,
         help="integer encoding of the field's modulus (default: the "
              "smallest irreducible one)")
-    add("--b", every, type=int, help="block size")
-    add("--k", (check, count, synth, dumps), type=int,
+    add("--b", every, given, type=int, help="block size")
+    add("--k", (check, count, synth, dumps), (count, synth), type=int,
         help="hypercube dimension")
-    add("--coeffs", (check, dumps),
+    rule = [p.add_mutually_exclusive_group(required=True)
+            for p in (check, dumps)]
+    add("--coeffs", rule,
         help="interior coefficients a_2..a_{d-1}, comma or space separated")
-    add("--rule-file", (check, dumps), help="rule as JSON")
+    add("--rule-file", rule, help="rule as JSON")
     graph.add_argument("--format", choices=("dot", "json"), default="dot")
     dumps.add_argument("--format", choices=("text", "json"), default="text")
-    synth.add_argument("--index", type=_index,
+    walks = synth.add_mutually_exclusive_group(required=True)
+    walks.add_argument("--index", type=_index,
                        help="emit the nth rule (0-based), of any length")
-    synth.add_argument("--all", action="store_true", help="emit every rule")
+    walks.add_argument("--all", action="store_true", help="emit every rule")
     add("--budget", every, type=int,
-        help=f"enumeration and entry cap (default ${BUDGET_ENV} or built-in)")
+        help="enumeration and entry cap (default: built-in)")
     add("--verify", (check, count, synth),
         action=argparse.BooleanOptionalAction, default=None,
         help="force the exhaustive cross-check on or off "
@@ -380,15 +356,11 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        budget, given = args.budget, f"--budget {args.budget}"
-        if budget is None and (env := os.environ.get(BUDGET_ENV)):
-            budget, given = 0, f"{BUDGET_ENV}={env!r}"
-            with contextlib.suppress(ValueError):
-                budget = int(env)
-        if budget is not None and budget < 1:
-            raise ValueError(f"{given}: budget must be a positive integer")
-        args.enum_budget = budget or DEFAULT_SUPPORT_BUDGET
-        args.entry_budget = budget or DEFAULT_ENTRY_BUDGET
+        if args.budget is not None and args.budget < 1:
+            raise ValueError(f"--budget {args.budget}: budget must be a "
+                             "positive integer")
+        args.enum_budget = args.budget or DEFAULT_SUPPORT_BUDGET
+        args.entry_budget = args.budget or DEFAULT_ENTRY_BUDGET
         payload, code = args.run(args)
         with (open(args.out, "w") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:

@@ -118,9 +118,6 @@ class DetGraph:
         vs = list(map(tuple, self.support.tolist()))
         return [(vs[i], vs[j]) for i, j in self._edge_array().tolist()]
 
-    def out_degrees(self) -> list[int]:
-        return [self.degree] * len(self.vertices)
-
     def in_degrees(self) -> list[int]:
         # the predecessors of v are the vertices whose tail heads v's run
         classes = len(self.tail) // max(self.degree, 1)

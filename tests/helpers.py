@@ -1,6 +1,7 @@
 """Independent oracles used to cross-check the library implementations."""
 
 import itertools
+from collections import Counter
 
 from lhca.field import GF
 from lhca.hypercube import (
@@ -47,6 +48,14 @@ def fuse(u, v, s: int):
     if s and tuple(u[-s:]) != tuple(v[:s]):
         return None
     return tuple(u) + tuple(v[s:])
+
+
+def out_degrees_by_overlap(graph) -> list[int]:
+    """Each vertex's out-degree by the edge definition, not by the graph's
+    runs: the number of vertices whose first b-1 entries equal its last
+    b-1 entries."""
+    heads = Counter(v[:graph.b - 1] for v in graph.vertices)
+    return [heads[v[graph.b:]] for v in graph.vertices]
 
 
 def ca_by_windows(rule, cells) -> tuple[int, ...]:

@@ -120,15 +120,6 @@ def test_check_malformed_rule_file_is_usage_error(capsys, tmp_path, data):
     assert out == "" and err.startswith("error:")
 
 
-def test_check_rejects_rule_file_plus_coeffs(capsys, tmp_path):
-    path = tmp_path / "rule.json"
-    path.write_text("{}")
-    code, out, err = run(capsys, "check", "--rule-file", str(path),
-                         "--coeffs", "0,1,0")
-    assert code == 2
-    assert "not both" in err
-
-
 @pytest.mark.parametrize("command", ["check", "dump"])
 @pytest.mark.parametrize("flags", [
     ["--q", "3", "--b", "2", "--k", "5"],
@@ -254,12 +245,6 @@ def test_rule_file_refuses_a_contradicting_modulus(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--poly", "17",
                          "--rule-file", str(path))
     assert code == 2 and out == "" and "contradicts the rule file" in err
-
-
-def test_check_missing_rule_is_usage_error(capsys):
-    code, _, err = run(capsys, "check", "--q", "2")
-    assert code == 2
-    assert "coeffs" in err
 
 
 def test_check_bad_coefficient_value(capsys):
@@ -522,12 +507,6 @@ def test_count_has_no_workers_flag(capsys):
     assert out == "" and "--workers" in err
 
 
-def test_count_missing_k(capsys):
-    code, _, err = run(capsys, "count", "--q", "2", "--b", "2")
-    assert code == 2
-    assert "--k" in err
-
-
 def test_count_bad_field_order(capsys):
     code, _, err = run(capsys, "count", "--q", "6", "--b", "2", "--k", "3")
     assert code == 2
@@ -719,29 +698,18 @@ def test_graph_refuses_before_building(capsys, monkeypatch):
     assert out == "" and "2^2 * 3^2999997 edges exceed" in err
 
 
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("LHCA_BUDGET", "1")
-    code, _, _ = run(capsys, "graph", "--q", "2", "--b", "2")
-    assert code == 3
-    # an explicit flag wins over the environment
-    code, out, _ = run(capsys, "graph", "--q", "2", "--b", "2",
-                       "--budget", "4096")
-    assert code == 0
-
-
-def test_budget_env_var_rejects_nonpositive(capsys, monkeypatch):
-    # the message names the variable and its value, a non-integer too
-    for value in ("0", "abc"):
-        monkeypatch.setenv("LHCA_BUDGET", value)
-        code, out, err = run(capsys, "count", "--q", "2", "--b", "1",
-                             "--k", "3")
-        assert code == 2
-        assert out == "" and err == (f"error: LHCA_BUDGET='{value}': budget "
-                                     "must be a positive integer\n")
+def test_budget_must_be_positive(capsys):
     code, _, err = run(capsys, "graph", "--q", "2", "--b", "2",
                        "--budget", "0")
     assert code == 2
     assert err == "error: --budget 0: budget must be a positive integer\n"
+
+
+def test_the_environment_sets_no_budget(capsys, monkeypatch):
+    # argv is the only source of settings: the default budget holds
+    monkeypatch.setenv("LHCA_BUDGET", "1")
+    code, out, _ = run(capsys, "graph", "--q", "2", "--b", "2")
+    assert code == 0 and out.startswith("digraph")
 
 
 # ---------------------------------------------------------------- synth
@@ -794,14 +762,6 @@ def test_synth_index_out_of_range(capsys):
                        "--index", "4")
     assert code == 2
     assert "out of range" in err
-
-
-def test_synth_requires_index_or_all(capsys):
-    code, _, err = run(capsys, "synth", "--q", "2", "--b", "2", "--k", "3")
-    assert code == 2
-    code, _, err = run(capsys, "synth", "--q", "2", "--b", "2", "--k", "3",
-                       "--index", "0", "--all")
-    assert code == 2
 
 
 def test_synth_walk_longer_than_the_recursion_limit(capsys):
@@ -953,8 +913,11 @@ def test_synth_all_sweeps_every_rule_of_a_set_within_budget(capsys,
 
 
 def test_synth_k2_is_usage_error(capsys):
-    code, _, err = run(capsys, "synth", "--q", "2", "--b", "2", "--k", "2")
-    assert code == 2
+    code, out, err = run(capsys, "synth", "--q", "2", "--b", "2", "--k", "2",
+                         "--index", "0")
+    assert code == 2 and out == ""
+    assert err == ("error: synthesis needs k >= 3; k = 2 squares are not "
+                   "walk-generated\n")
 
 
 # ----------------------------------------------------------------- dump
@@ -1147,44 +1110,104 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     assert exc.value.code == 2
 
 
-def _documented_flags(entries, commands):
-    """{command: flags} from (commands text, flags text) pairs, where
-    "all five" names every command; --verify stands for --no-verify too."""
-    flags = {c: set() for c in commands}
-    for names, text in entries:
-        for c in commands if names == "all five" else re.findall(
-                r"\b(" + "|".join(commands) + r")\b", names):
-            flags[c] |= set(re.findall(r"--[a-z-]+", text)) - {"--no-verify"}
+_RULE = ["--q", "2", "--b", "2", "--k", "3"]
+# the flags each command requires, and its one-of pairs, with values
+_REQUIRED = {"count": _RULE, "graph": _RULE[:4], "synth": _RULE}
+_PAIRS = {"check": (["--coeffs", "0,1,0"], ["--rule-file", "rule.json"]),
+          "synth": (["--index", "0"], ["--all"]),
+          "dump": (["--coeffs", "0,1,0"], ["--rule-file", "rule.json"])}
+
+
+def _usage_errors():
+    """(argv, argparse's message) for each required flag left out, and
+    for each pair given together and left out."""
+    for c, given in _REQUIRED.items():
+        pair = _PAIRS.get(c, ([],))[0]
+        for i in range(0, len(given), 2):
+            yield pytest.param(
+                [c, *given[:i], *given[i + 2:], *pair],
+                f"the following arguments are required: {given[i]}",
+                id=f"{c}-without-{given[i][2:]}")
+    for c, (one, other) in _PAIRS.items():
+        yield pytest.param(
+            [c, *_RULE, *one, *other],
+            f"argument {other[0]}: not allowed with argument {one[0]}",
+            id=f"{c}-both")
+        yield pytest.param(
+            [c, *_RULE], f"one of the arguments {one[0]} {other[0]} is "
+            "required", id=f"{c}-neither")
+
+
+@pytest.mark.parametrize("argv,message", _usage_errors())
+def test_the_parser_decides_which_flags_are_given(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith(f"usage: lhca {argv[0]} ")
+    assert err.endswith(f"\nlhca {argv[0]}: error: {message}\n")
+
+
+def _parsed_flags():
+    """{command: (flags taken, flags required, one-of pairs)} as the
+    parser declares them; a pair is (its flags, whether it is required)."""
+    [sub] = [a for a in lhca.cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {c: ({a.option_strings[0] for a in p._actions} - {"-h"},
+                {a.option_strings[0] for a in p._actions if a.required},
+                {(frozenset(a.option_strings[0] for a in g._group_actions),
+                  g.required) for g in p._mutually_exclusive_groups})
+            for c, p in sub.choices.items()}
+
+
+def _documented_flags(rows, commands):
+    """_parsed_flags from (flag, taken by, required by) rows, where "all
+    five" names every command; --verify stands for --no-verify too, and a
+    flag cell that opens with "one of" is a pair."""
+    def named(text):
+        return commands if text == "all five" else re.findall(
+            r"\b(" + "|".join(commands) + r")\b", text)
+    flags = {c: (set(), set(), set()) for c in commands}
+    for flag, taken, required in rows:
+        found = set(re.findall(r"--[a-z-]+", flag)) - {"--no-verify"}
+        for c in named(taken):
+            flags[c][0].update(found)
+            if flag.startswith("one of"):
+                flags[c][2].add((frozenset(found), c in named(required)))
+            elif c in named(required):
+                flags[c][1].update(found)
     return flags
 
 
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
 def test_documented_flags_are_the_parsers():
-    # the README's "flag | taken by" table, with the flags of every
-    # subcommand before it, and the docstring's "Flags by subcommand"
-    [sub] = [a for a in lhca.cli.build_parser()._actions
-             if isinstance(a, argparse._SubParsersAction)]
-    parsed = {c: {a.option_strings[0] for a in p._actions} - {"-h"}
-              for c, p in sub.choices.items()}
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    every, table = re.search(r"Every subcommand takes (.*?)\.\n(.*?)\n\n"
-                             r"\| flag \| taken by \|\n\|---\|---\|\n"
-                             r"((?:\|.*\|\n)+)", readme, re.S).group(1, 3)
-    rows = [("all five", every)] + [
-        (taken, flag) for flag, taken in
-        re.findall(r"^\| (.*?) \| (.*?) \|$", table, re.M)]
+    # the README's "flag | taken by | required by" table, with the flags
+    # of every subcommand before it
+    parsed = _parsed_flags()
+    every, table = re.search(
+        r"Every subcommand takes (.*?)\.\n(.*?)\n\n"
+        r"\| flag \| taken by \| required by \|\n\|---\|---\|---\|\n"
+        r"((?:\|.*\|\n)+)", README, re.S).group(1, 3)
+    rows = [(every, "all five", "")] + [
+        tuple(cell.strip() for cell in row.strip("|").split("|"))
+        for row in table.splitlines()]
     assert _documented_flags(rows, list(parsed)) == parsed
-    doc = lhca.cli.__doc__.split("Flags by subcommand", 1)[1]
-    entries = []
-    for line in doc.split("\n\n", 1)[0].splitlines()[1:]:
-        if head := re.match(r"  ([a-z][a-z, ]*?)  +(.*)", line):
-            entries.append(list(head.groups()))
-        else:
-            entries[-1][1] += line
-    assert _documented_flags(entries, list(parsed)) == parsed
 
 
-def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):
-    monkeypatch.delenv("LHCA_BUDGET", raising=False)
+def test_the_flag_table_is_written_once():
+    # the module docstring points to the README's table instead of
+    # repeating it, and each flag it names is one the parser takes
+    doc = lhca.cli.__doc__
+    section = re.search(r'README\.md, section "(.*?)"', doc).group(1)
+    text = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    assert "| flag | taken by | required by |" in text
+    assert set(re.findall(r"--[a-z-]+", doc)) <= set().union(
+        *(taken for taken, _, _ in _parsed_flags().values()))
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
     rule = ("check", "--q", "2", "--b", "2", "--k", "3", "--coeffs", "0,1,0")
     code, out, _ = run(capsys, *rule, "--verify", "--budget", "1")
     assert code == 3 and out == ""

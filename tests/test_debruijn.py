@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from helpers import (MODULUS_ORDERS, central_points, every_modulus, fuse,
-                     unrank_by_divmod, unrank_by_suffix_counts)
+                     out_degrees_by_overlap, unrank_by_divmod,
+                     unrank_by_suffix_counts)
 from lhca import debruijn
 from lhca.debruijn import (
     DetGraph,
@@ -121,7 +122,7 @@ def test_graph_is_regular(q, b):
         g = build_graph(fld, b)
         assert len(g.vertices) == (q - 1) * q ** (2 * (b - 1))
         assert g.degree == r
-        assert set(g.out_degrees()) == {r}
+        assert set(out_degrees_by_overlap(g)) == {r}
         # in-degrees by successor class, not edge by edge: a class of n
         # vertices adds n to each of its successors
         in_degrees = collections.Counter()
